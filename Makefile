@@ -31,6 +31,7 @@ vet: $(BIN)/respctvet
 # sanitizer (exit 5) rather than by crash-point exploration.
 psan:
 	RESPCT_SANITIZE=panic $(GO) test -race ./internal/core/... ./internal/pmem/... ./internal/kv/...
+	RESPCT_SANITIZE=panic $(GO) test -race ./internal/shard/
 	$(GO) test -race ./internal/psan/
 	$(GO) build -o $(BIN)/respct-crash ./cmd/respct-crash
 	$(BIN)/respct-crash -explore map-sync -budget 250 -sanitize

@@ -1,10 +1,15 @@
 // Command kvserver runs the Memcached-like key-value store of §5.3 on
-// simulated NVMM with ResPCT checkpointing, speaking the text protocol and
+// simulated NVMM with ResPCT checkpointing. It speaks the text protocol and
 // the pipelined binary protocol (docs/WIRE-PROTOCOL.md) on one TCP port,
-// negotiated per connection by its first byte (restrict with -protocol). With -shards N the key space is partitioned across N independent
+// negotiated per connection by its first byte; -protocol restricts it.
+//
+// With -shards N the key space is partitioned across N independent
 // heap+runtime shards (see internal/shard): checkpoints are staggered
 // round-robin so at most one shard stalls at a time, or synchronized with
-// -sync. On SIGINT/SIGTERM it snapshots each shard's persistent image to
+// -sync. Checkpoint gating is per operation and per shard, owned by the
+// store (DESIGN.md §3f).
+//
+// On SIGINT/SIGTERM it snapshots each shard's persistent image to
 // ShardFile(-snapshot, i) ("kv.img" → "kv-0.img", "kv-1.img", …) via an
 // atomic temp-file+rename; a later start with the same -snapshot and -shards
 // recovers every shard in parallel — a full crash/recovery cycle across OS
@@ -19,13 +24,16 @@
 // the format per shard — a certified frame chain wins over a legacy image —
 // so stores migrate between formats without conversion.
 //
-// Usage:
+// Usage (defaults shown; kvserver -h describes each flag):
 //
-//	kvserver [-addr :11222] [-workers 4] [-shards 1] [-sync] [-async]
+//	kvserver [-addr 127.0.0.1:11222] [-workers 4] [-shards 1] [-sync] [-async]
 //	         [-buckets 1048576] [-interval 64ms] [-heap 2147483648]
-//	         [-snapshot kv.img] [-snapshot-format image|frames]
-//	         [-snapshot-workers 0] [-metrics :9090] [-protocol auto]
-//	         [-structures] [-transient]
+//	         [-snapshot ""] [-snapshot-format image|frames]
+//	         [-snapshot-workers 0] [-metrics ""] [-protocol auto|text|binary]
+//	         [-structures=true] [-transient]
+//
+// -transient serves the non-fault-tolerant store instead (no shards, no
+// checkpoints, no snapshots — the paper's unmodified-Memcached baseline).
 //
 // -structures (on by default) enables the persistent structures surface —
 // ordered SCAN, queues (QPUSH/QPOP), logs (LAPPEND/LRANGE), per-key TTLs

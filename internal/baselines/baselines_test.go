@@ -6,6 +6,7 @@ package baselines_test
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -480,5 +481,51 @@ func TestIncllTMRecoveryRollsBackTornOp(t *testing.T) {
 	_ = undone // both ops committed: nothing to undo is also correct
 	if v, ok := m.Get(0, 5); !ok || v != 51 {
 		t.Fatalf("committed update lost: %d,%v", v, ok)
+	}
+}
+
+// TestFriedmanRecycledNodeStress is the regression for a dequeuer that acts
+// on a node it read before being preempted: by the time it claims the node
+// or reads its value, the node may have been dequeued, retired, recycled
+// and re-enqueued, so one value came back twice and another was lost. Many
+// more goroutines than CPUs, each yielding between its enqueue and dequeue,
+// keep dequeuers stalled across whole recycling rounds; every value must
+// come back exactly once.
+func TestFriedmanRecycledNodeStress(t *testing.T) {
+	const threads, ops = 16, 4000
+	q := friedman.NewQueue(pmem.New(pmem.Config{Size: heapSize}), threads, 0)
+	var wg sync.WaitGroup
+	got := make([][]uint64, threads)
+	for th := 0; th < threads; th++ {
+		wg.Add(1)
+		go func(th int) {
+			defer wg.Done()
+			for op := 0; op < ops; op++ {
+				q.Enqueue(th, uint64(th)*1000000+uint64(op)+1)
+				runtime.Gosched()
+				if v, ok := q.Dequeue(th); ok {
+					got[th] = append(got[th], v)
+				}
+			}
+		}(th)
+	}
+	wg.Wait()
+	seen := make(map[uint64]bool, threads*ops)
+	record := func(v uint64) {
+		if seen[v] {
+			t.Errorf("value %d dequeued twice", v)
+		}
+		seen[v] = true
+	}
+	for _, vs := range got {
+		for _, v := range vs {
+			record(v)
+		}
+	}
+	for v, ok := q.Dequeue(0); ok; v, ok = q.Dequeue(0) {
+		record(v)
+	}
+	if len(seen) != threads*ops {
+		t.Errorf("%d distinct values came back, %d went in", len(seen), threads*ops)
 	}
 }

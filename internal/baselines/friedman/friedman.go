@@ -8,7 +8,9 @@
 // claimed nodes.
 //
 // Node pointers are version-tagged (16-bit counter in the upper bits) so
-// recycled nodes cannot cause ABA.
+// recycled nodes cannot cause ABA, and a node's claim word carries the
+// node's generation, bumped at every reuse, so a dequeuer that stalled on a
+// node cannot claim (or take the value of) a later incarnation of it.
 //
 //respct:allow rawstore — durable lock-free queue persists nodes and links explicitly (PPoPP'18 scheme); bypasses ResPCT tracking by design
 package friedman
@@ -20,13 +22,15 @@ import (
 	"github.com/respct/respct/internal/pmem"
 )
 
-// node layout (words): [next(tagged), value, claimed]
+// node layout (words): [next(tagged), value, claimed]. claimed is
+// [48-bit generation | 16-bit dequeuer mark]; a zero mark means unclaimed.
 const (
 	nNext    = 0
 	nVal     = 8
 	nClaimed = 16
 
-	claimedFree = 0
+	markBits = 16
+	markMask = 1<<markBits - 1
 )
 
 // tagged pointers: [16-bit version | 48-bit address]
@@ -63,7 +67,7 @@ func NewQueue(h *pmem.Heap, threads, rootIdx int) *Queue {
 	for i := range q.fls {
 		q.fls[i] = h.NewFlusher()
 	}
-	s := q.newNode(0, 0)
+	s := q.newNode(0)
 	f := h.NewFlusher()
 	f.Persist(s)
 	h.SetRoot(rootIdx, uint64(s))
@@ -73,7 +77,9 @@ func NewQueue(h *pmem.Heap, threads, rootIdx int) *Queue {
 	return q
 }
 
-func (q *Queue) newNode(v, claimed uint64) pmem.Addr {
+// newNode returns an unclaimed node holding v, of a generation no earlier
+// incarnation of the same block had.
+func (q *Queue) newNode(v uint64) pmem.Addr {
 	q.freeMu.Lock()
 	var n pmem.Addr
 	if l := len(q.free); l > 0 {
@@ -92,7 +98,7 @@ func (q *Queue) newNode(v, claimed uint64) pmem.Addr {
 	oldTag := tagOf(q.h.Load64(n + nNext))
 	q.h.Store64(n+nNext, mkTagged(0, oldTag+1))
 	q.h.Store64(n+nVal, v)
-	q.h.Store64(n+nClaimed, claimed)
+	q.h.Store64(n+nClaimed, (q.h.Load64(n+nClaimed)>>markBits+1)<<markBits)
 	return n
 }
 
@@ -116,7 +122,7 @@ func (q *Queue) retire(n pmem.Addr) {
 // Enqueue implements structures.Queue.
 func (q *Queue) Enqueue(th int, v uint64) {
 	f := q.fls[th]
-	n := q.newNode(v, claimedFree)
+	n := q.newNode(v)
 	f.Persist(n) // node durable before it becomes reachable
 	for {
 		tailTagged := q.tail.Load()
@@ -136,21 +142,32 @@ func (q *Queue) Enqueue(th int, v uint64) {
 	}
 }
 
-// Dequeue implements structures.Queue.
+// Dequeue implements structures.Queue. Everything it learns about head's
+// successor — that it exists, its claim word, its value — is read between
+// two loads of the versioned head pointer and trusted only if the two agree:
+// a node is retired (and so recycled) only after head has moved past it, so
+// an unchanged head proves the reads all saw one incarnation of the node.
+// The claim CAS then expects that incarnation's exact claim word, which
+// fails if the node was claimed or recycled in the meantime.
 func (q *Queue) Dequeue(th int) (uint64, bool) {
 	f := q.fls[th]
-	myMark := uint64(th + 1)
 	for {
 		headTagged := q.head.Load()
 		head := addrOf(headTagged)
-		nextTagged := q.h.Load64(head + nNext)
-		next := addrOf(nextTagged)
+		next := addrOf(q.h.Load64(head + nNext))
+		var claim, v uint64
+		if next != pmem.NilAddr {
+			claim = q.h.Load64(next + nClaimed)
+			v = q.h.Load64(next + nVal)
+		}
+		if q.head.Load() != headTagged {
+			continue
+		}
 		if next == pmem.NilAddr {
 			return 0, false
 		}
-		if q.h.CAS64(next+nClaimed, claimedFree, myMark) {
+		if claim&markMask == 0 && q.h.CAS64(next+nClaimed, claim, claim|uint64(th+1)) {
 			f.Persist(next + nClaimed) // dequeue durable
-			v := q.h.Load64(next + nVal)
 			if q.head.CompareAndSwap(headTagged, mkTagged(next, tagOf(headTagged)+1)) {
 				q.retire(head) // old sentinel is unreachable
 			}
@@ -177,7 +194,7 @@ func (q *Queue) Recover() int {
 		if next == pmem.NilAddr {
 			break
 		}
-		if q.h.Load64(next+nClaimed) != claimedFree {
+		if q.h.Load64(next+nClaimed)&markMask != 0 {
 			head = next
 			continue
 		}
@@ -189,7 +206,7 @@ func (q *Queue) Recover() int {
 		if next == pmem.NilAddr {
 			break
 		}
-		if q.h.Load64(next+nClaimed) == claimedFree {
+		if q.h.Load64(next+nClaimed)&markMask == 0 {
 			count++
 		}
 		tail = next

@@ -46,9 +46,10 @@ func FigScanR(s KVScale, log func(string)) (string, []NetRow) {
 		panic(err)
 	}
 	rt.CheckpointIdle()
+	gated := kv.Gate(st)
 	ck := rt.StartCheckpointer(s.Interval)
 	defer ck.Stop()
-	srv, err := kv.NewServer(st, s.Workers, "127.0.0.1:0")
+	srv, err := kv.NewServer(gated, s.Workers, "127.0.0.1:0")
 	if err != nil {
 		panic(err)
 	}

@@ -297,8 +297,9 @@ func kvVariants() []kvVariant {
 				panic(err)
 			}
 			rt.CheckpointIdle()
+			gated := kv.Gate(st)
 			ck := rt.StartCheckpointer(s.Interval)
-			return st, ck.Stop
+			return gated, ck.Stop
 		}},
 		kvShardVariant(4),
 	}

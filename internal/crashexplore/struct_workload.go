@@ -45,7 +45,7 @@ func (w *kvStructWorkload) Setup(rec *pmem.Recorder, sanitize bool) (Run, error)
 	if err != nil {
 		return nil, err
 	}
-	r.st = st
+	r.st, r.gated = st, kv.Gate(st)
 	rt.SetQuiescedHook(func(ending uint64) {
 		r.certified[ending] = State(st.SnapshotLogical())
 	})
@@ -58,8 +58,9 @@ type kvStructRun struct {
 	w         *kvStructWorkload
 	h         *pmem.Heap
 	rt        *core.Runtime
-	st        *kv.RespctStore
-	clock     uint64 // workload-owned ms clock, read by the store
+	st        *kv.RespctStore // driven directly, inside Execute's own window
+	gated     *kv.GatedStore  // st as a server sees it: ApplyFrame's target
+	clock     uint64          // workload-owned ms clock, read by the store
 	certified Certified
 }
 
@@ -117,8 +118,8 @@ func (r *kvStructRun) batchOp(rng *rand.Rand, b, i int) error {
 }
 
 // multiFrame builds and applies one atomic MULTI frame, exactly as a server
-// worker runs a FlagAtomic batch: validated, then executed whole inside one
-// Batcher window with per-op restart points.
+// worker runs a FlagAtomic batch: validated, then executed whole inside the
+// gated store's single Batch window with per-op restart points.
 func (r *kvStructRun) multiFrame(rng *rand.Rand, round int) error {
 	var b wire.ReqBuilder
 	b.SetAtomic()
@@ -138,7 +139,7 @@ func (r *kvStructRun) multiFrame(rng *rand.Rand, round int) error {
 		return err
 	}
 	var resp wire.RespBuilder
-	return kv.ApplyFrame(r.st, 0, &f, &resp)
+	return kv.ApplyFrame(r.gated, 0, &f, &resp)
 }
 
 func (r *kvStructRun) Execute() error {

@@ -491,11 +491,11 @@ func (r *shardRun) Recover() ([]Recovered, error) {
 	return out, nil
 }
 
-// kvBatchWorkload drives kv.RespctStore through the server's binary batch
-// path: each round encodes a multi-op request frame with the wire codec,
-// decodes it, and executes it whole with kv.ApplyFrame — the code a
-// kv.Server worker runs for a pipelined client, under one checkpoint-prevent
-// window per frame. The async variant applies a further frame while the
+// kvBatchWorkload drives a gated kv.RespctStore through the server's binary
+// batch path: each round encodes a multi-op request frame with the wire
+// codec, decodes it, and executes it whole with kv.ApplyFrame — the code a
+// kv.Server worker runs for a pipelined client, one gated store call per
+// operation. The async variant applies a further frame while the
 // previous epoch's drain is parked on a gate: a client batch in flight
 // across the checkpoint cut. The checker then proves batched execution is
 // atomic w.r.t. the certified epoch the same way single ops are — every
@@ -522,7 +522,7 @@ func (w *kvBatchWorkload) Setup(rec *pmem.Recorder, sanitize bool) (Run, error) 
 	if err != nil {
 		return nil, err
 	}
-	r := &kvBatchRun{w: w, h: h, rt: rt, st: st, certified: Certified{}}
+	r := &kvBatchRun{w: w, h: h, rt: rt, st: kv.Gate(st), certified: Certified{}}
 	rt.SetQuiescedHook(func(ending uint64) {
 		r.certified[ending] = State(st.SnapshotLogical())
 	})
@@ -535,7 +535,7 @@ type kvBatchRun struct {
 	w         *kvBatchWorkload
 	h         *pmem.Heap
 	rt        *core.Runtime
-	st        *kv.RespctStore
+	st        *kv.GatedStore
 	certified Certified
 }
 
@@ -577,8 +577,8 @@ func (r *kvBatchRun) Execute() error {
 			return err
 		}
 		resp.Reset()
-		// The whole frame executes inside this goroutine's prevent window,
-		// mirroring Server.handleBatch.
+		// Exactly what a server worker does with a claimed frame; the
+		// driver only checkpoints between frames.
 		if err := kv.ApplyFrame(st, 0, &f, &resp); err != nil {
 			return err
 		}

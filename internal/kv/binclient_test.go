@@ -188,7 +188,7 @@ func TestMixedProtocolStress(t *testing.T) {
 	s := newRespctStore(t, 4)
 	ck := s.Runtime().StartCheckpointer(5 * time.Millisecond)
 	reg := telemetry.NewRegistry()
-	srv, err := NewServerOpts(s, Options{Workers: 4, Addr: "127.0.0.1:0", Metrics: reg})
+	srv, err := NewServerOpts(Gate(s), Options{Workers: 4, Addr: "127.0.0.1:0", Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,7 +140,7 @@ func TestRespctStoreHashChains(t *testing.T) {
 func TestServerEndToEnd(t *testing.T) {
 	s := newRespctStore(t, 4)
 	ck := s.Runtime().StartCheckpointer(10 * time.Millisecond)
-	srv, err := NewServer(s, 4, "127.0.0.1:0")
+	srv, err := NewServer(Gate(s), 4, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestServerEndToEnd(t *testing.T) {
 func TestServerManyClients(t *testing.T) {
 	s := newRespctStore(t, 4)
 	ck := s.Runtime().StartCheckpointer(5 * time.Millisecond)
-	srv, err := NewServer(s, 4, "127.0.0.1:0")
+	srv, err := NewServer(Gate(s), 4, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestServerSnapshotRecoveryRoundTrip(t *testing.T) {
 	s := newRespctStore(t, 2)
 	rt := s.Runtime()
 	rt.CheckpointIdle()
-	srv, err := NewServer(s, 2, "127.0.0.1:0")
+	srv, err := NewServer(Gate(s), 2, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestServerSnapshotRecoveryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv2, err := NewServer(s2, 2, "127.0.0.1:0")
+	srv2, err := NewServer(Gate(s2), 2, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

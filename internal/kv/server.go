@@ -2,17 +2,13 @@ package kv
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/respct/respct/internal/core"
 	"github.com/respct/respct/internal/telemetry"
 	"github.com/respct/respct/internal/wire"
 )
@@ -32,25 +28,26 @@ import (
 // (scan, qpush/qpop, lappend/lrange, expire/ttl, multi); on other stores
 // they answer "SERVER_ERROR structures disabled".
 //
-// The binary protocol (internal/wire, docs/WIRE-PROTOCOL.md) carries batches
-// of operations per frame; a worker claims a whole frame and executes it
-// under one checkpoint-prevent window, so the per-operation dispatch cost is
-// amortized across the batch. A v2 frame with FlagAtomic is additionally
-// all-or-nothing: see ApplyFrame.
+// Both protocols are codecs around one executor (exec.go): a connection
+// goroutine decodes a request into an op, hands it to a worker, and renders
+// the worker's result. The binary protocol (internal/wire,
+// docs/WIRE-PROTOCOL.md) carries batches of operations per frame; a worker
+// claims a whole frame, so the per-request hand-off cost is amortized across
+// the batch. A v2 frame with FlagAtomic is additionally all-or-nothing: see
+// ApplyFrame.
 //
 // Connections are accepted without limit (the YCSB evaluation uses 32
 // clients), but requests are executed by a fixed pool of worker threads
-// (the paper uses 4), each owning one store thread index. Workers follow
-// the blocking-call rule of §3.3.3: they open a checkpoint-allow window
-// while waiting for work.
+// (the paper uses 4), each owning one store thread index. The server takes
+// no checkpoint windows itself: the blocking-call rule of §3.3.3 is the
+// store's business (DESIGN.md §3f), so a persistent store must come gated —
+// a GatedStore or a shard.Store, whose threads sit in an allow window
+// whenever they are between operations, a worker waiting for work included.
 type Server struct {
-	store    Store
-	sops     StructOps // nil when the store has no structure surface
-	batcher  Batcher   // nil when the store cannot run atomic batches
-	workers  int
+	sf       surface // the store, resolved once
 	proto    Protocol
 	ln       net.Listener
-	dispatch chan request
+	dispatch chan *job
 	wg       sync.WaitGroup
 	connWG   sync.WaitGroup
 	closed   chan struct{}
@@ -107,11 +104,11 @@ type Options struct {
 // serverMetrics is the server's optional telemetry: per-op latency
 // histograms for the text path (observed by the executing worker, so
 // recording is sharded by worker index; one respct_kv_op_ns series per
-// command verb, keyed here by the request op byte), per-frame figures for
-// the binary path, byte counters for both directions of the binary
-// protocol, an active-connection gauge and a protocol-error counter.
+// registry verb, indexed here by its Opcode), per-frame figures for the
+// binary path, byte counters for both directions of the binary protocol, an
+// active-connection gauge and a protocol-error counter.
 type serverMetrics struct {
-	opNs      map[byte]*telemetry.Histogram
+	opNs      [len(byCode)]*telemetry.Histogram
 	conns     *telemetry.Gauge
 	protoErrs *telemetry.Counter
 
@@ -124,18 +121,7 @@ type serverMetrics struct {
 }
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
-	const help = "server-side operation latency, dispatch to reply"
-	opNs := make(map[byte]*telemetry.Histogram)
-	for op, verb := range map[byte]string{
-		opSet: "set", opGet: "get", opDel: "delete",
-		opScan: "scan", opQPush: "qpush", opQPop: "qpop",
-		opLApp: "lappend", opLRng: "lrange", opExpire: "expire",
-		opTTL: "ttl", opMulti: "multi",
-	} {
-		opNs[op] = reg.Histogram("respct_kv_op_ns", help, telemetry.Labels{"op": verb})
-	}
-	return &serverMetrics{
-		opNs:      opNs,
+	m := &serverMetrics{
 		conns:     reg.Gauge("respct_kv_conns", "open client connections", nil),
 		protoErrs: reg.Counter("respct_kv_protocol_errors_total", "malformed client commands", nil),
 
@@ -146,78 +132,21 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		frameOps: reg.Histogram("respct_wire_frame_ops", "operations per binary frame", nil),
 		frameNs:  reg.Histogram("respct_wire_frame_ns", "binary frame service time, claim to response built", nil),
 	}
+	for _, c := range commands {
+		m.opNs[c.Opcode] = reg.Histogram("respct_kv_op_ns", "server-side operation latency, dispatch to reply",
+			telemetry.Labels{"op": c.Verb})
+	}
+	return m
 }
 
-// maxValueBytes bounds a single value. Oversized sets are refused, but their
-// body is consumed so the connection stays in protocol sync.
-const maxValueBytes = 1 << 20
-
-// maxMultiOps bounds the sub-commands of one text-protocol MULTI batch.
-const maxMultiOps = 64
-
-// Request op bytes — one per command verb (see Commands). The byte is both
-// the dispatch tag and the telemetry key.
-const (
-	opSet    = 's'
-	opGet    = 'g'
-	opDel    = 'd'
-	opScan   = 'S'
-	opQPush  = 'q'
-	opQPop   = 'p'
-	opLApp   = 'l'
-	opLRng   = 'r'
-	opExpire = 'e'
-	opTTL    = 't'
-	opMulti  = 'm'
-)
-
-// request is one unit of worker work: either a single text-protocol op
-// (batch nil), a MULTI batch, or a whole binary frame.
-type request struct {
-	op    byte   // opSet..opMulti
-	key   string // key, queue/log name, or scan start key
-	value []byte
-	to    string    // scan end key
-	n64   uint64    // expire: deadline ms; lrange: start index
-	n32   uint32    // scan: limit; lrange: count
-	multi []multiOp // opMulti sub-commands
-	shard int       // opMulti target shard
-	reply chan response
-	batch *batchReq
-}
-
-// multiOp is one sub-command of a text-protocol MULTI batch. Unlike plain
-// requests, its key and value are copies — the batch outlives the reader
-// buffer its lines were parsed from.
-type multiOp struct {
-	op    byte // opSet, opGet, opDel or opExpire
-	key   string
-	value []byte
-	ms    uint64
-}
-
-type response struct {
-	value   []byte
-	found   bool
-	entries []Entry
-	records [][]byte
-	index   uint64
-	ms      uint64
-	err     error
-	multi   []response
-}
-
-// batchReq carries one decoded binary request frame from its connection
-// goroutine to a worker and the execution outcome back.
-type batchReq struct {
-	req  *wire.ReqFrame
-	resp *wire.RespBuilder
-	errc chan error
-}
-
-// allowIdle opens an allow window for stores that gate checkpoints.
-type idleAware interface {
-	Runtime() *core.Runtime
+// job is one unit of worker work: a text command (o and r) or a whole binary
+// frame (frame and resp). A connection owns one job and reuses it.
+type job struct {
+	o     *op
+	r     *result
+	frame *wire.ReqFrame
+	resp  *wire.RespBuilder
+	done  chan error // capacity 1: the worker's answer
 }
 
 // NewServer starts a server for store with the given worker count,
@@ -227,41 +156,25 @@ func NewServer(store Store, workers int, addr string) (*Server, error) {
 	return NewServerOpts(store, Options{Workers: workers, Addr: addr})
 }
 
-// NewServerWithMetrics is NewServer plus telemetry in reg (see
-// serverMetrics for the series).
-func NewServerWithMetrics(store Store, workers int, addr string, reg *telemetry.Registry) (*Server, error) {
-	return NewServerOpts(store, Options{Workers: workers, Addr: addr, Metrics: reg})
-}
-
 // NewServerOpts starts a server for store with the full option set.
 func NewServerOpts(store Store, o Options) (*Server, error) {
 	ln, err := net.Listen("tcp", o.Addr)
 	if err != nil {
 		return nil, err
 	}
-	var met *serverMetrics
-	if o.Metrics != nil {
-		met = newServerMetrics(o.Metrics)
-	}
-	sops, _ := store.(StructOps)
-	batcher, _ := store.(Batcher)
-	// A store can carry the methods yet have the surface switched off (a
-	// plain RespctStore); the server treats that the same as no surface at
-	// all, so every structure command answers "structures disabled".
-	if se, ok := store.(interface{ Structures() bool }); ok && !se.Structures() {
-		sops, batcher = nil, nil
-	}
 	s := &Server{
-		store:    store,
-		sops:     sops,
-		batcher:  batcher,
-		workers:  o.Workers,
-		proto:    o.Protocol,
-		ln:       ln,
-		dispatch: make(chan request, 256),
+		sf:    surfaceOf(store),
+		proto: o.Protocol,
+		ln:    ln,
+		// A connection has one job in flight at a time, so the buffer only
+		// has to absorb the connections that outnumber the workers; past it
+		// a hand-off simply blocks until a worker frees up.
+		dispatch: make(chan *job, 256),
 		closed:   make(chan struct{}),
 		conns:    make(map[net.Conn]struct{}),
-		met:      met,
+	}
+	if o.Metrics != nil {
+		s.met = newServerMetrics(o.Metrics)
 	}
 	for w := 0; w < o.Workers; w++ {
 		s.wg.Add(1)
@@ -297,359 +210,43 @@ func (s *Server) acceptLoop() {
 	}
 }
 
+// do hands j to a worker and waits for its answer: the dispatch and reply
+// hops that every request of either protocol pays.
+func (s *Server) do(j *job) error {
+	s.dispatch <- j
+	return <-j.done
+}
+
 func (s *Server) worker(w int) {
 	defer s.wg.Done()
-	if ia, ok := s.store.(idleAware); ok {
-		s.checkpointWorker(w, ia.Runtime().Thread(w))
-		return
-	}
-	for req := range s.dispatch {
-		s.handleReq(w, req)
+	for j := range s.dispatch {
+		j.done <- s.run(w, j)
 	}
 }
 
-// checkpointWorker is the idle-aware variant of worker: the runtime thread
-// opens an allow window across the blocking receive and closes it for the
-// duration of each work item — one text op or one whole binary frame, which
-// is what makes a frame's operations execute under a single
-// checkpoint-prevent window. It is kept free of nil-guards so the
-// Prevent/Allow pairing holds on every path: exiting on channel close
-// leaves the window open (the thread is done and must not gate future
-// checkpoints), and every other path loops back through CheckpointAllow.
-func (s *Server) checkpointWorker(w int, th *core.Thread) {
-	for {
-		th.CheckpointAllow()
-		req, ok := <-s.dispatch
-		if !ok {
-			return
-		}
-		th.CheckpointPrevent(nil)
-		s.handleReq(w, req)
-	}
-}
-
-// handleReq executes one work item and replies, recording telemetry when
-// enabled. Structure ops (opScan..opMulti) are dispatched only when the
-// connection loop verified s.sops/s.batcher, so no nil-guards here.
-func (s *Server) handleReq(w int, req request) {
-	if req.batch != nil {
-		s.handleBatch(w, req.batch)
-		return
-	}
+// run executes one job on worker w, recording telemetry when enabled. A
+// non-nil error is a malformed binary frame (see ApplyFrame).
+func (s *Server) run(w int, j *job) error {
 	var start time.Time
 	if s.met != nil {
 		start = time.Now()
 	}
-	var resp response
-	switch req.op {
-	case opSet:
-		s.store.Set(w, req.key, req.value)
-		resp.found = true
-	case opGet:
-		resp.value, resp.found = s.store.Get(w, req.key)
-	case opDel:
-		resp.found = s.store.Delete(w, req.key)
-	case opScan:
-		resp.entries = s.sops.Scan(w, req.key, req.to, int(req.n32))
-	case opQPush:
-		resp.err = s.sops.QPush(w, req.key, req.value)
-	case opQPop:
-		resp.value, resp.found, resp.err = s.sops.QPop(w, req.key)
-	case opLApp:
-		resp.index, resp.err = s.sops.LAppend(w, req.key, req.value)
-	case opLRng:
-		resp.records, resp.err = s.sops.LRange(w, req.key, req.n64, req.n32)
-	case opExpire:
-		resp.found = s.sops.Expire(w, req.key, req.n64)
-	case opTTL:
-		resp.ms, resp.found = s.sops.TTL(w, req.key)
-	case opMulti:
-		resp.multi = s.runMulti(w, req.shard, req.multi)
-	}
-	s.store.PerOp(w)
-	if s.met != nil {
-		if h := s.met.opNs[req.op]; h != nil {
-			h.ObserveDuration(w, time.Since(start))
+	if j.frame == nil {
+		s.sf.execute(w, j.o, j.r)
+		if s.met != nil {
+			s.met.opNs[j.o.code].ObserveDuration(w, time.Since(start))
 		}
+		return nil
 	}
-	req.reply <- resp
-}
-
-// runMulti executes a MULTI batch under one checkpoint-prevent window on
-// the target shard. Every sub-operation places its own restart point, so a
-// restart inside the batch replays only the interrupted sub-op — but the
-// epoch the window pins makes the batch's persistence all-or-nothing.
-func (s *Server) runMulti(w, shard int, ops []multiOp) []response {
-	out := make([]response, 0, len(ops))
-	s.batcher.Batch(w, shard, func(st Store) {
-		so, _ := st.(StructOps)
-		for _, mo := range ops {
-			var r response
-			switch mo.op {
-			case opSet:
-				st.Set(w, mo.key, mo.value)
-				r.found = true
-			case opGet:
-				r.value, r.found = st.Get(w, mo.key)
-			case opDel:
-				r.found = st.Delete(w, mo.key)
-			case opExpire:
-				r.found = so.Expire(w, mo.key, mo.ms)
-			}
-			st.PerOp(w)
-			out = append(out, r)
-		}
-	})
-	return out
-}
-
-// handleBatch executes one binary frame against the store. The caller (a
-// worker) already holds the checkpoint-prevent window for the whole frame.
-func (s *Server) handleBatch(w int, b *batchReq) {
-	var start time.Time
-	if s.met != nil {
-		start = time.Now()
-	}
-	b.resp.Reset()
-	err := ApplyFrame(s.store, w, b.req, b.resp)
+	j.resp.Reset()
+	err := s.sf.applyFrame(w, j.frame, j.resp)
 	if s.met != nil {
 		s.met.frameNs.ObserveDuration(w, time.Since(start))
-		s.met.frameOps.Observe(w, uint64(b.req.Ops()))
-		s.met.wireOps.Add(w, uint64(b.req.Ops()))
+		s.met.frameOps.Observe(w, uint64(j.frame.Ops()))
+		s.met.wireOps.Add(w, uint64(j.frame.Ops()))
 		s.met.frames.Inc(w)
 	}
-	b.errc <- err
-}
-
-// ApplyFrame executes every operation of a decoded request frame against
-// store under thread index th, appending one result per operation to resp
-// in order (the response echoes the request's protocol version). It is the
-// server's binary execution path, exported so the crash-consistency
-// workloads can drive the exact code the server runs. A non-nil error is a
-// malformed operation; the frame's earlier operations have already executed
-// (mirroring the text protocol, where a SET applies before its reply), and
-// the caller must close the connection.
-//
-// A frame carrying wire.FlagAtomic is all-or-nothing: its keys are
-// pre-validated to route to one shard (OpScan, which spans shards, is not
-// admitted), then the whole frame executes under that shard's single
-// checkpoint-prevent window. A frame that fails validation — cross-shard
-// keys, a scan, or a store without batch support — is refused whole: every
-// op answers wire.StatusRefused and nothing executes.
-func ApplyFrame(store Store, th int, f *wire.ReqFrame, resp *wire.RespBuilder) error {
-	resp.SetVersion(f.Version())
-	if f.Atomic() {
-		return applyAtomic(store, th, f, resp)
-	}
-	so := structOpsOf(store)
-	for i := 0; i < f.Ops(); i++ {
-		op, err := f.Next()
-		if err != nil {
-			return err
-		}
-		applyOp(store, so, th, op, resp)
-		store.PerOp(th)
-	}
-	return nil
-}
-
-// structOpsOf returns store's structure surface, nil when absent or
-// switched off (mirroring the server-construction check).
-func structOpsOf(store Store) StructOps {
-	if se, ok := store.(interface{ Structures() bool }); ok && !se.Structures() {
-		return nil
-	}
-	so, _ := store.(StructOps)
-	return so
-}
-
-// applyAtomic is ApplyFrame's FlagAtomic path: one validation pass over the
-// ops (frame shape, single shard), a Rewind, then execution inside one
-// Batcher window.
-func applyAtomic(store Store, th int, f *wire.ReqFrame, resp *wire.RespBuilder) error {
-	batcher, ok := store.(Batcher)
-	if structOpsOf(store) == nil {
-		ok = false
-	}
-	shard, valid := -1, ok
-	for i := 0; i < f.Ops(); i++ {
-		op, err := f.Next()
-		if err != nil {
-			return err
-		}
-		if op.Code == wire.OpScan {
-			valid = false
-			continue
-		}
-		if valid {
-			si := batcher.BatchShard(bstr(op.Key))
-			if shard == -1 {
-				shard = si
-			} else if si != shard {
-				valid = false
-			}
-		}
-	}
-	if f.Ops() == 0 {
-		return nil
-	}
-	if !valid {
-		for i := 0; i < f.Ops(); i++ {
-			resp.Status(wire.StatusRefused)
-		}
-		return nil
-	}
-	f.Rewind()
-	batcher.Batch(th, shard, func(st Store) {
-		so := structOpsOf(st)
-		for i := 0; i < f.Ops(); i++ {
-			op, err := f.Next()
-			if err != nil {
-				panic("kv: atomic frame re-iteration failed after validation")
-			}
-			applyOp(st, so, th, op, resp)
-			st.PerOp(th)
-		}
-	})
-	return nil
-}
-
-// applyOp executes one decoded binary operation. Structure opcodes on a
-// store without the surface answer wire.StatusRefused; a name bound to the
-// other structure kind answers wire.StatusWrongType. Entries responses
-// (scan, lrange) are truncated at the wire.MaxValueLen blob budget.
-func applyOp(st Store, so StructOps, th int, op wire.Op, resp *wire.RespBuilder) {
-	switch op.Code {
-	case wire.OpGet:
-		if v, ok := st.Get(th, bstr(op.Key)); ok {
-			resp.Value(v)
-		} else {
-			resp.Status(wire.StatusNotFound)
-		}
-	case wire.OpSet:
-		if len(op.Value) > maxValueBytes {
-			resp.Status(wire.StatusTooLarge)
-		} else {
-			st.Set(th, bstr(op.Key), op.Value)
-			resp.Status(wire.StatusStored)
-		}
-	case wire.OpDelete:
-		if st.Delete(th, bstr(op.Key)) {
-			resp.Status(wire.StatusDeleted)
-		} else {
-			resp.Status(wire.StatusNotFound)
-		}
-	case wire.OpScan:
-		if so == nil {
-			resp.Status(wire.StatusRefused)
-			return
-		}
-		limit, to := op.ScanArgs()
-		entries := so.Scan(th, bstr(op.Key), bstr(to), int(limit))
-		mark := resp.BeginEntries()
-		n := 0
-		for _, e := range entries {
-			if resp.EntriesLen(mark)+6+len(e.Key)+len(e.Value) > wire.MaxValueLen {
-				break
-			}
-			resp.AddEntry(e.Key, e.Value)
-			n++
-		}
-		resp.EndEntries(mark, n)
-	case wire.OpQPush:
-		if so == nil {
-			resp.Status(wire.StatusRefused)
-			return
-		}
-		if len(op.Value) > maxValueBytes {
-			resp.Status(wire.StatusTooLarge)
-			return
-		}
-		resp.Status(structStatus(so.QPush(th, bstr(op.Key), op.Value), wire.StatusStored))
-	case wire.OpQPop:
-		if so == nil {
-			resp.Status(wire.StatusRefused)
-			return
-		}
-		v, ok, err := so.QPop(th, bstr(op.Key))
-		switch {
-		case err != nil:
-			resp.Status(structStatus(err, 0))
-		case ok:
-			resp.Value(v)
-		default:
-			resp.Status(wire.StatusEmpty)
-		}
-	case wire.OpLAppend:
-		if so == nil {
-			resp.Status(wire.StatusRefused)
-			return
-		}
-		if len(op.Value) > maxValueBytes {
-			resp.Status(wire.StatusTooLarge)
-			return
-		}
-		idx, err := so.LAppend(th, bstr(op.Key), op.Value)
-		if err != nil {
-			resp.Status(structStatus(err, 0))
-		} else {
-			resp.Appended(idx)
-		}
-	case wire.OpLRange:
-		if so == nil {
-			resp.Status(wire.StatusRefused)
-			return
-		}
-		from, count := op.LRangeArgs()
-		records, err := so.LRange(th, bstr(op.Key), from, count)
-		if err != nil {
-			resp.Status(structStatus(err, 0))
-			return
-		}
-		mark := resp.BeginEntries()
-		n := 0
-		for _, rec := range records {
-			if resp.EntriesLen(mark)+6+len(rec) > wire.MaxValueLen {
-				break
-			}
-			resp.AddEntry("", rec)
-			n++
-		}
-		resp.EndEntries(mark, n)
-	case wire.OpExpire:
-		if so == nil {
-			resp.Status(wire.StatusRefused)
-			return
-		}
-		if so.Expire(th, bstr(op.Key), op.ExpireArgs()) {
-			resp.Status(wire.StatusStored)
-		} else {
-			resp.Status(wire.StatusNotFound)
-		}
-	case wire.OpTTL:
-		if so == nil {
-			resp.Status(wire.StatusRefused)
-			return
-		}
-		if ms, ok := so.TTL(th, bstr(op.Key)); ok {
-			resp.TTLms(ms)
-		} else {
-			resp.Status(wire.StatusNotFound)
-		}
-	}
-}
-
-// structStatus maps a structure-op error to its wire status (okStatus for
-// nil).
-func structStatus(err error, okStatus byte) byte {
-	switch {
-	case err == nil:
-		return okStatus
-	case errors.Is(err, ErrWrongType):
-		return wire.StatusWrongType
-	default:
-		return wire.StatusRefused
-	}
+	return err
 }
 
 // protoErr counts one malformed client command when telemetry is on.
@@ -708,7 +305,7 @@ func (s *Server) serveConn(conn net.Conn) {
 func (s *Server) serveBinary(r *bufio.Reader, wtr *bufio.Writer, cid int) {
 	var req wire.ReqFrame
 	var resp wire.RespBuilder
-	b := &batchReq{req: &req, resp: &resp, errc: make(chan error, 1)}
+	j := &job{frame: &req, resp: &resp, done: make(chan error, 1)}
 	for {
 		if err := req.Decode(r); err != nil {
 			if wire.IsProtocolError(err) {
@@ -719,8 +316,7 @@ func (s *Server) serveBinary(r *bufio.Reader, wtr *bufio.Writer, cid int) {
 		if s.met != nil {
 			s.met.bytesIn.Add(cid, uint64(req.Len()))
 		}
-		s.dispatch <- request{batch: b}
-		if err := <-b.errc; err != nil {
+		if err := s.do(j); err != nil {
 			s.protoErr()
 			return
 		}
@@ -730,499 +326,6 @@ func (s *Server) serveBinary(r *bufio.Reader, wtr *bufio.Writer, cid int) {
 		}
 		if s.met != nil {
 			s.met.bytesOut.Add(cid, uint64(len(out)))
-		}
-		if r.Buffered() == 0 {
-			if err := wtr.Flush(); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// splitFields splits line into at most 4 space-separated fields without
-// allocating, returning the field count (or -1 when a 5th field exists).
-func splitFields(line []byte, f *[4][]byte) int {
-	n := 0
-	i := 0
-	for i < len(line) {
-		for i < len(line) && line[i] == ' ' {
-			i++
-		}
-		if i == len(line) {
-			break
-		}
-		j := i
-		for j < len(line) && line[j] != ' ' {
-			j++
-		}
-		if n == 4 {
-			return -1
-		}
-		f[n] = line[i:j]
-		n++
-		i = j
-	}
-	return n
-}
-
-// parseU64 parses a non-negative decimal uint64 (TTL milliseconds, log
-// indexes).
-func parseU64(b []byte) (uint64, bool) {
-	if len(b) == 0 || len(b) > 19 {
-		return 0, false
-	}
-	var n uint64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + uint64(c-'0')
-	}
-	return n, true
-}
-
-// parseLen parses a non-negative decimal byte count, rejecting anything
-// else (including lengths that would overflow the value bound by far).
-func parseLen(b []byte) (int, bool) {
-	if len(b) == 0 || len(b) > 9 {
-		return 0, false
-	}
-	n := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
-}
-
-// writeValue writes one "VALUE <key> <len>\r\n<data>\r\n" block.
-func writeValue(wtr *bufio.Writer, key, value []byte, num *[20]byte) {
-	wtr.WriteString("VALUE ")
-	wtr.Write(key)
-	wtr.WriteByte(' ')
-	wtr.Write(strconv.AppendInt(num[:0], int64(len(value)), 10))
-	wtr.WriteString("\r\n")
-	wtr.Write(value)
-	wtr.WriteString("\r\n")
-}
-
-// writeStructErr maps a structure-op error to its text reply.
-func writeStructErr(wtr *bufio.Writer, err error) {
-	if errors.Is(err, ErrWrongType) {
-		wtr.WriteString("WRONGTYPE\r\n")
-	} else {
-		wtr.WriteString("SERVER_ERROR structures disabled\r\n")
-	}
-}
-
-// errBadMulti is a malformed MULTI sub-command; the connection closes
-// because the remaining batch framing is unknowable.
-var errBadMulti = errors.New("kv: malformed multi sub-command")
-
-// readMultiOps consumes a MULTI batch's n sub-command lines (and SET
-// bodies). Keys and values are copied: the batch outlives the reader
-// buffer.
-func readMultiOps(r *bufio.Reader, n int) ([]multiOp, error) {
-	ops := make([]multiOp, 0, n)
-	var fields [4][]byte
-	for len(ops) < n {
-		line, err := r.ReadSlice('\n')
-		if err != nil {
-			return nil, err
-		}
-		for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
-			line = line[:len(line)-1]
-		}
-		nf := splitFields(line, &fields)
-		switch {
-		case nf == 3 && string(fields[0]) == "set":
-			sz, ok := parseLen(fields[2])
-			if !ok || sz > maxValueBytes {
-				return nil, errBadMulti
-			}
-			key := string(fields[1])
-			body := make([]byte, sz+2)
-			if _, err := io.ReadFull(r, body); err != nil {
-				return nil, err
-			}
-			ops = append(ops, multiOp{op: opSet, key: key, value: body[:sz]})
-		case nf == 2 && string(fields[0]) == "get":
-			ops = append(ops, multiOp{op: opGet, key: string(fields[1])})
-		case nf == 2 && string(fields[0]) == "delete":
-			ops = append(ops, multiOp{op: opDel, key: string(fields[1])})
-		case nf == 3 && string(fields[0]) == "expire":
-			ms, ok := parseU64(fields[2])
-			if !ok {
-				return nil, errBadMulti
-			}
-			ops = append(ops, multiOp{op: opExpire, key: string(fields[1]), ms: ms})
-		default:
-			return nil, errBadMulti
-		}
-	}
-	return ops, nil
-}
-
-// serveText is the text-protocol connection loop. Lines are parsed with
-// ReadSlice over the reader's own buffer and SET bodies land in a reused
-// per-connection buffer, so the loop is allocation-free per op in steady
-// state; responses are written without fmt and flushed only when no further
-// request bytes are buffered, so a pipelining client pays one write-back
-// per burst.
-func (s *Server) serveText(r *bufio.Reader, wtr *bufio.Writer) {
-	reply := make(chan response, 1)
-	var fields [4][]byte
-	var keyBuf []byte // SET keys survive the body read in here
-	var valBuf []byte // reused SET body buffer
-	var num [20]byte  // integer rendering scratch
-	for {
-		line, err := r.ReadSlice('\n')
-		if err != nil {
-			if err == bufio.ErrBufferFull {
-				// The "line" exceeds the read buffer: unframeable, close.
-				s.protoErr()
-			}
-			return
-		}
-		for len(line) > 0 && (line[len(line)-1] == '\n' || line[len(line)-1] == '\r') {
-			line = line[:len(line)-1]
-		}
-		nf := splitFields(line, &fields)
-		if nf == 0 {
-			continue
-		}
-		switch {
-		case string(fields[0]) == "set":
-			// A malformed set leaves an unknown number of body bytes on the
-			// wire; replying and reading on would desync the protocol —
-			// every subsequent "command" would be value bytes. When the
-			// length is unparseable the connection must close; when it is
-			// valid but oversized the body is consumed and the connection
-			// stays usable.
-			if nf != 3 {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad command\r\n")
-				wtr.Flush()
-				return
-			}
-			n, ok := parseLen(fields[2])
-			if !ok {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad length\r\n")
-				wtr.Flush()
-				return
-			}
-			if n > maxValueBytes {
-				if _, err := io.CopyN(io.Discard, r, int64(n)+2); err != nil {
-					return
-				}
-				wtr.WriteString("SERVER_ERROR object too large\r\n")
-				wtr.Flush()
-				continue
-			}
-			// The body read below refills the reader's buffer, which would
-			// clobber the key sub-slice: copy it out first.
-			keyBuf = append(keyBuf[:0], fields[1]...)
-			if cap(valBuf) < n+2 {
-				valBuf = make([]byte, n+2)
-			}
-			data := valBuf[:n+2]
-			if _, err := io.ReadFull(r, data); err != nil {
-				return
-			}
-			s.dispatch <- request{op: 's', key: bstr(keyBuf), value: data[:n], reply: reply}
-			<-reply
-			wtr.WriteString("STORED\r\n")
-		case string(fields[0]) == "get":
-			if nf != 2 {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad command\r\n")
-				wtr.Flush()
-				continue
-			}
-			s.dispatch <- request{op: 'g', key: bstr(fields[1]), reply: reply}
-			resp := <-reply
-			if resp.found {
-				wtr.WriteString("VALUE ")
-				wtr.Write(fields[1])
-				wtr.WriteByte(' ')
-				wtr.Write(strconv.AppendInt(num[:0], int64(len(resp.value)), 10))
-				wtr.WriteString("\r\n")
-				wtr.Write(resp.value)
-				wtr.WriteString("\r\n")
-			}
-			wtr.WriteString("END\r\n")
-		case string(fields[0]) == "delete":
-			if nf != 2 {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad command\r\n")
-				wtr.Flush()
-				continue
-			}
-			s.dispatch <- request{op: 'd', key: bstr(fields[1]), reply: reply}
-			resp := <-reply
-			if resp.found {
-				wtr.WriteString("DELETED\r\n")
-			} else {
-				wtr.WriteString("NOT_FOUND\r\n")
-			}
-		case string(fields[0]) == "scan":
-			// scan <from> <to> <limit>; "-" = unbounded from, "+" = to.
-			if nf != 4 {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad command\r\n")
-				wtr.Flush()
-				continue
-			}
-			limit, ok := parseLen(fields[3])
-			if !ok || limit == 0 {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad limit\r\n")
-				wtr.Flush()
-				continue
-			}
-			if s.sops == nil {
-				wtr.WriteString("SERVER_ERROR structures disabled\r\n")
-				break
-			}
-			from, to := fields[1], fields[2]
-			if len(from) == 1 && from[0] == '-' {
-				from = nil
-			}
-			if len(to) == 1 && to[0] == '+' {
-				to = nil
-			}
-			s.dispatch <- request{op: opScan, key: bstr(from), to: bstr(to), n32: uint32(limit), reply: reply}
-			resp := <-reply
-			for _, e := range resp.entries {
-				writeValue(wtr, []byte(e.Key), e.Value, &num)
-			}
-			wtr.WriteString("END\r\n")
-		case string(fields[0]) == "qpush" || string(fields[0]) == "lappend":
-			// qpush/lappend <name> <bytes>\r\n<data>\r\n — SET's framing
-			// rules: an unparseable length kills the connection, an
-			// oversized or unservable body is consumed so it stays usable.
-			isPush := fields[0][0] == 'q'
-			if nf != 3 {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad command\r\n")
-				wtr.Flush()
-				return
-			}
-			n, ok := parseLen(fields[2])
-			if !ok {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad length\r\n")
-				wtr.Flush()
-				return
-			}
-			if n > maxValueBytes || s.sops == nil {
-				if _, err := io.CopyN(io.Discard, r, int64(n)+2); err != nil {
-					return
-				}
-				if s.sops == nil {
-					wtr.WriteString("SERVER_ERROR structures disabled\r\n")
-				} else {
-					wtr.WriteString("SERVER_ERROR object too large\r\n")
-				}
-				wtr.Flush()
-				continue
-			}
-			keyBuf = append(keyBuf[:0], fields[1]...)
-			if cap(valBuf) < n+2 {
-				valBuf = make([]byte, n+2)
-			}
-			data := valBuf[:n+2]
-			if _, err := io.ReadFull(r, data); err != nil {
-				return
-			}
-			op := byte(opQPush)
-			if !isPush {
-				op = opLApp
-			}
-			s.dispatch <- request{op: op, key: bstr(keyBuf), value: data[:n], reply: reply}
-			resp := <-reply
-			switch {
-			case resp.err != nil:
-				writeStructErr(wtr, resp.err)
-			case isPush:
-				wtr.WriteString("STORED\r\n")
-			default:
-				wtr.WriteString("APPENDED ")
-				wtr.Write(strconv.AppendUint(num[:0], resp.index, 10))
-				wtr.WriteString("\r\n")
-			}
-		case string(fields[0]) == "qpop":
-			if nf != 2 {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad command\r\n")
-				wtr.Flush()
-				continue
-			}
-			if s.sops == nil {
-				wtr.WriteString("SERVER_ERROR structures disabled\r\n")
-				break
-			}
-			s.dispatch <- request{op: opQPop, key: bstr(fields[1]), reply: reply}
-			resp := <-reply
-			if resp.err != nil {
-				writeStructErr(wtr, resp.err)
-				break
-			}
-			if resp.found {
-				writeValue(wtr, fields[1], resp.value, &num)
-			}
-			wtr.WriteString("END\r\n")
-		case string(fields[0]) == "lrange":
-			// lrange <name> <from> <count>; VALUE keys are record indexes.
-			if nf != 4 {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad command\r\n")
-				wtr.Flush()
-				continue
-			}
-			from, ok1 := parseU64(fields[2])
-			count, ok2 := parseLen(fields[3])
-			if !ok1 || !ok2 {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad range\r\n")
-				wtr.Flush()
-				continue
-			}
-			if s.sops == nil {
-				wtr.WriteString("SERVER_ERROR structures disabled\r\n")
-				break
-			}
-			s.dispatch <- request{op: opLRng, key: bstr(fields[1]), n64: from, n32: uint32(count), reply: reply}
-			resp := <-reply
-			if resp.err != nil {
-				writeStructErr(wtr, resp.err)
-				break
-			}
-			for i, rec := range resp.records {
-				idx := strconv.AppendUint(num[:0], from+uint64(i), 10)
-				writeValue(wtr, idx, rec, &num)
-			}
-			wtr.WriteString("END\r\n")
-		case string(fields[0]) == "expire":
-			if nf != 3 {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad command\r\n")
-				wtr.Flush()
-				continue
-			}
-			ms, ok := parseU64(fields[2])
-			if !ok {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad ttl\r\n")
-				wtr.Flush()
-				continue
-			}
-			if s.sops == nil {
-				wtr.WriteString("SERVER_ERROR structures disabled\r\n")
-				break
-			}
-			s.dispatch <- request{op: opExpire, key: bstr(fields[1]), n64: ms, reply: reply}
-			if resp := <-reply; resp.found {
-				wtr.WriteString("STORED\r\n")
-			} else {
-				wtr.WriteString("NOT_FOUND\r\n")
-			}
-		case string(fields[0]) == "ttl":
-			if nf != 2 {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad command\r\n")
-				wtr.Flush()
-				continue
-			}
-			if s.sops == nil {
-				wtr.WriteString("SERVER_ERROR structures disabled\r\n")
-				break
-			}
-			s.dispatch <- request{op: opTTL, key: bstr(fields[1]), reply: reply}
-			if resp := <-reply; resp.found {
-				wtr.WriteString("TTL ")
-				wtr.Write(strconv.AppendUint(num[:0], resp.ms, 10))
-				wtr.WriteString("\r\n")
-			} else {
-				wtr.WriteString("NOT_FOUND\r\n")
-			}
-		case string(fields[0]) == "multi":
-			// multi <n> followed by n sub-command lines (set/get/delete/
-			// expire, one shard). Sub-commands are consumed before any
-			// validation reply so the stream stays framed; an unparseable
-			// batch kills the connection like a bad SET length would.
-			if nf != 2 {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad command\r\n")
-				wtr.Flush()
-				return
-			}
-			n, ok := parseLen(fields[1])
-			if !ok || n == 0 || n > maxMultiOps {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad batch size\r\n")
-				wtr.Flush()
-				return
-			}
-			ops, err := readMultiOps(r, n)
-			if err != nil {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR bad multi\r\n")
-				wtr.Flush()
-				return
-			}
-			if s.batcher == nil {
-				wtr.WriteString("SERVER_ERROR structures disabled\r\n")
-				break
-			}
-			shard := s.batcher.BatchShard(ops[0].key)
-			crossShard := false
-			for _, mo := range ops[1:] {
-				if s.batcher.BatchShard(mo.key) != shard {
-					crossShard = true
-					break
-				}
-			}
-			if crossShard {
-				s.protoErr()
-				wtr.WriteString("CLIENT_ERROR cross-shard multi\r\n")
-				break
-			}
-			s.dispatch <- request{op: opMulti, multi: ops, shard: shard, reply: reply}
-			resp := <-reply
-			for i, mo := range ops {
-				sub := resp.multi[i]
-				switch mo.op {
-				case opSet:
-					wtr.WriteString("STORED\r\n")
-				case opGet:
-					if sub.found {
-						writeValue(wtr, []byte(mo.key), sub.value, &num)
-					}
-					wtr.WriteString("END\r\n")
-				case opDel:
-					if sub.found {
-						wtr.WriteString("DELETED\r\n")
-					} else {
-						wtr.WriteString("NOT_FOUND\r\n")
-					}
-				case opExpire:
-					if sub.found {
-						wtr.WriteString("STORED\r\n")
-					} else {
-						wtr.WriteString("NOT_FOUND\r\n")
-					}
-				}
-			}
-		case string(fields[0]) == "quit":
-			wtr.Flush()
-			return
-		default:
-			s.protoErr()
-			wtr.WriteString("ERROR\r\n")
 		}
 		if r.Buffered() == 0 {
 			if err := wtr.Flush(); err != nil {
@@ -1254,368 +357,4 @@ func (s *Server) Close() {
 	s.connWG.Wait()
 	close(s.dispatch)
 	s.wg.Wait()
-	for w := 0; w < s.workers; w++ {
-		s.store.ThreadExit(w)
-	}
-}
-
-// Client is a minimal client for the server's text protocol. The Send/Recv
-// halves of each operation are exposed so callers can pipeline: write any
-// number of commands, Flush, then Recv the replies in the same order.
-type Client struct {
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-}
-
-// Dial connects a text-protocol client to addr.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}, nil
-}
-
-// SendSet writes a set command without flushing.
-func (c *Client) SendSet(key string, value []byte) error {
-	fmt.Fprintf(c.w, "set %s %d\r\n", key, len(value))
-	c.w.Write(value)
-	_, err := c.w.WriteString("\r\n")
-	return err
-}
-
-// RecvSet reads one set reply.
-func (c *Client) RecvSet() error {
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return err
-	}
-	if !strings.HasPrefix(line, "STORED") {
-		return fmt.Errorf("kv: set failed: %q", line)
-	}
-	return nil
-}
-
-// Set stores value under key.
-func (c *Client) Set(key string, value []byte) error {
-	if err := c.SendSet(key, value); err != nil {
-		return err
-	}
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	return c.RecvSet()
-}
-
-// SendGet writes a get command without flushing.
-func (c *Client) SendGet(key string) error {
-	fmt.Fprintf(c.w, "get %s\r\n", key)
-	return nil
-}
-
-// RecvGet reads one get reply.
-func (c *Client) RecvGet() ([]byte, bool, error) {
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return nil, false, err
-	}
-	if strings.HasPrefix(line, "END") {
-		return nil, false, nil
-	}
-	if !strings.HasPrefix(line, "VALUE ") {
-		return nil, false, fmt.Errorf("kv: bad get response %q", line)
-	}
-	fields := strings.Fields(strings.TrimSpace(line))
-	n, err := strconv.Atoi(fields[2])
-	if err != nil {
-		return nil, false, err
-	}
-	data := make([]byte, n+2)
-	if _, err := io.ReadFull(c.r, data); err != nil {
-		return nil, false, err
-	}
-	if end, err := c.r.ReadString('\n'); err != nil || !strings.HasPrefix(end, "END") {
-		return nil, false, fmt.Errorf("kv: missing END (%q, %v)", end, err)
-	}
-	return data[:n], true, nil
-}
-
-// Get fetches key.
-func (c *Client) Get(key string) ([]byte, bool, error) {
-	if err := c.SendGet(key); err != nil {
-		return nil, false, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, false, err
-	}
-	return c.RecvGet()
-}
-
-// SendDelete writes a delete command without flushing.
-func (c *Client) SendDelete(key string) error {
-	fmt.Fprintf(c.w, "delete %s\r\n", key)
-	return nil
-}
-
-// RecvDelete reads one delete reply and reports whether the key existed.
-func (c *Client) RecvDelete() (bool, error) {
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return false, err
-	}
-	return strings.HasPrefix(line, "DELETED"), nil
-}
-
-// Delete removes key and reports whether it existed.
-func (c *Client) Delete(key string) (bool, error) {
-	if err := c.SendDelete(key); err != nil {
-		return false, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return false, err
-	}
-	return c.RecvDelete()
-}
-
-// recvEntries reads VALUE blocks until END, collecting them in order. An
-// error line (WRONGTYPE, SERVER_ERROR, CLIENT_ERROR) surfaces as an error.
-func (c *Client) recvEntries() ([]Entry, error) {
-	var out []Entry
-	for {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			return nil, err
-		}
-		line = strings.TrimSpace(line)
-		if line == "END" {
-			return out, nil
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 || fields[0] != "VALUE" {
-			return nil, fmt.Errorf("kv: %s", line)
-		}
-		n, err := strconv.Atoi(fields[2])
-		if err != nil {
-			return nil, err
-		}
-		data := make([]byte, n+2)
-		if _, err := io.ReadFull(c.r, data); err != nil {
-			return nil, err
-		}
-		out = append(out, Entry{Key: fields[1], Value: data[:n]})
-	}
-}
-
-// recvLine reads one status line and checks it against the acceptable
-// statuses, returning the one that matched.
-func (c *Client) recvLine(want ...string) (string, error) {
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	line = strings.TrimSpace(line)
-	for _, w := range want {
-		if line == w || strings.HasPrefix(line, w+" ") {
-			return line, nil
-		}
-	}
-	return "", fmt.Errorf("kv: %s", line)
-}
-
-// SendScan writes a scan command without flushing. Empty from/to mean
-// unbounded (the "-" / "+" sentinels on the wire).
-func (c *Client) SendScan(from, to string, limit int) error {
-	if from == "" {
-		from = "-"
-	}
-	if to == "" {
-		to = "+"
-	}
-	_, err := fmt.Fprintf(c.w, "scan %s %s %d\r\n", from, to, limit)
-	return err
-}
-
-// RecvScan reads one scan reply.
-func (c *Client) RecvScan() ([]Entry, error) { return c.recvEntries() }
-
-// Scan lists entries with keys in [from, to] (empty = unbounded), at most
-// limit.
-func (c *Client) Scan(from, to string, limit int) ([]Entry, error) {
-	if err := c.SendScan(from, to, limit); err != nil {
-		return nil, err
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, err
-	}
-	return c.RecvScan()
-}
-
-// QPush appends value to the named queue.
-func (c *Client) QPush(name string, value []byte) error {
-	fmt.Fprintf(c.w, "qpush %s %d\r\n", name, len(value))
-	c.w.Write(value)
-	c.w.WriteString("\r\n")
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	_, err := c.recvLine("STORED")
-	return err
-}
-
-// QPop removes and returns the named queue's oldest element.
-func (c *Client) QPop(name string) ([]byte, bool, error) {
-	fmt.Fprintf(c.w, "qpop %s\r\n", name)
-	if err := c.w.Flush(); err != nil {
-		return nil, false, err
-	}
-	entries, err := c.recvEntries()
-	if err != nil || len(entries) == 0 {
-		return nil, false, err
-	}
-	return entries[0].Value, true, nil
-}
-
-// LAppend appends record to the named log and returns its index.
-func (c *Client) LAppend(name string, record []byte) (uint64, error) {
-	fmt.Fprintf(c.w, "lappend %s %d\r\n", name, len(record))
-	c.w.Write(record)
-	c.w.WriteString("\r\n")
-	if err := c.w.Flush(); err != nil {
-		return 0, err
-	}
-	line, err := c.recvLine("APPENDED")
-	if err != nil {
-		return 0, err
-	}
-	return strconv.ParseUint(line[len("APPENDED "):], 10, 64)
-}
-
-// LRange reads count records of the named log starting at index from. A
-// missing log reads as empty.
-func (c *Client) LRange(name string, from uint64, count int) ([][]byte, error) {
-	fmt.Fprintf(c.w, "lrange %s %d %d\r\n", name, from, count)
-	if err := c.w.Flush(); err != nil {
-		return nil, err
-	}
-	entries, err := c.recvEntries()
-	if err != nil {
-		return nil, err
-	}
-	recs := make([][]byte, len(entries))
-	for i, e := range entries {
-		recs[i] = e.Value
-	}
-	return recs, nil
-}
-
-// Expire sets key's time-to-live in milliseconds (0 clears it) and reports
-// whether the key exists.
-func (c *Client) Expire(key string, ms uint64) (bool, error) {
-	fmt.Fprintf(c.w, "expire %s %d\r\n", key, ms)
-	if err := c.w.Flush(); err != nil {
-		return false, err
-	}
-	line, err := c.recvLine("STORED", "NOT_FOUND")
-	return line == "STORED", err
-}
-
-// TTL reads key's remaining time-to-live: (ms, true) for a live key (0 = no
-// expiry set), (0, false) for a missing or expired one.
-func (c *Client) TTL(key string) (uint64, bool, error) {
-	fmt.Fprintf(c.w, "ttl %s\r\n", key)
-	if err := c.w.Flush(); err != nil {
-		return 0, false, err
-	}
-	line, err := c.recvLine("TTL", "NOT_FOUND")
-	if err != nil || line == "NOT_FOUND" {
-		return 0, false, err
-	}
-	ms, err := strconv.ParseUint(line[len("TTL "):], 10, 64)
-	return ms, err == nil, err
-}
-
-// MultiOp is one sub-command of a Client.Multi batch. Verb is one of set,
-// get, delete, expire; Ms is expire's deadline argument.
-type MultiOp struct {
-	Verb  string
-	Key   string
-	Value []byte
-	Ms    uint64
-}
-
-// MultiResult is one MultiOp's outcome: Found reports a hit (get), an
-// existing key (delete, expire), or success (set); Value is get's hit.
-type MultiResult struct {
-	Found bool
-	Value []byte
-}
-
-// Multi executes ops atomically: all keys must route to one shard, and the
-// batch applies under a single checkpoint-prevent window — a crash either
-// persists the whole batch or rolls it back whole. A refused batch (cross-
-// shard keys, structures disabled) returns an error and executes nothing.
-func (c *Client) Multi(ops []MultiOp) ([]MultiResult, error) {
-	fmt.Fprintf(c.w, "multi %d\r\n", len(ops))
-	for _, op := range ops {
-		switch op.Verb {
-		case "set":
-			fmt.Fprintf(c.w, "set %s %d\r\n", op.Key, len(op.Value))
-			c.w.Write(op.Value)
-			c.w.WriteString("\r\n")
-		case "get", "delete":
-			fmt.Fprintf(c.w, "%s %s\r\n", op.Verb, op.Key)
-		case "expire":
-			fmt.Fprintf(c.w, "expire %s %d\r\n", op.Key, op.Ms)
-		default:
-			return nil, fmt.Errorf("kv: multi: bad verb %q", op.Verb)
-		}
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, err
-	}
-	out := make([]MultiResult, 0, len(ops))
-	for i, op := range ops {
-		if op.Verb == "get" {
-			entries, err := c.recvEntries()
-			if err != nil {
-				return nil, err
-			}
-			res := MultiResult{Found: len(entries) > 0}
-			if res.Found {
-				res.Value = entries[0].Value
-			}
-			out = append(out, res)
-			continue
-		}
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			return nil, err
-		}
-		line = strings.TrimSpace(line)
-		switch line {
-		case "STORED", "DELETED":
-			out = append(out, MultiResult{Found: true})
-		case "NOT_FOUND":
-			out = append(out, MultiResult{})
-		default:
-			// A refused batch answers one error line before any per-op
-			// replies.
-			if i == 0 {
-				return nil, fmt.Errorf("kv: %s", line)
-			}
-			return nil, fmt.Errorf("kv: multi op %d: %s", i, line)
-		}
-	}
-	return out, nil
-}
-
-// Flush pushes any pipelined commands to the server.
-func (c *Client) Flush() error { return c.w.Flush() }
-
-// Close terminates the connection.
-func (c *Client) Close() error {
-	fmt.Fprintf(c.w, "quit\r\n")
-	c.w.Flush()
-	return c.conn.Close()
 }

@@ -29,7 +29,7 @@ func newStructServer(t *testing.T, workers int, clk *atomicClock) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServerOpts(s, Options{Workers: workers, Addr: "127.0.0.1:0"})
+	srv, err := NewServerOpts(Gate(s), Options{Workers: workers, Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestServerAtomicFrame(t *testing.T) {
 // surface answer the disabled status on both protocols.
 func TestServerStructDisabled(t *testing.T) {
 	s := newRespctStore(t, 2) // plain persistent store
-	srv, err := NewServerOpts(s, Options{Workers: 2, Addr: "127.0.0.1:0"})
+	srv, err := NewServerOpts(Gate(s), Options{Workers: 2, Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,7 +179,7 @@ func TestServerCloseWithIdleConn(t *testing.T) {
 func TestServerConcurrentStress(t *testing.T) {
 	s := newRespctStore(t, 4)
 	ck := s.Runtime().StartCheckpointer(5 * time.Millisecond)
-	srv, err := NewServer(s, 4, "127.0.0.1:0")
+	srv, err := NewServer(Gate(s), 4, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

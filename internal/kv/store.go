@@ -24,8 +24,9 @@ type Store interface {
 	ThreadExit(th int)
 }
 
-// fnv1a hashes a key; 0 is avoided (reserved by the map layer).
-func fnv1a(s string) uint64 {
+// FNV1a is the 64-bit FNV-1a hash of a key — the store's bucket hash and the
+// input of shard.Route; 0 is avoided (reserved by the map layer).
+func FNV1a(s string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
@@ -128,104 +129,95 @@ func (s *RespctStore) recValue(rec pmem.Addr) []byte {
 	return s.rt.Heap().LoadBytes(valBase, vl)
 }
 
+// find walks key's same-hash chain; callers hold the key's stripe lock. It
+// returns key's record (NilAddr when absent, expired or not) with the cell
+// that points at it (the nil InCLL when that is the index slot itself), and
+// the chain head (NilAddr for an empty slot).
+func (s *RespctStore) find(th int, hash uint64, key string) (rec pmem.Addr, prev core.InCLL, head pmem.Addr) {
+	h, _ := s.index.Get(th, hash)
+	head = pmem.Addr(h)
+	for rec = head; rec != pmem.NilAddr; rec = s.rt.ReadAddr(s.recNext(rec)) {
+		if s.keyIs(rec, key) {
+			break
+		}
+		prev = s.recNext(rec)
+	}
+	return rec, prev, head
+}
+
+// unlink removes key's record rec (found behind prev) from its chain, the
+// ordered index and the expiry map, then frees it.
+func (s *RespctStore) unlink(th int, hash uint64, key string, rec pmem.Addr, prev core.InCLL) {
+	t := s.rt.Thread(th)
+	next := s.rt.ReadAddr(s.recNext(rec))
+	switch {
+	case !prev.IsNil():
+		t.UpdateAddr(prev, next)
+	case next == pmem.NilAddr:
+		s.index.Remove(th, hash)
+	default:
+		s.index.Insert(th, hash, uint64(next))
+	}
+	s.ordDrop(th, key)
+	s.rt.Arena().Free(t, rec)
+}
+
 // Set implements Store: records are immutable, so an update allocates the
-// new record and swings one logged pointer. A SET discards any previous TTL
-// (the fresh record's expiry cell is zero). The ordered index is repointed
-// at the new record BEFORE the old one is freed, so a concurrent Scan
-// (which holds the ordered index's lock for its whole walk) can never read
-// a freed record through a stale index value.
+// new record and swings one logged pointer; a new key (or a hash collision
+// with a different key) is prepended to the chain. A SET discards any
+// previous TTL (the fresh record's expiry cell is zero). The ordered index
+// is repointed at the new record BEFORE the old one is freed, so a
+// concurrent Scan (which holds the ordered index's lock for its whole walk)
+// can never read a freed record through a stale index value.
 func (s *RespctStore) Set(th int, key string, value []byte) {
-	hash := fnv1a(key)
+	hash := FNV1a(key)
 	mu := &s.locks[hash%kvStripes]
 	mu.Lock()
 	defer mu.Unlock()
 	t := s.rt.Thread(th)
-	head, ok := s.index.Get(th, hash)
-	if !ok {
-		rec := s.newRecord(th, pmem.NilAddr, key, value)
+	old, prev, next := s.find(th, hash, key)
+	if old != pmem.NilAddr {
+		next = s.rt.ReadAddr(s.recNext(old))
+	}
+	rec := s.newRecord(th, next, key, value)
+	if old == pmem.NilAddr || prev.IsNil() {
 		s.index.Insert(th, hash, uint64(rec))
-		s.ordPut(th, key, rec)
-		return
+	} else {
+		t.UpdateAddr(prev, rec)
 	}
-	// Walk the same-hash chain for this exact key.
-	var prev core.InCLL
-	for rec := pmem.Addr(head); rec != pmem.NilAddr; {
-		next := s.rt.ReadAddr(s.recNext(rec))
-		if s.keyIs(rec, key) {
-			n := s.newRecord(th, next, key, value)
-			if prev.IsNil() {
-				s.index.Insert(th, hash, uint64(n))
-			} else {
-				t.UpdateAddr(prev, n)
-			}
-			s.ordPut(th, key, n)
-			s.rt.Arena().Free(t, rec)
-			return
-		}
-		prev = s.recNext(rec)
-		rec = next
-	}
-	// Hash collision with a different key: prepend.
-	rec := s.newRecord(th, pmem.Addr(head), key, value)
-	s.index.Insert(th, hash, uint64(rec))
 	s.ordPut(th, key, rec)
+	if old != pmem.NilAddr {
+		s.rt.Arena().Free(t, old)
+	}
 }
 
 // Get implements Store.
 func (s *RespctStore) Get(th int, key string) ([]byte, bool) {
-	hash := fnv1a(key)
+	hash := FNV1a(key)
 	mu := &s.locks[hash%kvStripes]
 	mu.Lock()
 	defer mu.Unlock()
-	head, ok := s.index.Get(th, hash)
-	if !ok {
-		return nil, false
+	rec, _, _ := s.find(th, hash, key)
+	if rec == pmem.NilAddr || s.recExpired(rec) {
+		return nil, false // absent, or dead but not yet swept: reads filter
 	}
-	for rec := pmem.Addr(head); rec != pmem.NilAddr; rec = s.rt.ReadAddr(s.recNext(rec)) {
-		if s.keyIs(rec, key) {
-			if s.recExpired(rec) {
-				return nil, false // dead but not yet swept: reads filter
-			}
-			return s.recValue(rec), true
-		}
-	}
-	return nil, false
+	return s.recValue(rec), true
 }
 
 // Delete implements Store. An expired-but-unswept record is removed
 // physically but reported as a miss — logically the key was already gone.
 func (s *RespctStore) Delete(th int, key string) bool {
-	hash := fnv1a(key)
+	hash := FNV1a(key)
 	mu := &s.locks[hash%kvStripes]
 	mu.Lock()
 	defer mu.Unlock()
-	t := s.rt.Thread(th)
-	head, ok := s.index.Get(th, hash)
-	if !ok {
+	rec, prev, _ := s.find(th, hash, key)
+	if rec == pmem.NilAddr {
 		return false
 	}
-	var prev core.InCLL
-	for rec := pmem.Addr(head); rec != pmem.NilAddr; {
-		next := s.rt.ReadAddr(s.recNext(rec))
-		if s.keyIs(rec, key) {
-			live := !s.recExpired(rec)
-			if prev.IsNil() {
-				if next == pmem.NilAddr {
-					s.index.Remove(th, hash)
-				} else {
-					s.index.Insert(th, hash, uint64(next))
-				}
-			} else {
-				t.UpdateAddr(prev, next)
-			}
-			s.ordDrop(th, key)
-			s.rt.Arena().Free(t, rec)
-			return live
-		}
-		prev = s.recNext(rec)
-		rec = next
-	}
-	return false
+	live := !s.recExpired(rec)
+	s.unlink(th, hash, key, rec, prev)
+	return live
 }
 
 // PerOp places the per-request restart point.
@@ -281,7 +273,7 @@ func (s *TransientStore) readValue(rec pmem.Addr) []byte {
 
 // Set implements Store.
 func (s *TransientStore) Set(_ int, key string, value []byte) {
-	hash := fnv1a(key)
+	hash := FNV1a(key)
 	st := hash % kvStripes
 	s.mu[st].Lock()
 	defer s.mu[st].Unlock()
@@ -331,7 +323,7 @@ func (s *TransientStore) Set(_ int, key string, value []byte) {
 
 // Get implements Store.
 func (s *TransientStore) Get(_ int, key string) ([]byte, bool) {
-	hash := fnv1a(key)
+	hash := FNV1a(key)
 	st := hash % kvStripes
 	s.mu[st].Lock()
 	defer s.mu[st].Unlock()
@@ -350,7 +342,7 @@ func (s *TransientStore) Get(_ int, key string) ([]byte, bool) {
 
 // Delete implements Store.
 func (s *TransientStore) Delete(_ int, key string) bool {
-	hash := fnv1a(key)
+	hash := FNV1a(key)
 	st := hash % kvStripes
 	s.mu[st].Lock()
 	defer s.mu[st].Unlock()

@@ -45,9 +45,9 @@ type Entry struct {
 	Value []byte
 }
 
-// StructOps is the structure surface the server drives, implemented by
-// RespctStore (single heap) and shard.Store (fan-out). th is the worker
-// index, as in Store.
+// StructOps is the structure surface the executor drives, implemented by
+// RespctStore and GatedStore (single heap) and shard.Store (fan-out). th is
+// the worker index, as in Store.
 type StructOps interface {
 	// Scan returns up to limit entries with from <= key <= to in key order
 	// (empty to = unbounded), skipping expired keys.
@@ -74,14 +74,14 @@ type StructOps interface {
 // Batcher executes an atomic multi-key batch: every key of a MULTI (or
 // FlagAtomic frame) must land in one shard, and the whole batch runs under
 // that shard's single checkpoint-prevent window so a crash can never
-// persist a prefix of it. Implemented by shard.Store; a single RespctStore
-// trivially has one shard.
+// persist a prefix of it. Implemented by GatedStore (one shard) and
+// shard.Store.
 type Batcher interface {
 	// BatchShard returns the shard index key routes to.
 	BatchShard(key string) int
-	// Batch runs f on shard si under one checkpoint-prevent window; every
-	// store operation f performs is crash-atomic as a unit.
-	Batch(th, si int, f func(st Store))
+	// Batch runs f on shard si's bare store under one checkpoint-prevent
+	// window; every store operation f performs is crash-atomic as a unit.
+	Batch(th, si int, f func(st *RespctStore))
 }
 
 // StoreOptions configures NewRespctStoreOpts/OpenRespctStoreOpts.
@@ -221,21 +221,6 @@ func (s *RespctStore) ordDrop(th int, key string) {
 	s.expMu.Unlock()
 }
 
-// findRec returns key's record (expired or not), or NilAddr. Callers hold
-// the stripe lock.
-func (s *RespctStore) findRec(th int, key string) pmem.Addr {
-	head, ok := s.index.Get(th, fnv1a(key))
-	if !ok {
-		return pmem.NilAddr
-	}
-	for rec := pmem.Addr(head); rec != pmem.NilAddr; rec = s.rt.ReadAddr(s.recNext(rec)) {
-		if s.keyIs(rec, key) {
-			return rec
-		}
-	}
-	return pmem.NilAddr
-}
-
 // Scan implements StructOps. It holds the ordered index's lock for the
 // whole walk; writers repoint the index before freeing records (see Set),
 // so every address read here is live.
@@ -262,10 +247,11 @@ func (s *RespctStore) Expire(th int, key string, ms uint64) bool {
 	if s.ord == nil {
 		return false
 	}
-	mu := &s.locks[fnv1a(key)%kvStripes]
+	hash := FNV1a(key)
+	mu := &s.locks[hash%kvStripes]
 	mu.Lock()
 	defer mu.Unlock()
-	rec := s.findRec(th, key)
+	rec, _, _ := s.find(th, hash, key)
 	if rec == pmem.NilAddr || s.recExpired(rec) {
 		return false
 	}
@@ -289,10 +275,11 @@ func (s *RespctStore) TTL(th int, key string) (uint64, bool) {
 	if s.ord == nil {
 		return 0, false
 	}
-	mu := &s.locks[fnv1a(key)%kvStripes]
+	hash := FNV1a(key)
+	mu := &s.locks[hash%kvStripes]
 	mu.Lock()
 	defer mu.Unlock()
-	rec := s.findRec(th, key)
+	rec, _, _ := s.find(th, hash, key)
 	if rec == pmem.NilAddr {
 		return 0, false
 	}
@@ -339,38 +326,19 @@ func (s *RespctStore) SweepExpired(th int, now uint64) int {
 // map is only a hint that may have been invalidated by a racing SET or
 // EXPIRE) is still due.
 func (s *RespctStore) sweepKey(th int, key string, now uint64) bool {
-	mu := &s.locks[fnv1a(key)%kvStripes]
+	hash := FNV1a(key)
+	mu := &s.locks[hash%kvStripes]
 	mu.Lock()
 	defer mu.Unlock()
-	t := s.rt.Thread(th)
-	head, ok := s.index.Get(th, fnv1a(key))
-	if !ok {
+	rec, prev, _ := s.find(th, hash, key)
+	if rec == pmem.NilAddr {
 		return false
 	}
-	var prev core.InCLL
-	for rec := pmem.Addr(head); rec != pmem.NilAddr; {
-		next := s.rt.ReadAddr(s.recNext(rec))
-		if s.keyIs(rec, key) {
-			if d := s.rt.Read(core.Cell(rec, 1)); d == 0 || d > now {
-				return false
-			}
-			if prev.IsNil() {
-				if next == pmem.NilAddr {
-					s.index.Remove(th, fnv1a(key))
-				} else {
-					s.index.Insert(th, fnv1a(key), uint64(next))
-				}
-			} else {
-				t.UpdateAddr(prev, next)
-			}
-			s.ordDrop(th, key)
-			s.rt.Arena().Free(t, rec)
-			return true
-		}
-		prev = s.recNext(rec)
-		rec = next
+	if d := s.rt.Read(core.Cell(rec, 1)); d == 0 || d > now {
+		return false
 	}
-	return false
+	s.unlink(th, hash, key, rec, prev)
+	return true
 }
 
 // --- named structure directory ---
@@ -570,15 +538,6 @@ func (s *RespctStore) LRange(th int, name string, from uint64, count uint32) ([]
 	return out, nil
 }
 
-// BatchShard implements Batcher: a single store is its own only shard.
-func (s *RespctStore) BatchShard(string) int { return 0 }
-
-// Batch implements Batcher. The store itself takes no checkpoint-prevent
-// windows (its driver does, per operation or per batch), so atomicity is
-// entirely the caller's window: f's operations share whatever epoch the
-// caller's window pins.
-func (s *RespctStore) Batch(th, _ int, f func(st Store)) { f(s) }
-
 // snapshotStructures extends a logical snapshot with the structure state
 // (see SnapshotLogical). No-op on a plain store.
 func (s *RespctStore) snapshotStructures(out map[string]string) {
@@ -614,8 +573,4 @@ func (s *RespctStore) snapshotStructures(out map[string]string) {
 	})
 }
 
-// ensure interface compliance
-var (
-	_ StructOps = (*RespctStore)(nil)
-	_ Batcher   = (*RespctStore)(nil)
-)
+var _ StructOps = (*RespctStore)(nil)

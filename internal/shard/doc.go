@@ -22,11 +22,9 @@
 // prefix independently against the snapshot certified at that shard's last
 // checkpoint.
 //
-// Worker-thread protocol: unlike a single-runtime store, where kv.Server
-// gates checkpoints by opening an allow window while a worker waits for
-// work, a pool worker keeps an allow window open on every shard and closes
-// it only around an operation on the specific shard the key routes to
-// (CheckpointPrevent → op → RP → CheckpointAllow). A shard can therefore
-// checkpoint while workers are busy on other shards — the property the
-// staggered schedule exploits.
+// Worker-thread protocol (the gating rule, DESIGN.md §3f): a pool worker
+// keeps an allow window open on every shard and closes it only around an
+// operation on the specific shard the key routes to — each shard's
+// kv.GatedStore does it — so a shard can checkpoint while workers are busy
+// on other shards, the property the staggered schedule exploits.
 package shard

@@ -116,12 +116,37 @@ func (cfg Config) newHeap(i int) *pmem.Heap {
 	return pmem.New(pmem.NVMMConfig(cfg.HeapBytes))
 }
 
-// Shard is one partition: a private heap, runtime and store.
+// eachShard runs f(i) for every shard index in parallel and returns the
+// lowest-index error.
+func eachShard(n int, f func(i int) error) error {
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = f(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Shard is one partition: a private heap, runtime and store. KV is the bare
+// store, for snapshots and drivers that hold their own prevent window;
+// operations are served through gated (see Store).
 type Shard struct {
 	Index int
 	Heap  *pmem.Heap
 	RT    *core.Runtime
 	KV    *kv.RespctStore
+
+	gated *kv.GatedStore
 }
 
 // Pool owns N shards and their checkpoint schedule.
@@ -202,39 +227,27 @@ func NewPool(cfg Config) (*Pool, error) {
 		return nil, err
 	}
 	p := &Pool{cfg: cfg, shards: make([]*Shard, cfg.Shards), stop: make(chan struct{})}
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			h := cfg.newHeap(i)
-			rt, err := core.NewRuntime(h, cfg.shardRTConfig(i))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			st, err := kv.NewRespctStoreOpts(rt, 0, cfg.storeOptions())
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			// Make the empty store durable, then leave every runtime
-			// thread's allow window open (workers and, in structures mode,
-			// the sweeper): pool workers only close it around an operation
-			// on this specific shard (see Store).
-			for w := 0; w < cfg.rtThreads(); w++ {
-				rt.Thread(w).CheckpointAllow()
-			}
-			rt.Checkpoint()
-			p.shards[i] = &Shard{Index: i, Heap: h, RT: rt, KV: st}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := eachShard(cfg.Shards, func(i int) error {
+		h := cfg.newHeap(i)
+		rt, err := core.NewRuntime(h, cfg.shardRTConfig(i))
 		if err != nil {
-			return nil, err
+			return err
 		}
+		st, err := kv.NewRespctStoreOpts(rt, 0, cfg.storeOptions())
+		if err != nil {
+			return err
+		}
+		// Gating every runtime thread (workers and, in structures mode, the
+		// sweeper) leaves its allow window open — pool workers only close it
+		// around an operation on this specific shard — so the empty store
+		// can be made durable right here.
+		gated := kv.Gate(st)
+		rt.Checkpoint()
+		p.shards[i] = &Shard{Index: i, Heap: h, RT: rt, KV: st, gated: gated}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	p.initMetrics()
 	return p, nil
@@ -255,34 +268,21 @@ func Recover(cfg Config, heaps []*pmem.Heap) (*Pool, *RecoveryReport, error) {
 	start := time.Now()
 	p := &Pool{cfg: cfg, shards: make([]*Shard, cfg.Shards), stop: make(chan struct{})}
 	rep := &RecoveryReport{PerShard: make([]core.RecoveryReport, cfg.Shards)}
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Shards)
-	for i := range heaps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rt, r, err := core.Recover(heaps[i], cfg.shardRTConfig(i), cfg.RecoveryParallelism)
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-				return
-			}
-			st, err := kv.OpenRespctStoreOpts(rt, 0, cfg.storeOptions())
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-				return
-			}
-			for w := 0; w < cfg.rtThreads(); w++ {
-				rt.Thread(w).CheckpointAllow()
-			}
-			rep.PerShard[i] = *r
-			p.shards[i] = &Shard{Index: i, Heap: heaps[i], RT: rt, KV: st}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err := eachShard(cfg.Shards, func(i int) error {
+		rt, r, err := core.Recover(heaps[i], cfg.shardRTConfig(i), cfg.RecoveryParallelism)
 		if err != nil {
-			return nil, nil, err
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
+		st, err := kv.OpenRespctStoreOpts(rt, 0, cfg.storeOptions())
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		rep.PerShard[i] = *r
+		p.shards[i] = &Shard{Index: i, Heap: heaps[i], RT: rt, KV: st, gated: kv.Gate(st)}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	rep.Duration = time.Since(start)
 	rep.merge()
@@ -368,8 +368,8 @@ func (p *Pool) clockNow() uint64 {
 }
 
 // checkpointShard checkpoints one live shard and records the pause. In
-// structures mode the expiry sweep runs first, on the sweeper's dedicated
-// thread slot under its own prevent window: every record due at the epoch
+// structures mode the expiry sweep runs first, as one gated operation on the
+// sweeper's dedicated thread slot: every record due at the epoch
 // boundary is unlinked inside the epoch the checkpoint is about to cut, so
 // a completed checkpoint never captures (and recovery never resurrects) a
 // record past its deadline.
@@ -379,12 +379,7 @@ func (p *Pool) checkpointShard(i int) {
 		return
 	}
 	if p.cfg.Structures {
-		sw := p.cfg.sweeperThread()
-		t := sh.RT.Thread(sw)
-		t.CheckpointPrevent(nil)
-		sh.KV.SweepExpired(sw, p.clockNow())
-		sh.KV.PerOp(sw)
-		t.CheckpointAllow()
+		sh.gated.SweepExpired(p.cfg.sweeperThread(), p.clockNow())
 	}
 	info := sh.RT.Checkpoint()
 	for {
@@ -399,15 +394,10 @@ func (p *Pool) checkpointShard(i int) {
 // returns when all complete. Used by the Sync schedule, by snapshotting, and
 // by callers that drive checkpoints themselves.
 func (p *Pool) CheckpointAll() {
-	var wg sync.WaitGroup
-	for i := range p.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p.checkpointShard(i)
-		}(i)
-	}
-	wg.Wait()
+	eachShard(len(p.shards), func(i int) error {
+		p.checkpointShard(i)
+		return nil
+	})
 	p.ckptRound.Add(1)
 }
 

@@ -1,14 +1,6 @@
 package shard
 
-// fnv1a is the 64-bit FNV-1a hash of key.
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
+import "github.com/respct/respct/internal/kv"
 
 // Route maps key deterministically onto [0, shards). The FNV-1a hash is
 // scrambled with a Fibonacci multiplier and folded from the high bits, so
@@ -19,7 +11,7 @@ func Route(key string, shards int) int {
 	if shards == 1 {
 		return 0
 	}
-	h := fnv1a(key) * 0x9E3779B97F4A7C15
+	h := kv.FNV1a(key) * 0x9E3779B97F4A7C15
 	return int((h >> 33) % uint64(shards))
 }
 

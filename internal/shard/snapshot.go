@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"github.com/respct/respct/internal/frame"
 	"github.com/respct/respct/internal/pmem"
@@ -39,21 +38,13 @@ func (p *Pool) SnapshotFiles(base string) error {
 	// background drains have committed their epochs.
 	p.WaitDrains()
 	removeStaleTemps(base)
-	var wg sync.WaitGroup
-	errs := make([]error, len(p.shards))
-	for i, sh := range p.shards {
-		wg.Add(1)
-		go func(i int, sh *Shard) {
-			defer wg.Done()
-			errs[i] = writeImageAtomic(ShardFile(base, i), sh.Heap)
-		}(i, sh)
+	err := eachShard(len(p.shards), func(i int) error {
+		return writeImageAtomic(ShardFile(base, i), p.shards[i].Heap)
+	})
+	if err != nil {
+		return err
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return err
-		}
-		sh := p.shards[i]
+	for _, sh := range p.shards {
 		sh.RT.Flight().Record(telemetry.FlightSnapshot, sh.RT.DurableEpoch(), 0, 0)
 	}
 	return nil
@@ -73,34 +64,26 @@ func (p *Pool) SnapshotFrames(base string, params frame.Params) ([]*frame.Snapsh
 	if err != nil {
 		return nil, err
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, len(p.shards))
 	results := make([]*frame.SnapshotResult, len(p.shards))
-	for i, sh := range p.shards {
-		wg.Add(1)
-		go func(i int, sh *Shard) {
-			defer wg.Done()
-			// The async runtime's pending maps cover lines an in-flight drain
-			// still owes; union them in so a delta never under-covers.
-			res, err := stores[i].Snapshot(sh.Heap, sh.RT.DurableEpoch(), sh.RT.DirtyLineBits())
-			if err != nil {
-				errs[i] = fmt.Errorf("shard %d: %w", i, err)
-				return
-			}
-			results[i] = res
-			sh.RT.Flight().Record(telemetry.FlightFrameSnap, sh.RT.DurableEpoch(),
-				uint64(res.Info.Kind), uint64(res.Info.Bytes))
-			if res.Compacted > 0 {
-				sh.RT.Flight().Record(telemetry.FlightCompaction, sh.RT.DurableEpoch(),
-					uint64(res.Compacted), uint64(res.Info.Bytes))
-			}
-		}(i, sh)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	err = eachShard(len(p.shards), func(i int) error {
+		sh := p.shards[i]
+		// The async runtime's pending maps cover lines an in-flight drain
+		// still owes; union them in so a delta never under-covers.
+		res, err := stores[i].Snapshot(sh.Heap, sh.RT.DurableEpoch(), sh.RT.DirtyLineBits())
 		if err != nil {
-			return nil, err
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
+		results[i] = res
+		sh.RT.Flight().Record(telemetry.FlightFrameSnap, sh.RT.DurableEpoch(),
+			uint64(res.Info.Kind), uint64(res.Info.Bytes))
+		if res.Compacted > 0 {
+			sh.RT.Flight().Record(telemetry.FlightCompaction, sh.RT.DurableEpoch(),
+				uint64(res.Compacted), uint64(res.Info.Bytes))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
@@ -233,20 +216,12 @@ func OpenPoolFiles(cfg Config, base string) (*Pool, *RecoveryReport, error) {
 		return nil, nil, err
 	}
 	heaps := make([]*pmem.Heap, cfg.Shards)
-	var wg sync.WaitGroup
-	errs := make([]error, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			heaps[i], errs[i] = openShardHeap(base, i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	err := eachShard(cfg.Shards, func(i int) (err error) {
+		heaps[i], err = openShardHeap(base, i)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return Recover(cfg, heaps)
 }

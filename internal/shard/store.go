@@ -7,13 +7,15 @@ import (
 )
 
 // Store adapts a Pool to the kv.Store interface, so kv.Server (and any
-// other Store consumer) serves a sharded pool unchanged.
+// other Store consumer) serves a sharded pool unchanged. It only routes:
+// every operation is delegated to the gated store of the shard its key (or
+// structure name) hashes to.
 //
-// Checkpoint gating is per operation: a worker's allow window is open on
-// every shard while the worker is between operations, and closed only on
-// the shard an operation routes to, for the duration of that operation.
-// kv.Server's own wait-for-work gating (the idleAware path) does not apply —
-// Store deliberately does not expose a single Runtime.
+// Checkpoint gating is therefore per operation and per shard (DESIGN.md
+// §3f): a worker's allow window is open on every shard while the worker is
+// between operations, and closed only on the shard an operation routes to,
+// for the duration of that operation — so a shard can checkpoint while
+// workers are busy on other shards.
 type Store struct {
 	p *Pool
 }
@@ -26,72 +28,39 @@ func (s *Store) Pool() *Pool { return s.p }
 
 // route picks the shard for key and bumps its routed-ops counter when
 // telemetry is on (one uncontended atomic add; nil check otherwise).
-func (s *Store) route(th int, key string) *Shard {
+func (s *Store) route(th int, key string) *kv.GatedStore {
 	i := s.p.ShardFor(key)
 	if s.p.ops != nil {
 		s.p.ops[i].Inc(th)
 	}
-	return s.p.shards[i]
+	return s.p.shards[i].gated
 }
 
 // Set implements kv.Store.
-func (s *Store) Set(th int, key string, value []byte) {
-	sh := s.route(th, key)
-	t := sh.RT.Thread(th)
-	t.CheckpointPrevent(nil)
-	sh.KV.Set(th, key, value)
-	sh.KV.PerOp(th)
-	t.CheckpointAllow()
-}
+func (s *Store) Set(th int, key string, value []byte) { s.route(th, key).Set(th, key, value) }
 
 // Get implements kv.Store.
-func (s *Store) Get(th int, key string) ([]byte, bool) {
-	sh := s.route(th, key)
-	t := sh.RT.Thread(th)
-	t.CheckpointPrevent(nil)
-	v, ok := sh.KV.Get(th, key)
-	sh.KV.PerOp(th)
-	t.CheckpointAllow()
-	return v, ok
-}
+func (s *Store) Get(th int, key string) ([]byte, bool) { return s.route(th, key).Get(th, key) }
 
 // Delete implements kv.Store.
-func (s *Store) Delete(th int, key string) bool {
-	sh := s.route(th, key)
-	t := sh.RT.Thread(th)
-	t.CheckpointPrevent(nil)
-	ok := sh.KV.Delete(th, key)
-	sh.KV.PerOp(th)
-	t.CheckpointAllow()
-	return ok
-}
+func (s *Store) Delete(th int, key string) bool { return s.route(th, key).Delete(th, key) }
 
-// PerOp implements kv.Store. Restart points are placed inside Set/Get/Delete
-// (while the target shard's prevent window is held), so this is a no-op.
+// PerOp implements kv.Store. Restart points are placed inside every
+// operation (while the target shard's prevent window is held), so this is a
+// no-op.
 func (s *Store) PerOp(int) {}
 
 // ThreadExit implements kv.Store: every shard's allow window for th is
 // (re)opened so no shard's checkpointer can stall on an exited worker.
 func (s *Store) ThreadExit(th int) {
 	for _, sh := range s.p.shards {
-		sh.RT.Thread(th).CheckpointAllow()
+		sh.gated.ThreadExit(th)
 	}
 }
 
 // Structures reports whether the pool's shards carry the multi-model
-// surface; kv.Server checks it to decide whether to expose the verbs.
+// surface (kv.Server refuses the structure verbs otherwise).
 func (s *Store) Structures() bool { return s.p.cfg.Structures }
-
-// prevented runs f on key's shard inside th's checkpoint-prevent window,
-// with the per-op restart point placed before the window closes.
-func (s *Store) prevented(th int, key string, f func(sh *Shard)) {
-	sh := s.route(th, key)
-	t := sh.RT.Thread(th)
-	t.CheckpointPrevent(nil)
-	f(sh)
-	sh.KV.PerOp(th)
-	t.CheckpointAllow()
-}
 
 // Scan implements kv.StructOps: every shard scans its partition of the key
 // space under its own prevent window, then the sorted per-shard runs merge
@@ -99,16 +68,9 @@ func (s *Store) prevented(th int, key string, f func(sh *Shard)) {
 // the fan-out as a whole is not one atomic cut across shards (exactly like
 // a MULTI batch, cross-shard reads have no single point in time).
 func (s *Store) Scan(th int, from, to string, limit int) []kv.Entry {
-	if !s.p.cfg.Structures {
-		return nil
-	}
 	runs := make([][]kv.Entry, len(s.p.shards))
 	for i, sh := range s.p.shards {
-		t := sh.RT.Thread(th)
-		t.CheckpointPrevent(nil)
-		runs[i] = sh.KV.Scan(th, from, to, limit)
-		sh.KV.PerOp(th)
-		t.CheckpointAllow()
+		runs[i] = sh.gated.Scan(th, from, to, limit)
 	}
 	return mergeRuns(runs, limit)
 }
@@ -138,91 +100,41 @@ func mergeRuns(runs [][]kv.Entry, limit int) []kv.Entry {
 
 // QPush implements kv.StructOps, routing the queue by its name.
 func (s *Store) QPush(th int, name string, value []byte) error {
-	if !s.p.cfg.Structures {
-		return kv.ErrStructuresDisabled
-	}
-	var err error
-	s.prevented(th, name, func(sh *Shard) { err = sh.KV.QPush(th, name, value) })
-	return err
+	return s.route(th, name).QPush(th, name, value)
 }
 
 // QPop implements kv.StructOps.
 func (s *Store) QPop(th int, name string) ([]byte, bool, error) {
-	if !s.p.cfg.Structures {
-		return nil, false, kv.ErrStructuresDisabled
-	}
-	var (
-		v   []byte
-		ok  bool
-		err error
-	)
-	s.prevented(th, name, func(sh *Shard) { v, ok, err = sh.KV.QPop(th, name) })
-	return v, ok, err
+	return s.route(th, name).QPop(th, name)
 }
 
 // LAppend implements kv.StructOps, routing the log by its name.
 func (s *Store) LAppend(th int, name string, record []byte) (uint64, error) {
-	if !s.p.cfg.Structures {
-		return 0, kv.ErrStructuresDisabled
-	}
-	var (
-		idx uint64
-		err error
-	)
-	s.prevented(th, name, func(sh *Shard) { idx, err = sh.KV.LAppend(th, name, record) })
-	return idx, err
+	return s.route(th, name).LAppend(th, name, record)
 }
 
 // LRange implements kv.StructOps.
 func (s *Store) LRange(th int, name string, from uint64, count uint32) ([][]byte, error) {
-	if !s.p.cfg.Structures {
-		return nil, kv.ErrStructuresDisabled
-	}
-	var (
-		recs [][]byte
-		err  error
-	)
-	s.prevented(th, name, func(sh *Shard) { recs, err = sh.KV.LRange(th, name, from, count) })
-	return recs, err
+	return s.route(th, name).LRange(th, name, from, count)
 }
 
 // Expire implements kv.StructOps.
 func (s *Store) Expire(th int, key string, ms uint64) bool {
-	if !s.p.cfg.Structures {
-		return false
-	}
-	var ok bool
-	s.prevented(th, key, func(sh *Shard) { ok = sh.KV.Expire(th, key, ms) })
-	return ok
+	return s.route(th, key).Expire(th, key, ms)
 }
 
 // TTL implements kv.StructOps.
-func (s *Store) TTL(th int, key string) (uint64, bool) {
-	if !s.p.cfg.Structures {
-		return 0, false
-	}
-	var (
-		ms uint64
-		ok bool
-	)
-	s.prevented(th, key, func(sh *Shard) { ms, ok = sh.KV.TTL(th, key) })
-	return ms, ok
-}
+func (s *Store) TTL(th int, key string) (uint64, bool) { return s.route(th, key).TTL(th, key) }
 
 // BatchShard implements kv.Batcher: the shard an atomic batch keyed by key
 // must execute on.
 func (s *Store) BatchShard(key string) int { return s.p.ShardFor(key) }
 
-// Batch implements kv.Batcher: f runs against shard si's store inside one
-// checkpoint-prevent window on th, so the whole batch lands in a single
-// epoch — a crash either keeps it all or rolls it all back. Per-op restart
-// points inside f (the store's PerOp) bound the undo cells held at once.
-func (s *Store) Batch(th, si int, f func(st kv.Store)) {
-	sh := s.p.shards[si]
-	t := sh.RT.Thread(th)
-	t.CheckpointPrevent(nil)
-	f(sh.KV)
-	t.CheckpointAllow()
+// Batch implements kv.Batcher: f runs against shard si's bare store inside
+// that shard's single checkpoint-prevent window on th (kv.GatedStore.Batch),
+// so the whole batch lands in one epoch. It counts as one routed operation.
+func (s *Store) Batch(th, si int, f func(st *kv.RespctStore)) {
+	s.p.shards[si].gated.Batch(th, 0, f)
 	if s.p.ops != nil {
 		s.p.ops[si].Inc(th)
 	}

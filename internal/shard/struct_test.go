@@ -120,7 +120,7 @@ func TestPoolStructAtomicBatch(t *testing.T) {
 		t.Fatal("BatchShard disagrees with the router")
 	}
 	si := s.BatchShard("batch-a")
-	s.Batch(0, si, func(st kv.Store) {
+	s.Batch(0, si, func(st *kv.RespctStore) {
 		st.Set(0, "batch-a", []byte("1"))
 		st.PerOp(0)
 		st.Set(0, "batch-b", []byte("2")) // same window, same shard store

@@ -12,9 +12,10 @@
 // Decode on the same frame, and callers that retain bytes must copy them.
 // Both directions are gated by testing.AllocsPerRun in wire_test.go.
 //
-// A request frame is executed as one unit by the server (all its operations
-// run under a single checkpoint-prevent window) and answered by exactly one
-// response frame carrying one status per operation, in order. Clients may
+// A request frame is executed whole by one server worker (checkpoint gating
+// is per operation, DESIGN.md §3f; only a FlagAtomic frame is one atomic
+// unit) and answered by exactly one response frame carrying one status per
+// operation, in order. Clients may
 // pipeline: any number of request frames can be in flight on a connection,
 // and responses always come back in request order.
 package wire
