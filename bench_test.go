@@ -554,3 +554,67 @@ func BenchmarkExtensionSkipList(b *testing.B) {
 		ck.Stop()
 	})
 }
+
+// BenchmarkStoreOpsStructures prices what the multi-model surface adds to
+// each write of the KV store at the benchmark's size (200 000 records, 16 B
+// keys, 100 B values): an overwrite (the ordered index is reached through
+// the record's handle), a fresh key (the index is walked and a node linked)
+// and a delete (walked and unlinked), each against the plain store. The
+// timed loop runs in chunks; between chunks, off the clock, the store is put
+// back to its loaded state and checkpointed so freed blocks recycle. CI
+// gates overwrite/structures ÷ overwrite/plain (.github/workflows/ci.yml).
+func BenchmarkStoreOpsStructures(b *testing.B) {
+	const records, chunk = 200_000, 50_000
+	keys := make([]string, records+chunk) // the last chunk is never loaded: the fresh keys
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user%012d", i)
+	}
+	value := make([]byte, 100)
+	loaded := func(i int) string { return keys[i*104729%records] } // distinct for i < records
+	for _, op := range []struct {
+		name     string
+		do, undo func(s *kv.RespctStore, i int)
+	}{
+		{"overwrite", func(s *kv.RespctStore, i int) { s.Set(0, loaded(i), value) }, nil},
+		{"fresh", func(s *kv.RespctStore, i int) { s.Set(0, keys[records+i], value) },
+			func(s *kv.RespctStore, i int) { s.Delete(0, keys[records+i]) }},
+		{"delete", func(s *kv.RespctStore, i int) { s.Delete(0, loaded(i)) },
+			func(s *kv.RespctStore, i int) { s.Set(0, loaded(i), value) }},
+	} {
+		for _, structs := range []bool{false, true} {
+			name := op.name + "/plain"
+			if structs {
+				name = op.name + "/structures"
+			}
+			b.Run(name, func(b *testing.B) {
+				rt, err := core.NewRuntime(pmem.New(pmem.NVMMConfig(512<<20)), core.Config{Threads: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				s, err := kv.NewRespctStoreOpts(rt, 0, kv.StoreOptions{Buckets: 262144, Structures: structs})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, k := range keys[:records] {
+					s.Set(0, k, value)
+				}
+				rt.CheckpointIdle()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for done := 0; done < b.N; done += chunk {
+					n := min(chunk, b.N-done)
+					for i := 0; i < n; i++ {
+						op.do(s, i)
+						s.PerOp(0)
+					}
+					b.StopTimer()
+					for i := 0; op.undo != nil && i < n; i++ {
+						op.undo(s, i)
+					}
+					rt.CheckpointIdle()
+					b.StartTimer()
+				}
+			})
+		}
+	}
+}

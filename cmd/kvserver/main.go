@@ -61,6 +61,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -164,6 +165,9 @@ func main() {
 		p, rep, err := shard.OpenPoolFiles(cfg, *snapshot)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "recover:", err)
+			if errors.Is(err, kv.ErrLayoutMismatch) {
+				fmt.Fprintf(os.Stderr, "kvserver: snapshot %s was written with another -structures setting or record layout; restart with the setting that wrote it or move the images aside\n", *snapshot)
+			}
 			os.Exit(1)
 		}
 		pool = p

@@ -405,6 +405,15 @@ func Cell(payload pmem.Addr, i int) InCLL {
 	return InCLL{addr: payload + pmem.Addr(i*CellSize)}
 }
 
+// CellAux returns the address of the spare fourth word of the i-th cell of a
+// block payload: cells are CellSize-strided but an InCLL cell uses three
+// words, so every arena cell carries one plain word in its own cache line.
+// Neither the undo log nor recovery touches it; it is the owner's RAW data,
+// written with StoreTracked and flushed with the cell's line.
+func CellAux(payload pmem.Addr, i int) pmem.Addr {
+	return payload + pmem.Addr(i*CellSize+cellAuxOff)
+}
+
 // RawBase returns the address of the first raw word of a payload allocated
 // with the given cell count.
 func RawBase(payload pmem.Addr, cells int) pmem.Addr {

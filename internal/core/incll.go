@@ -12,6 +12,7 @@ import (
 //	word 0: record   — the current value
 //	word 1: backup   — the value before the first update of the epoch
 //	word 2: epochID  — the epoch of the last first-update
+//	word 3: aux      — not part of the cell: a spare plain word (see CellAux)
 //
 // CellSize is the stride between packed InCLL cells. Two cells fit in a
 // cache line; a cell never straddles a line boundary.
@@ -19,6 +20,7 @@ const (
 	cellRecordOff = 0
 	cellBackupOff = 8
 	cellEpochOff  = 16
+	cellAuxOff    = 24
 
 	// CellSize is the footprint of one InCLL cell in bytes.
 	CellSize = 32

@@ -142,6 +142,9 @@ func TestKVStructSoak(t *testing.T) {
 					t.Fatalf("entry %q = %q, certified %q", k, got[k], v)
 				}
 			}
+			if err := store2.CheckIndexes(); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
@@ -291,6 +294,9 @@ func runShardStructSoak(t *testing.T, syncCk bool) {
 					if got[k] != v {
 						t.Fatalf("shard %d entry %q = %q, certified %q", i, k, got[k], v)
 					}
+				}
+				if err := pool2.Shard(i).KV.CheckIndexes(); err != nil {
+					t.Fatalf("shard %d: %v", i, err)
 				}
 			}
 		})

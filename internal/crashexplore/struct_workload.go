@@ -186,5 +186,10 @@ func (r *kvStructRun) Recover() ([]Recovered, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The logical state digests the ordered index by key only; the pointers
+	// between the two indexes are checked here, at every crash point.
+	if err := st2.CheckIndexes(); err != nil {
+		return nil, err
+	}
 	return []Recovered{{FailedEpoch: rep.FailedEpoch, State: State(st2.SnapshotLogical())}}, nil
 }

@@ -49,8 +49,10 @@ const kvStripes = 1024
 // [keyLen|valLen, key bytes..., value bytes...]. Cell 0 is the chain next
 // pointer. A plain store's records have exactly 1 cell; a Structures-mode
 // store (see StoreOptions) adds cell 1 holding the record's expiry deadline
-// in clock milliseconds (0 = no expiry), plus the ordered index, the named
-// structure directory and the volatile state declared in struct.go.
+// in clock milliseconds (0 = no expiry) and, in that cell's spare word, the
+// write-once handle to the key's ordered-index node — plus the ordered
+// index, the named structure directory and the volatile state declared in
+// struct.go.
 type RespctStore struct {
 	rt       *core.Runtime
 	index    *structures.RespctMap
@@ -158,7 +160,7 @@ func (s *RespctStore) unlink(th int, hash uint64, key string, rec pmem.Addr, pre
 	default:
 		s.index.Insert(th, hash, uint64(next))
 	}
-	s.ordDrop(th, key)
+	s.ordDrop(th, key, rec)
 	s.rt.Arena().Free(t, rec)
 }
 
@@ -168,7 +170,9 @@ func (s *RespctStore) unlink(th int, hash uint64, key string, rec pmem.Addr, pre
 // previous TTL (the fresh record's expiry cell is zero). The ordered index
 // is repointed at the new record BEFORE the old one is freed, so a
 // concurrent Scan (which holds the ordered index's lock for its whole walk)
-// can never read a freed record through a stale index value.
+// can never read a freed record through a stale index value. Only a new key
+// walks the ordered index; an overwrite reaches its node through the handle
+// the outgoing record carries (see ordPut).
 func (s *RespctStore) Set(th int, key string, value []byte) {
 	hash := FNV1a(key)
 	mu := &s.locks[hash%kvStripes]
@@ -185,7 +189,7 @@ func (s *RespctStore) Set(th int, key string, value []byte) {
 	} else {
 		t.UpdateAddr(prev, rec)
 	}
-	s.ordPut(th, key, rec)
+	s.ordPut(th, key, old, rec)
 	if old != pmem.NilAddr {
 		s.rt.Arena().Free(t, old)
 	}

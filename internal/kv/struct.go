@@ -2,6 +2,7 @@ package kv
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"strings"
 	"time"
@@ -17,17 +18,19 @@ import (
 // logs (QPUSH/QPOP, LAPPEND/LRANGE), and per-key TTLs (EXPIRE/TTL) swept at
 // checkpoint boundaries so expiry becomes durable atomically with the cut.
 //
-// Persistent layout (three consecutive root slots):
+// Persistent layout (four consecutive root slots):
 //
 //	rootIdx+0  hash index (RespctMap), as in the plain store
 //	rootIdx+1  ordered index (RespctStrSkipList: key -> record address)
 //	rootIdx+2  structure directory: a chain of dirent blocks, each
 //	           1 InCLL cell (next) + raw [desc|tag, nameLen, name bytes]
+//	rootIdx+3  layout stamp (plain stores too; see layoutStamp)
 //
 // Records get a second InCLL cell holding the expiry deadline in clock
-// milliseconds (0 = none). Reads filter expired records immediately;
-// SweepExpired removes them physically and runs on the checkpointer's
-// dedicated sweeper thread just before the checkpoint cut.
+// milliseconds (0 = none), whose spare word holds the record's handle to its
+// key's ordered-index node (see ordPut). Reads filter expired records
+// immediately; SweepExpired removes them physically and runs on the
+// checkpointer's dedicated sweeper thread just before the checkpoint cut.
 
 // Errors returned by structure operations.
 var (
@@ -37,6 +40,11 @@ var (
 	// ErrStructuresDisabled is a structure operation on a store built
 	// without StoreOptions.Structures.
 	ErrStructuresDisabled = errors.New("kv: structures mode disabled")
+	// ErrLayoutMismatch is an open of a heap whose records were laid out
+	// differently: the other StoreOptions.Structures setting, or a binary
+	// with another record layout revision (images from before the stamp
+	// existed read as revision 0).
+	ErrLayoutMismatch = errors.New("kv: heap record layout does not match this store")
 )
 
 // Entry is one SCAN result.
@@ -103,6 +111,20 @@ const (
 	recCellsStruct = 2
 )
 
+// layoutRev numbers the record layouts this binary reads and writes; bump it
+// whenever either changes. 1: the expiry cell's spare word holds the
+// ordered-index handle (images without a stamp, where it does not, read 0).
+const layoutRev = 1
+
+// layoutStamp is the word a store writes under root slot rootIdx+3 at
+// creation and checks at every open: the revision above the structures bit.
+func layoutStamp(structures bool) uint64 {
+	if structures {
+		return layoutRev<<1 | 1
+	}
+	return layoutRev << 1
+}
+
 // Directory tags (low 3 bits of a dirent's descriptor word; arena blocks
 // are 8-byte aligned so the bits are free).
 const (
@@ -120,13 +142,14 @@ type namedHandle struct {
 
 func wallClockMs() uint64 { return uint64(time.Now().UnixMilli()) }
 
-// NewRespctStoreOpts creates a store under root slots rootIdx..rootIdx+2
-// (a plain store uses only rootIdx).
+// NewRespctStoreOpts creates a store under root slots rootIdx..rootIdx+3
+// (a plain store uses only the first and the last).
 func NewRespctStoreOpts(rt *core.Runtime, rootIdx int, opts StoreOptions) (*RespctStore, error) {
 	idx, err := structures.NewRespctMap(rt, rootIdx, opts.Buckets)
 	if err != nil {
 		return nil, err
 	}
+	rt.Sys().Update(rt.RootInCLL(rootIdx+3), layoutStamp(opts.Structures))
 	s := &RespctStore{rt: rt, index: idx, recCells: recCellsPlain}
 	if opts.Structures {
 		ord, err := structures.NewRespctStrSkipList(rt, rootIdx+1)
@@ -139,8 +162,13 @@ func NewRespctStoreOpts(rt *core.Runtime, rootIdx int, opts StoreOptions) (*Resp
 }
 
 // OpenRespctStoreOpts reattaches after recovery. Structures must match the
-// setting the heap was created with; Buckets is ignored.
+// setting the heap was created with, else ErrLayoutMismatch; Buckets is
+// ignored.
 func OpenRespctStoreOpts(rt *core.Runtime, rootIdx int, opts StoreOptions) (*RespctStore, error) {
+	if got, want := rt.Read(rt.RootInCLL(rootIdx+3)), layoutStamp(opts.Structures); got != want {
+		return nil, fmt.Errorf("%w: heap is stamped revision %d structures=%t, opened as revision %d structures=%t",
+			ErrLayoutMismatch, got>>1, got&1 == 1, layoutRev, opts.Structures)
+	}
 	idx, err := structures.OpenRespctMap(rt, rootIdx)
 	if err != nil {
 		return nil, err
@@ -196,26 +224,50 @@ func (s *RespctStore) recExpired(rec pmem.Addr) bool {
 	return d != 0 && d <= s.clock()
 }
 
-// ordPut points the ordered index at key's current record and clears any
-// pending TTL bookkeeping (a SET discards the previous record, deadline
-// included). Callers hold the key's stripe lock.
-func (s *RespctStore) ordPut(th int, key string, rec pmem.Addr) {
+// recNode returns the handle rec carries to its key's ordered-index node.
+func (s *RespctStore) recNode(rec pmem.Addr) pmem.Addr {
+	return pmem.Addr(s.rt.Heap().Load64(core.CellAux(rec, 1)))
+}
+
+// ordPut points the ordered index at rec, key's new record, and hands rec
+// the node's handle. A new key (old is NilAddr) is inserted, which walks the
+// index; an overwrite repoints the node named by the outgoing record's
+// handle — one logged update, no walk — and clears old's pending TTL
+// bookkeeping (a SET discards the previous record, deadline included).
+// Callers hold the key's stripe lock, which is what serialises the handle's
+// use per key.
+func (s *RespctStore) ordPut(th int, key string, old, rec pmem.Addr) {
 	if s.ord == nil {
 		return
 	}
-	s.ord.Insert(th, key, uint64(rec))
-	s.expMu.Lock()
-	delete(s.exp, key)
-	s.expMu.Unlock()
+	var node pmem.Addr
+	if old == pmem.NilAddr {
+		node, _ = s.ord.Insert(th, key, uint64(rec))
+	} else {
+		node = s.recNode(old)
+		s.ord.SetAt(th, node, uint64(rec))
+		s.expDrop(key, old)
+	}
+	s.rt.Thread(th).StoreTracked(core.CellAux(rec, 1), uint64(node))
 }
 
-// ordDrop removes key from the ordered index and the expiry map. Callers
-// hold the key's stripe lock.
-func (s *RespctStore) ordDrop(th int, key string) {
+// ordDrop removes key, whose record is rec, from the ordered index and the
+// expiry map. Callers hold the key's stripe lock.
+func (s *RespctStore) ordDrop(th int, key string, rec pmem.Addr) {
 	if s.ord == nil {
 		return
 	}
 	s.ord.Remove(th, key)
+	s.expDrop(key, rec)
+}
+
+// expDrop forgets the deadline of key's outgoing record rec. exp[key] exists
+// exactly when the record's expiry cell is non-zero (both change together
+// under the stripe lock), so a record without a deadline costs no expMu.
+func (s *RespctStore) expDrop(key string, rec pmem.Addr) {
+	if s.rt.Read(core.Cell(rec, 1)) == 0 {
+		return
+	}
 	s.expMu.Lock()
 	delete(s.exp, key)
 	s.expMu.Unlock()
@@ -571,6 +623,32 @@ func (s *RespctStore) snapshotStructures(out map[string]string) {
 			out["\x00l:"+name] = strings.Join(parts, "\x1f")
 		}
 	})
+}
+
+// CheckIndexes verifies that the two indexes agree — what SnapshotLogical's
+// key-only "\x00ord" digest cannot see: every ordered node's value is the
+// hash index's record for the node's key, every such record's handle names
+// that node, and the two indexes hold the same number of keys. Callers
+// ensure quiescence; a plain store has nothing to check.
+func (s *RespctStore) CheckIndexes() error {
+	if s.ord == nil {
+		return nil
+	}
+	keys, vals := s.ord.Snapshot()
+	for i, key := range keys {
+		rec, _, _ := s.find(0, FNV1a(key), key)
+		if rec == pmem.NilAddr || uint64(rec) != vals[i] {
+			return fmt.Errorf("kv: ordered node %q points at %#x, hash index holds %#x", key, vals[i], uint64(rec))
+		}
+		node := s.recNode(rec)
+		if k, v := s.ord.At(node); k != key || v != vals[i] {
+			return fmt.Errorf("kv: record %#x of %q carries handle %#x naming key %q value %#x", uint64(rec), key, uint64(node), k, v)
+		}
+	}
+	if n := s.Count(); n != len(keys) {
+		return fmt.Errorf("kv: hash index holds %d keys, ordered index %d", n, len(keys))
+	}
+	return nil
 }
 
 var _ StructOps = (*RespctStore)(nil)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -192,6 +193,29 @@ func TestPoolSnapshotRecoveryRoundTrip(t *testing.T) {
 	}
 	if got := len(s2.SnapshotLogical()); got != 300 {
 		t.Fatalf("recovered %d keys, want 300", got)
+	}
+}
+
+// TestPoolOpenRefusesOtherLayout: images written with one -structures
+// setting must not be misread under the other.
+func TestPoolOpenRefusesOtherLayout(t *testing.T) {
+	for _, structures := range []bool{false, true} {
+		base := filepath.Join(t.TempDir(), "kv.img")
+		cfg := testConfig(2, 1)
+		cfg.Structures = structures
+		p, err := NewPool(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Store().Set(0, "k", []byte("v"))
+		if err := p.SnapshotFiles(base); err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+		cfg.Structures = !structures
+		if _, _, err := OpenPoolFiles(cfg, base); !errors.Is(err, kv.ErrLayoutMismatch) {
+			t.Fatalf("written structures=%v, opened structures=%v: err = %v, want kv.ErrLayoutMismatch", structures, !structures, err)
+		}
 	}
 }
 

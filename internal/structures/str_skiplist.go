@@ -27,6 +27,14 @@ func strHash(s string) uint64 {
 // bytes are write-once RAW data, so a crashed epoch rolls a whole insertion
 // or removal back atomically and no partial-link state can survive recovery.
 //
+// Handles. A node's address never changes while its key is present, so the
+// address Insert returns is a handle to the key: valid from that Insert until
+// the key's Remove (and across recovery, as long as the epoch that inserted
+// it was certified), it lets SetAt overwrite the value without the walk. The
+// list does not check a handle; the caller keeps it with whatever owns the
+// key, drops it on Remove, and serialises SetAt against Insert/Remove of the
+// same key (the list's mutex orders it against everything else).
+//
 // Node payload: cells [value, next_0 .. next_{skipMaxLevel-1}] (the full
 // tower is always reserved so offsets are fixed), raw words
 // [keyLen<<32|level, key bytes...].
@@ -128,9 +136,10 @@ func (s *RespctStrSkipList) nextCell(n pmem.Addr, lvl int) core.InCLL {
 	return core.Cell(n, 1+lvl)
 }
 
-// findPredecessors fills preds with the rightmost node ordered strictly
-// before key at each level and returns the level-0 successor candidate.
-func (s *RespctStrSkipList) findPredecessors(key string, preds *[skipMaxLevel]pmem.Addr) pmem.Addr {
+// locate fills preds with the rightmost node ordered strictly before key at
+// each level and returns the level-0 successor candidate with whether it
+// holds key — the one walk behind every keyed operation. Callers hold s.mu.
+func (s *RespctStrSkipList) locate(key string, preds *[skipMaxLevel]pmem.Addr) (cand pmem.Addr, found bool) {
 	cur := s.desc
 	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
 		for {
@@ -142,21 +151,24 @@ func (s *RespctStrSkipList) findPredecessors(key string, preds *[skipMaxLevel]pm
 		}
 		preds[lvl] = cur
 	}
-	return s.next(cur, 0)
+	cand = s.next(cur, 0)
+	return cand, cand != pmem.NilAddr && s.cmpKey(cand, key) == 0
 }
 
-// Insert adds or overwrites key and reports whether it was absent. An
-// overwrite is one logged cell update; an insertion allocates the node,
-// writes the key bytes once, and links bottom-up with logged pointer swings.
-func (s *RespctStrSkipList) Insert(th int, key string, value uint64) bool {
+// Insert adds or overwrites key, returning key's node (its handle, see the
+// type comment) and whether the key was absent. Both cases pay the full
+// O(log n) walk under the mutex: an overwrite is that walk plus one logged
+// cell update — a caller that kept the handle uses SetAt and skips the walk —
+// and an insertion allocates the node, writes the key bytes once, and links
+// bottom-up with logged pointer swings.
+func (s *RespctStrSkipList) Insert(th int, key string, value uint64) (node pmem.Addr, fresh bool) {
 	t := s.rt.Thread(th)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var preds [skipMaxLevel]pmem.Addr
-	cand := s.findPredecessors(key, &preds)
-	if cand != pmem.NilAddr && s.cmpKey(cand, key) == 0 {
+	if cand, found := s.locate(key, &preds); found {
 		t.Update(s.nodeValue(cand), value)
-		return false
+		return cand, false
 	}
 	lvl := skipLevel(strHash(key))
 	keyWords := (len(key) + 7) / 8
@@ -176,7 +188,22 @@ func (s *RespctStrSkipList) Insert(th int, key string, value uint64) bool {
 	for i := 0; i < lvl; i++ {
 		t.UpdateAddr(s.nextCell(preds[i], i), n)
 	}
-	return true
+	return n, true
+}
+
+// SetAt overwrites the value of the key whose handle is node: one logged
+// cell update under a momentary hold of the mutex, no walk.
+func (s *RespctStrSkipList) SetAt(th int, node pmem.Addr, value uint64) {
+	s.mu.Lock()
+	s.rt.Thread(th).Update(s.nodeValue(node), value)
+	s.mu.Unlock()
+}
+
+// At returns the key and value of the node a handle names.
+func (s *RespctStrSkipList) At(node pmem.Addr) (key string, value uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.nodeKey(node), s.rt.Read(s.nodeValue(node))
 }
 
 // Remove deletes key and reports whether it was present.
@@ -185,8 +212,8 @@ func (s *RespctStrSkipList) Remove(th int, key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var preds [skipMaxLevel]pmem.Addr
-	cand := s.findPredecessors(key, &preds)
-	if cand == pmem.NilAddr || s.cmpKey(cand, key) != 0 {
+	cand, found := s.locate(key, &preds)
+	if !found {
 		return false
 	}
 	_, lvl := s.nodeMeta(cand)
@@ -204,11 +231,11 @@ func (s *RespctStrSkipList) Get(th int, key string) (uint64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var preds [skipMaxLevel]pmem.Addr
-	cand := s.findPredecessors(key, &preds)
-	if cand != pmem.NilAddr && s.cmpKey(cand, key) == 0 {
-		return s.rt.Read(s.nodeValue(cand)), true
+	cand, found := s.locate(key, &preds)
+	if !found {
+		return 0, false
 	}
-	return 0, false
+	return s.rt.Read(s.nodeValue(cand)), true
 }
 
 // Scan calls fn for each pair with from <= key (and key <= to when to is
@@ -221,15 +248,13 @@ func (s *RespctStrSkipList) Scan(th int, from, to string, fn func(key string, va
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var preds [skipMaxLevel]pmem.Addr
-	n := s.findPredecessors(from, &preds)
-	for n != pmem.NilAddr {
+	for n, _ := s.locate(from, &preds); n != pmem.NilAddr; n = s.next(n, 0) {
 		if to != "" && s.cmpKey(n, to) > 0 {
 			return
 		}
 		if !fn(s.nodeKey(n), s.rt.Read(s.nodeValue(n))) {
 			return
 		}
-		n = s.next(n, 0)
 	}
 }
 

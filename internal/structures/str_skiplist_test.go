@@ -26,7 +26,7 @@ func TestStrSkipListOrdering(t *testing.T) {
 			if _, ok := ref[k]; ok {
 				wantAbsent = false
 			}
-			if got := s.Insert(0, k, uint64(i)); got != wantAbsent {
+			if _, got := s.Insert(0, k, uint64(i)); got != wantAbsent {
 				t.Fatalf("Insert(%q) absent=%v want %v", k, got, wantAbsent)
 			}
 			ref[k] = uint64(i)
