@@ -9,27 +9,22 @@
 // -sync. Checkpoint gating is per operation and per shard, owned by the
 // store (DESIGN.md §3f).
 //
-// On SIGINT/SIGTERM it snapshots each shard's persistent image to
-// ShardFile(-snapshot, i) ("kv.img" → "kv-0.img", "kv-1.img", …) via an
-// atomic temp-file+rename; a later start with the same -snapshot and -shards
-// recovers every shard in parallel — a full crash/recovery cycle across OS
-// processes.
-//
-// With -snapshot-format frames the shutdown snapshot instead uses the
-// frame-based engine (internal/frame, see docs/SNAPSHOT-FORMAT.md): each
-// shard's image is split into fixed-size frames written in parallel by
-// -snapshot-workers goroutines into ShardFrameDir(-snapshot, i) ("kv.img" →
-// "kv-0.fset", …), and repeated snapshots over the same process write
-// incremental deltas carrying only the churned lines. Recovery auto-detects
-// the format per shard — a certified frame chain wins over a legacy image —
-// so stores migrate between formats without conversion.
+// On SIGINT/SIGTERM it runs one final coordinated checkpoint and snapshots
+// each shard's persistent image into that shard's frame store (internal/frame,
+// the one on-disk format, docs/SNAPSHOT-FORMAT.md) under
+// ShardFrameDir(-snapshot, i) ("kv.img" → "kv-0.fset", "kv-1.fset", …). Each
+// store's manifest is rewritten atomically, so a crash mid-write leaves the
+// previous certified chain recoverable. A later start with the same -snapshot
+// and -shards boots every shard's heap straight from its frames and recovers
+// them in parallel — a full crash/recovery cycle across OS processes. A base
+// that holds only a whole-image file from before frame stores is refused:
+// there is no migration.
 //
 // Usage (defaults shown; kvserver -h describes each flag):
 //
 //	kvserver [-addr 127.0.0.1:11222] [-workers 4] [-shards 1] [-sync] [-async]
 //	         [-buckets 1048576] [-interval 64ms] [-heap 2147483648]
-//	         [-snapshot ""] [-snapshot-format image|frames]
-//	         [-snapshot-workers 0] [-metrics ""] [-protocol auto|text|binary]
+//	         [-snapshot ""] [-metrics ""] [-protocol auto|text|binary]
 //	         [-structures=true] [-transient]
 //
 // -transient serves the non-fault-tolerant store instead (no shards, no
@@ -87,9 +82,7 @@ func main() {
 	buckets := flag.Int("buckets", 1<<20, "hash-table buckets (total across shards)")
 	interval := flag.Duration("interval", 64*time.Millisecond, "checkpoint period")
 	heapBytes := flag.Int64("heap", 2<<30, "simulated NVMM size in bytes (total across shards)")
-	snapshot := flag.String("snapshot", "", "snapshot base path: recovered at start if all shard snapshots are present, written on shutdown")
-	snapshotFormat := flag.String("snapshot-format", "image", `shutdown snapshot format: "image" (legacy whole-image files) or "frames" (parallel frame sets with incremental deltas)`)
-	snapshotWorkers := flag.Int("snapshot-workers", 0, "parallel frame encoders per shard for -snapshot-format=frames (0 = GOMAXPROCS)")
+	snapshot := flag.String("snapshot", "", "snapshot base path: every shard's frame store is recovered from at start if present, written on shutdown")
 	metricsAddr := flag.String("metrics", "", "serve telemetry on this address (/metrics, /metrics.json, /debug/pprof/); empty disables instrumentation")
 	protocol := flag.String("protocol", "auto", `accepted wire protocols: "auto" (negotiate per connection by first byte), "text" or "binary"`)
 	structures := flag.Bool("structures", true, "enable the persistent structures surface (SCAN/QPUSH/QPOP/LAPPEND/LRANGE/EXPIRE/TTL/MULTI, see docs/COMMANDS.md); disabling reclaims the per-shard sweeper thread and two-cell records")
@@ -133,10 +126,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "kvserver: -shards must be >= 1")
 		os.Exit(1)
 	}
-	if *snapshotFormat != "image" && *snapshotFormat != "frames" {
-		fmt.Fprintf(os.Stderr, "kvserver: -snapshot-format %q (want \"image\" or \"frames\")\n", *snapshotFormat)
-		os.Exit(1)
-	}
 	cfg := shard.Config{
 		Shards:     *shards,
 		Workers:    *workers,
@@ -149,24 +138,29 @@ func main() {
 		Metrics:    reg,
 	}
 
+	var pool *shard.Pool
+	found := 0
 	if *snapshot != "" {
-		// Refuse a shard count that disagrees with the on-disk images:
-		// recovering fewer shards would silently drop the extra images'
-		// keys, and more would silently start an empty store.
-		if n := shard.SnapshotFileCount(*snapshot); n > 0 && n != *shards {
-			fmt.Fprintf(os.Stderr, "kvserver: snapshot %s holds %d shard image(s) but -shards is %d; restart with -shards %d or move the images aside\n",
-				*snapshot, n, *shards, n)
+		if found, err = shard.SnapshotFileCount(*snapshot); err != nil {
+			fmt.Fprintln(os.Stderr, "kvserver:", err)
+			fmt.Fprintln(os.Stderr, "kvserver: nothing was recovered; move the file aside to start an empty store")
+			os.Exit(1)
+		}
+		// Refuse a shard count that disagrees with the on-disk stores:
+		// recovering fewer shards would silently drop the extra stores' keys,
+		// and more would silently start an empty store.
+		if found > 0 && found != *shards {
+			fmt.Fprintf(os.Stderr, "kvserver: snapshot %s holds %d shard frame store(s) but -shards is %d; restart with -shards %d or move the stores aside\n",
+				*snapshot, found, *shards, found)
 			os.Exit(1)
 		}
 	}
-
-	var pool *shard.Pool
-	if *snapshot != "" && shard.HaveSnapshotFiles(*snapshot, *shards) {
+	if found > 0 {
 		p, rep, err := shard.OpenPoolFiles(cfg, *snapshot)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "recover:", err)
 			if errors.Is(err, kv.ErrLayoutMismatch) {
-				fmt.Fprintf(os.Stderr, "kvserver: snapshot %s was written with another -structures setting or record layout; restart with the setting that wrote it or move the images aside\n", *snapshot)
+				fmt.Fprintf(os.Stderr, "kvserver: snapshot %s was written with another -structures setting or record layout; restart with the setting that wrote it or move the stores aside\n", *snapshot)
 			}
 			os.Exit(1)
 		}
@@ -211,35 +205,20 @@ func main() {
 	stopMetrics(msrv, reg)
 	pool.Close()
 	if *snapshot != "" {
-		if *snapshotFormat == "frames" {
-			// SnapshotFrames runs one final coordinated checkpoint and writes
-			// each shard's frame set in parallel; the per-shard manifest
-			// update is atomic, so a crash mid-write leaves the previous
-			// certified chain recoverable.
-			res, err := pool.SnapshotFrames(*snapshot, frame.Params{
-				Workers:     *snapshotWorkers,
-				Compression: frame.CompressFlate,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "snapshot:", err)
-				os.Exit(1)
-			}
-			var bytes int64
-			for _, r := range res {
-				bytes += r.Info.Bytes
-			}
-			fmt.Printf("%d shard frame set(s) (%s, %d bytes total) written under %s\n",
-				*shards, res[0].Info.Kind, bytes, *snapshot)
-		} else {
-			// SnapshotFiles writes each shard image via temp file + rename, so
-			// a crash mid-write never leaves a truncated image under a final
-			// name.
-			if err := pool.SnapshotFiles(*snapshot); err != nil {
-				fmt.Fprintln(os.Stderr, "snapshot:", err)
-				os.Exit(1)
-			}
-			fmt.Printf("%d shard image(s) written under %s\n", *shards, *snapshot)
+		// One final coordinated checkpoint, then every shard's frame set in
+		// parallel; each shard's manifest update is atomic, so a crash
+		// mid-write leaves the previous certified chain recoverable.
+		res, err := pool.SnapshotFrames(*snapshot, frame.Params{Compression: frame.CompressFlate})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "snapshot:", err)
+			os.Exit(1)
 		}
+		var bytes int64
+		for _, r := range res {
+			bytes += r.Info.Bytes
+		}
+		fmt.Printf("%d shard frame set(s) (%s, %d bytes total) written under %s\n",
+			*shards, res[0].Info.Kind, bytes, *snapshot)
 	}
 }
 

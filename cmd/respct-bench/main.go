@@ -47,8 +47,8 @@ func main() {
 	intervalFlag := flag.Duration("interval", 0, "checkpoint period (0 = scale default)")
 	verbose := flag.Bool("v", false, "log progress to stderr")
 	csvDir := flag.String("csv", "", "directory to also write raw fig8/fig9 results as CSV")
-	jsonDir := flag.String("json", "", "directory to also write figpause/figshards results as JSON (with telemetry snapshots)")
-	baseline := flag.String("baseline", "", "BENCH_figstores.json to compare a figstores run against; exits 1 on >10% ns/op regression")
+	jsonDir := flag.String("json", "", "directory to also write figpause/figshards/figframes/figstores/fignet/figscan results as BENCH_<name>.json (figpause/figshards rows carry telemetry snapshots)")
+	baseline := flag.String("baseline", "", "checked-in BENCH_<name>.json to compare a figstores run (exit 1 on >10% store ns/op regression) or a fignet/figscan run (exit 1 if a depth's binary/text throughput ratio fell >10%) against")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		flag.Usage()

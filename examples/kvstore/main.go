@@ -1,5 +1,6 @@
 // kvstore: a persistent hash map that survives process restarts through a
-// heap snapshot file — run it twice to see recovery across processes:
+// heap snapshot file (one full frame container, docs/SNAPSHOT-FORMAT.md) — run
+// it twice to see recovery across processes:
 //
 //	go run ./examples/kvstore            # first run: creates /tmp state
 //	go run ./examples/kvstore            # second run: recovers and verifies
@@ -26,7 +27,7 @@ func main() {
 	}
 
 	if f, err := os.Open(path); err == nil {
-		// Second run: open the image as if the machine had rebooted.
+		// Second run: open the snapshot as if the machine had rebooted.
 		heap, err := respct.OpenSnapshot(f, respct.NVMM(0))
 		f.Close()
 		if err != nil {
@@ -78,9 +79,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := heap.Snapshot(f); err != nil {
+	if err := respct.WriteSnapshot(f, heap); err != nil {
 		log.Fatal(err)
 	}
-	f.Close()
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("persistent image written to %s — run again to recover it\n", path)
 }

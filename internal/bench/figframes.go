@@ -38,7 +38,7 @@ type FrameResult struct {
 // a fixed density, and then measures the four frame-store operations that
 // matter for checkpoint-to-NVMM deployments: the initial full set, an
 // incremental delta after rewriting a fraction of the keys, the chain
-// restore, and ordinary recovery on the restored image.
+// restore into a fresh heap, and ordinary recovery on the restored heap.
 //
 // The point the sweep makes is the delta columns: full-set bytes and time
 // grow with the heap, delta bytes and time grow with the churn — a lightly
@@ -163,17 +163,17 @@ func figFramesRow(s KVScale, heapBytes int64, churn float64, params frame.Params
 	r.DeltaLines = delta.Info.Lines
 
 	start = time.Now()
-	img, _, err := store.Restore(params.Workers)
+	sink := &frame.HeapSink{Config: pmem.NVMMConfig(0)}
+	if _, err := store.Restore(sink, params.Workers); err != nil {
+		panic(err)
+	}
+	h2, err := sink.Heap()
 	if err != nil {
 		panic(err)
 	}
 	r.RestoreNs = time.Since(start)
 
 	start = time.Now()
-	h2, err := pmem.OpenImageBytes(img, pmem.NVMMConfig(0))
-	if err != nil {
-		panic(err)
-	}
 	rt2, _, err := core.Recover(h2, core.Config{Threads: 1}, params.Workers)
 	if err != nil {
 		panic(err)

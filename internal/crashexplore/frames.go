@@ -123,11 +123,11 @@ func (r *kvFramesRun) SanFindings() []string { return r.rt.SanFindings() }
 // the standard recovery pass over the restored image — never touching the
 // crashed heap, exactly like a reboot onto the snapshot store.
 func (r *kvFramesRun) Recover() ([]Recovered, error) {
-	img, _, err := r.store.Restore(1)
-	if err != nil {
+	var sink frame.HeapSink
+	if _, err := r.store.Restore(&sink, 1); err != nil {
 		return nil, err
 	}
-	h2, err := pmem.OpenImageBytes(img, pmem.Config{})
+	h2, err := sink.Heap()
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,9 @@
 // Package frame implements the frame-based parallel snapshot engine: a
 // persistent-heap image is split into independent fixed-size frames that are
 // generated and restored in parallel by a worker pool, with bit-identical
-// container output regardless of worker count.
+// container output regardless of worker count. It is the only on-disk format
+// of a heap and this package the only one that knows its byte layout
+// (docs/SNAPSHOT-FORMAT.md).
 //
 // # Containers
 //
@@ -21,7 +23,10 @@
 // Containers are written front-to-back (streamable to any io.Writer) and
 // finish with a frame index plus a fixed-size trailer, so a reader with
 // io.ReaderAt restores frames in parallel after one trailer read, while a
-// plain stream reader can decode the same container sequentially.
+// plain stream reader can decode the same container sequentially. Both hand
+// every record to one decode routine, which writes into an ImageSink — the
+// mirror of the writer's ImageSource: HeapSink boots a pmem.Heap straight
+// from the frames, BytesSink materialises the image in memory.
 //
 // # Chains, manifests and fallback
 //

@@ -199,6 +199,9 @@ type frameHdr struct {
 	digest    uint64
 }
 
+// recordLen is the whole record's size: preamble, bitmap, stored body.
+func (f frameHdr) recordLen() int { return frameHdrSize + f.bitmapLen + f.compLen }
+
 func (f frameHdr) encode() []byte {
 	b := make([]byte, frameHdrSize)
 	binary.LittleEndian.PutUint32(b[0:], frameMagic)

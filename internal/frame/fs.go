@@ -58,8 +58,8 @@ func readFile(fs FS, name string) ([]byte, error) {
 	return buf, nil
 }
 
-// DirFS stores containers as files in one directory, publishing with the
-// same temp-then-rename discipline the legacy image writer uses.
+// DirFS stores containers as files in one directory, publishing each by
+// writing a temp file, syncing it and renaming it into place.
 type DirFS struct {
 	Dir string // the directory holding the chain; created on first write
 }

@@ -208,46 +208,44 @@ func (s *Store) Snapshot(h *pmem.Heap, epoch uint64, extraDirty []uint64) (*Snap
 	return &SnapshotResult{Info: info, Name: name, Compacted: compacted}, nil
 }
 
-// Restore rebuilds the image certified by the manifest: the full base
-// restored frame-parallel, then each delta applied in chain order. Digests
-// are verified end to end. Returns ErrNoSnapshot when the store has no
-// certified chain.
-func (s *Store) Restore(workers int) ([]byte, *Manifest, error) {
+// Restore rebuilds the image certified by the manifest into dst: the full
+// base restored frame-parallel (0 workers means GOMAXPROCS), then each delta
+// applied in chain order. Digests are verified end to end; on any error dst
+// holds garbage. Returns ErrNoSnapshot when the store has no certified chain.
+func (s *Store) Restore(dst ImageSink, workers int) (*Manifest, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	start := time.Now()
 	man, err := loadManifest(s.fs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if man == nil {
-		return nil, nil, ErrNoSnapshot
+		return nil, ErrNoSnapshot
 	}
-	var img []byte
 	for i, e := range man.Chain {
 		blob, err := s.fs.Open(e.Name)
 		if err != nil {
-			return nil, nil, fmt.Errorf("frame: chain container %s: %w", e.Name, err)
+			return nil, fmt.Errorf("frame: chain container %s: %w", e.Name, err)
 		}
-		var info *SetInfo
-		img, info, err = RestoreInto(img, blob, blob.Size(), workers)
+		info, err := RestoreInto(dst, blob, blob.Size(), workers)
 		blob.Close()
 		if err != nil {
-			return nil, nil, fmt.Errorf("frame: chain container %s: %w", e.Name, err)
+			return nil, fmt.Errorf("frame: chain container %s: %w", e.Name, err)
 		}
 		wantKind := KindDelta
 		if i == 0 {
 			wantKind = KindFull
 		}
 		if info.Kind != wantKind {
-			return nil, nil, fmt.Errorf("frame: chain container %s is %s, manifest position wants %s", e.Name, info.Kind, wantKind)
+			return nil, fmt.Errorf("frame: chain container %s is %s, manifest position wants %s", e.Name, info.Kind, wantKind)
 		}
 		if info.Digest != e.Digest {
-			return nil, nil, fmt.Errorf("frame: chain container %s digest %#x, manifest certifies %#x", e.Name, info.Digest, e.Digest)
+			return nil, fmt.Errorf("frame: chain container %s digest %#x, manifest certifies %#x", e.Name, info.Digest, e.Digest)
 		}
 	}
 	s.metrics.restoreDone(time.Since(start))
-	return img, man, nil
+	return man, nil
 }
 
 // writeContainer streams one container through Create/Commit.

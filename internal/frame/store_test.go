@@ -17,14 +17,23 @@ func touchLines(h *pmem.Heap, base, n int, v uint64) {
 	}
 }
 
-// persistentImage reads the heap's whole persistent image.
-func persistentImage(t *testing.T, h *pmem.Heap) []byte {
+// restoreChain restores the store's certified chain into a heap and into
+// bytes, requires the two bit-identical, and returns the image.
+func restoreChain(t *testing.T, st *Store, workers int) ([]byte, *Manifest) {
 	t.Helper()
-	img := make([]byte, h.ImageSize())
-	if err := h.ReadPersistentAt(img, 0); err != nil {
+	var img BytesSink
+	man, err := st.Restore(&img, workers)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return img
+	var heap HeapSink
+	if _, err := st.Restore(&heap, workers); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(bootedImage(t, &heap), img) {
+		t.Fatal("chain restored into a heap differs from the chain restored into bytes")
+	}
+	return img, man
 }
 
 // TestStoreChain drives full → deltas → compaction over a live heap and
@@ -64,10 +73,7 @@ func TestStoreChain(t *testing.T) {
 		if res.Info.Bytes*10 > fullBytes {
 			t.Fatalf("round %d: delta %d bytes vs full %d — not scaling with churn", round, res.Info.Bytes, fullBytes)
 		}
-		img, man, err := st.Restore(4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		img, man := restoreChain(t, st, 4)
 		if !bytes.Equal(img, persistentImage(t, h)) {
 			t.Fatalf("round %d: restored image differs from persistent image", round)
 		}
@@ -93,10 +99,7 @@ func TestStoreChain(t *testing.T) {
 	if len(names) != 2 { // the new full set + MANIFEST.json
 		t.Fatalf("post-compaction store holds %v", names)
 	}
-	img, man, err := st.Restore(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, man := restoreChain(t, st, 2)
 	if len(man.Chain) != 1 || !bytes.Equal(img, persistentImage(t, h)) {
 		t.Fatalf("post-compaction restore: chain %d links", len(man.Chain))
 	}
@@ -161,10 +164,7 @@ func TestStoreCrashFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, man, err := st3.Restore(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, man := restoreChain(t, st3, 2)
 	if len(man.Chain) != 1 || man.Chain[0].Epoch != 1 {
 		t.Fatalf("fallback chain %+v", man.Chain)
 	}
@@ -180,9 +180,7 @@ func TestStoreCrashFallsBack(t *testing.T) {
 	if res.Info.Kind != KindFull {
 		t.Fatalf("post-crash snapshot kind %v, want full", res.Info.Kind)
 	}
-	if img, _, err = st3.Restore(1); err != nil {
-		t.Fatal(err)
-	}
+	img, _ = restoreChain(t, st3, 1)
 	if !bytes.Equal(img, persistentImage(t, h)) {
 		t.Fatal("post-crash restore differs from persistent image")
 	}
@@ -194,7 +192,7 @@ func TestStoreRestoreEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.Restore(1); err != ErrNoSnapshot {
+	if _, err := st.Restore(new(BytesSink), 1); err != ErrNoSnapshot {
 		t.Fatalf("restore of empty store: %v", err)
 	}
 }
@@ -232,10 +230,7 @@ func TestDirFSStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, man, err := st2.Restore(4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, man := restoreChain(t, st2, 4)
 	if len(man.Chain) != 2 {
 		t.Fatalf("chain %d links after reopen", len(man.Chain))
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/respct/respct/internal/core"
+	"github.com/respct/respct/internal/frame"
 	"github.com/respct/respct/internal/pmem"
 )
 
@@ -265,12 +266,16 @@ func TestServerSnapshotRecoveryRoundTrip(t *testing.T) {
 	rt.CheckpointIdle() // make the writes durable before snapshotting
 
 	var img bytes.Buffer
-	if err := rt.Heap().Snapshot(&img); err != nil {
+	if _, err := frame.WriteFull(&img, frame.HeapSource{H: rt.Heap()}, frame.Params{}); err != nil {
 		t.Fatal(err)
 	}
 
 	// "Second process": open the image, recover, reattach, serve.
-	h2, err := pmem.Open(&img, pmem.NVMMConfig(0))
+	sink := &frame.HeapSink{Config: pmem.NVMMConfig(0)}
+	if _, err := frame.RestoreStream(sink, &img); err != nil {
+		t.Fatal(err)
+	}
+	h2, err := sink.Heap()
 	if err != nil {
 		t.Fatal(err)
 	}

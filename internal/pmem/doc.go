@@ -28,6 +28,11 @@
 // volatile image is initialised from the persistent one, which is what a real
 // machine sees after a power failure.
 //
+// pmem knows no file format: the snapshot engine (internal/frame) reads the
+// persistent image through ReadPersistentAt, boots a heap from a restored
+// one through FillImageAt, and harvests the write-back churn window that makes
+// its snapshots incremental (image.go).
+//
 // Config carries a simple latency model (spin loops per load, store, flush
 // and fence) so that the cost difference between DRAM and NVMM, and the cost
 // of flush instructions, shows up in benchmarks.

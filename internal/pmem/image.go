@@ -6,20 +6,18 @@ import (
 	"sync/atomic"
 )
 
-// Persistent-image access for external snapshot engines (internal/frame).
-//
-// The legacy Snapshot/Open pair streams the whole image through one
-// goroutine. The frame engine instead reads the image in independent,
-// line-aligned byte ranges from a pool of workers, and rebuilds a heap from
-// a fully materialised image buffer. Two primitives support that:
+// Persistent-image access for the snapshot engine (internal/frame), the only
+// code that moves an image to or from disk. It reads the image in
+// independent, line-aligned byte ranges from a pool of workers and fills a
+// freshly made heap the same way, so two primitives support it:
 //
 //   - ReadPersistentAt copies an aligned byte range of the persistent image
 //     (what survives a crash) into a caller buffer, using atomic word loads
 //     so it is safe to call concurrently with running workers — the result
-//     is then a word-level-consistent blur, exactly like Snapshot's.
-//   - OpenImageBytes is Open for a materialised image: it validates the
-//     superblock and boots a heap whose persistent and volatile images both
-//     equal the buffer.
+//     is then a word-level-consistent blur.
+//   - FillImageAt is its inverse for a heap nobody shares yet: it stores a
+//     byte range into the persistent and the volatile image alike, the view
+//     a machine has after rebooting onto that image.
 //
 // Churn tracking makes snapshots incremental. writeBackLine is the single
 // choke point through which every durable-image mutation flows — checkpoint
@@ -84,15 +82,11 @@ func (h *Heap) ImageSize() int64 { return int64(h.nWords) * WordSize }
 // ReadPersistentAt copies len(p) bytes of the persistent image starting at
 // byte offset off into p. off and len(p) must be multiples of WordSize and
 // the range must lie inside the image. Words are serialised little-endian,
-// the same byte order Snapshot writes and OpenImageBytes expects. Loads are
-// word-atomic, so concurrent write-backs yield a word-consistent blur, never
-// torn words.
+// the byte order FillImageAt expects. Loads are word-atomic, so concurrent
+// write-backs yield a word-consistent blur, never torn words.
 func (h *Heap) ReadPersistentAt(p []byte, off int64) error {
-	if off%WordSize != 0 || len(p)%WordSize != 0 {
-		return fmt.Errorf("pmem: misaligned image read (off %d, len %d)", off, len(p))
-	}
-	if off < 0 || off+int64(len(p)) > h.ImageSize() {
-		return fmt.Errorf("pmem: image read [%d,%d) outside image of %d bytes", off, off+int64(len(p)), h.ImageSize())
+	if err := h.checkImageRange(len(p), off); err != nil {
+		return err
 	}
 	w := int(off / WordSize)
 	for i := 0; i < len(p); i += WordSize {
@@ -102,25 +96,34 @@ func (h *Heap) ReadPersistentAt(p []byte, off int64) error {
 	return nil
 }
 
-// OpenImageBytes boots a heap from a materialised persistent image: both the
-// persistent and volatile images are initialised from img (the post-reboot
-// view, like Open), and the superblock magic is verified. cfg.Size is
-// overridden by the image size. img must be a whole number of cache lines.
+// FillImageAt makes the len(p) bytes at byte offset off of both the
+// persistent and the volatile image equal p — the post-reboot view of an
+// image being restored. Alignment and range rules are ReadPersistentAt's.
+// Calls on disjoint ranges may run concurrently, but the heap must not be in
+// use yet: the stores are plain. The caller judges the finished image with
+// CheckMagic; New's own superblock words are overwritten like any others.
 //
-//respct:allow atomicmix — boot-time image fill: the heap is not shared until OpenImageBytes returns
-func OpenImageBytes(img []byte, cfg Config) (*Heap, error) {
-	if len(img) == 0 || len(img)%LineSize != 0 {
-		return nil, fmt.Errorf("pmem: image of %d bytes is not a whole number of %d-byte lines", len(img), LineSize)
+//respct:allow atomicmix — boot-time image fill: the heap is not shared until the restore that calls FillImageAt returns
+func (h *Heap) FillImageAt(p []byte, off int64) error {
+	if err := h.checkImageRange(len(p), off); err != nil {
+		return err
 	}
-	cfg.Size = int64(len(img))
-	h := New(cfg)
-	for i := 0; i < h.nWords; i++ {
-		w := binary.LittleEndian.Uint64(img[i*WordSize:])
-		h.persist[i] = w
-		h.volatile[i] = w
+	w := int(off / WordSize)
+	for i := 0; i < len(p); i += WordSize {
+		v := binary.LittleEndian.Uint64(p[i:])
+		h.persist[w] = v
+		h.volatile[w] = v
+		w++
 	}
-	if err := h.CheckMagic(); err != nil {
-		return nil, err
+	return nil
+}
+
+func (h *Heap) checkImageRange(n int, off int64) error {
+	if off%WordSize != 0 || n%WordSize != 0 {
+		return fmt.Errorf("pmem: misaligned image access (off %d, len %d)", off, n)
 	}
-	return h, nil
+	if off < 0 || off+int64(n) > h.ImageSize() {
+		return fmt.Errorf("pmem: image access [%d,%d) outside image of %d bytes", off, off+int64(n), h.ImageSize())
+	}
+	return nil
 }

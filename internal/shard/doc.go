@@ -14,8 +14,9 @@
 // interval, which keeps the whole store's staleness bound at Interval at the
 // cost of a global pause, exactly like an unsharded runtime).
 //
-// Durability is per shard: each shard snapshots to its own image file
-// (kv-<i>.img) and recovers independently — recovery of all shards runs in
+// Durability is per shard: each shard snapshots to its own frame store
+// (kv-<i>.fset, the format is internal/frame's alone) and recovers
+// independently — recovery of all shards runs in
 // parallel and is merged into one RecoveryReport. After a crash every shard
 // rolls back to its own last completed checkpoint, so the recovered store is
 // a per-shard-consistent prefix; internal/crash validates each shard's

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/respct/respct/internal/frame"
 	"github.com/respct/respct/internal/kv"
 	"github.com/respct/respct/internal/pmem"
 )
@@ -40,18 +41,6 @@ func TestRouteDeterministicAndBalanced(t *testing.T) {
 	}
 	if Route("anything", 1) != 0 {
 		t.Fatal("single-shard routing must be 0")
-	}
-}
-
-func TestShardFile(t *testing.T) {
-	if got := ShardFile("kv.img", 2); got != "kv-2.img" {
-		t.Fatalf("ShardFile = %q", got)
-	}
-	if got := ShardFile("/tmp/state/kv.img", 0); got != "/tmp/state/kv-0.img" {
-		t.Fatalf("ShardFile = %q", got)
-	}
-	if got := ShardFile("snapshot", 3); got != "snapshot-3" {
-		t.Fatalf("ShardFile = %q", got)
 	}
 }
 
@@ -146,57 +135,7 @@ func TestPoolStaggeredCheckpointsUnderLoad(t *testing.T) {
 	}
 }
 
-func TestPoolSnapshotRecoveryRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "kv.img")
-	cfg := testConfig(3, 2)
-	p, err := NewPool(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := p.Store()
-	for i := 0; i < 300; i++ {
-		s.Set(0, fmt.Sprintf("snap%04d", i), []byte(fmt.Sprintf("val%d", i)))
-	}
-	if err := p.SnapshotFiles(base); err != nil {
-		t.Fatal(err)
-	}
-	p.Close()
-
-	if !HaveSnapshotFiles(base, cfg.Shards) {
-		t.Fatal("snapshot files missing")
-	}
-	if HaveSnapshotFiles(base, cfg.Shards+1) {
-		t.Fatal("phantom extra shard file")
-	}
-	if got := SnapshotFileCount(base); got != cfg.Shards {
-		t.Fatalf("SnapshotFileCount = %d, want %d", got, cfg.Shards)
-	}
-
-	p2, rep, err := OpenPoolFiles(cfg, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	if len(rep.PerShard) != cfg.Shards || len(rep.FailedEpochs()) != cfg.Shards {
-		t.Fatalf("report covers %d shards, want %d", len(rep.PerShard), cfg.Shards)
-	}
-	if rep.CellsScanned == 0 || rep.BlocksScanned == 0 {
-		t.Fatalf("empty merged report: %+v", rep)
-	}
-	s2 := p2.Store()
-	for i := 0; i < 300; i++ {
-		key := fmt.Sprintf("snap%04d", i)
-		if v, ok := s2.Get(0, key); !ok || string(v) != fmt.Sprintf("val%d", i) {
-			t.Fatalf("key %s after recovery: %q,%v", key, v, ok)
-		}
-	}
-	if got := len(s2.SnapshotLogical()); got != 300 {
-		t.Fatalf("recovered %d keys, want 300", got)
-	}
-}
-
-// TestPoolOpenRefusesOtherLayout: images written with one -structures
+// TestPoolOpenRefusesOtherLayout: stores written with one -structures
 // setting must not be misread under the other.
 func TestPoolOpenRefusesOtherLayout(t *testing.T) {
 	for _, structures := range []bool{false, true} {
@@ -208,7 +147,7 @@ func TestPoolOpenRefusesOtherLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Store().Set(0, "k", []byte("v"))
-		if err := p.SnapshotFiles(base); err != nil {
+		if _, err := p.SnapshotFrames(base, frame.Params{}); err != nil {
 			t.Fatal(err)
 		}
 		p.Close()

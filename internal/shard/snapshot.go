@@ -11,43 +11,11 @@ import (
 	"github.com/respct/respct/internal/telemetry"
 )
 
-// ShardFile derives shard i's legacy whole-image path from a base path:
-// "kv.img" becomes "kv-0.img", "kv-1.img", …; a base without an extension
-// gets "-<i>" appended.
-func ShardFile(base string, i int) string {
-	ext := filepath.Ext(base)
-	return fmt.Sprintf("%s-%d%s", strings.TrimSuffix(base, ext), i, ext)
-}
-
-// ShardFrameDir derives shard i's frame-store directory from the same base:
-// "kv.img" becomes "kv-0.fset", "kv-1.fset", …. Legacy images and frame
-// stores for the same base therefore never collide.
+// ShardFrameDir derives shard i's frame-store directory from a base path:
+// "kv.img" becomes "kv-0.fset", "kv-1.fset", …; a base without an extension
+// gets "-<i>.fset" appended.
 func ShardFrameDir(base string, i int) string {
 	return fmt.Sprintf("%s-%d.fset", strings.TrimSuffix(base, filepath.Ext(base)), i)
-}
-
-// SnapshotFiles checkpoints every shard, then writes each shard's persistent
-// image to ShardFile(base, i). Every image is written to a temporary file in
-// the same directory and renamed into place, so a crash mid-write never
-// leaves a truncated image under the final name; on error the already-written
-// shards keep their previous images. Stale temp files left by a previous
-// crashed writer are collected first.
-func (p *Pool) SnapshotFiles(base string) error {
-	p.CheckpointAll()
-	// Async pools: the persistent images are only complete once the
-	// background drains have committed their epochs.
-	p.WaitDrains()
-	removeStaleTemps(base)
-	err := eachShard(len(p.shards), func(i int) error {
-		return writeImageAtomic(ShardFile(base, i), p.shards[i].Heap)
-	})
-	if err != nil {
-		return err
-	}
-	for _, sh := range p.shards {
-		sh.RT.Flight().Record(telemetry.FlightSnapshot, sh.RT.DurableEpoch(), 0, 0)
-	}
-	return nil
 }
 
 // SnapshotFrames checkpoints every shard, then snapshots each shard's
@@ -116,109 +84,55 @@ func (p *Pool) frameStores(base string, params frame.Params) ([]*frame.Store, er
 	return stores, nil
 }
 
-// writeImageAtomic snapshots h into path via a temp file + rename.
-func writeImageAtomic(path string, h *pmem.Heap) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := h.Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+// LegacyImageError reports a base whose shard 0 exists only as a whole-image
+// file written before frame stores became the one on-disk format. Such a
+// store is refused, never started empty over.
+type LegacyImageError struct {
+	Path string // the legacy image found
 }
 
-// removeStaleTemps deletes leftover "<shard image>.tmp*" files a crashed
-// writer abandoned next to base. Best-effort.
-func removeStaleTemps(base string) {
-	dir := filepath.Dir(base)
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	prefix := strings.TrimSuffix(filepath.Base(base), filepath.Ext(base)) + "-"
-	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() && strings.HasPrefix(name, prefix) && strings.Contains(name, ".tmp") {
-			os.Remove(filepath.Join(dir, name))
-		}
-	}
+func (e *LegacyImageError) Error() string {
+	return e.Path + " is a legacy whole-image snapshot: only frame stores (<base>-<i>.fset) are read and there is no migration"
 }
 
-// shardSnapshot reports how (and whether) shard i previously snapshotted
-// under base: a certified frame store wins over a legacy whole image; temp
-// leftovers from a crashed legacy writer ("kv-2.img.tmp123") are never
-// mistaken for shard images.
-func shardSnapshot(base string, i int) (frames, legacy bool) {
-	if _, err := os.Stat(filepath.Join(ShardFrameDir(base, i), frame.ManifestName)); err == nil {
-		frames = true
-	}
-	// Stat the exact committed name only. (Matching on prefixes would count
-	// stale temp files; see TestDiscoveryIgnoresStaleTemps.)
-	if st, err := os.Stat(ShardFile(base, i)); err == nil && !st.IsDir() {
-		legacy = true
-	}
-	return frames, legacy
-}
-
-// HaveSnapshotFiles reports whether all cfg.Shards snapshots exist under
-// base (a complete previous run to recover from), in either format. Stale
-// temp files do not count.
-func HaveSnapshotFiles(base string, shards int) bool {
-	for i := 0; i < shards; i++ {
-		frames, legacy := shardSnapshot(base, i)
-		if !frames && !legacy {
-			return false
-		}
-	}
-	return true
-}
-
-// SnapshotFileCount returns the number of consecutive shard snapshots
-// present under base (shard 0, 1, … until the first gap, counting either a
-// certified frame store or a legacy image) — the shard count a previous run
-// snapshotted with. Callers must refuse to recover with a different count:
-// fewer shards would silently drop the extra images' keys, more would start
-// empty, and either way the router modulus would no longer match the on-disk
-// partitioning. Stale ".tmp" leftovers from a crashed writer are ignored.
-func SnapshotFileCount(base string) int {
+// SnapshotFileCount returns the number of consecutive shards with a certified
+// frame store under base (shard 0, 1, … until the first gap) — the shard
+// count a previous run snapshotted with, 0 for a fresh base. Callers must
+// refuse to recover with a different count: fewer shards would silently drop
+// the extra stores' keys, more would start empty, and either way the router
+// modulus would no longer match the on-disk partitioning. A base holding no
+// frame store but a legacy image of shard 0 is a *LegacyImageError.
+func SnapshotFileCount(base string) (int, error) {
 	n := 0
 	for {
-		frames, legacy := shardSnapshot(base, n)
-		if !frames && !legacy {
-			return n
+		if _, err := os.Stat(filepath.Join(ShardFrameDir(base, n), frame.ManifestName)); err != nil {
+			break
 		}
 		n++
 	}
+	if n == 0 {
+		ext := filepath.Ext(base)
+		legacy := strings.TrimSuffix(base, ext) + "-0" + ext
+		if st, err := os.Stat(legacy); err == nil && st.Mode().IsRegular() {
+			return 0, &LegacyImageError{Path: legacy}
+		}
+	}
+	return n, nil
 }
 
-// OpenPoolFiles opens every shard snapshot under base and recovers the pool
-// from them (all shards in parallel). Each shard restores from its certified
-// frame chain when one exists, falling back to its legacy whole image, so a
-// store written by either snapshot path — or mid-migration between them —
-// recovers. The shard count of cfg must match the count the snapshots were
-// written with.
+// OpenPoolFiles restores every shard's heap from its certified frame chain
+// under base and recovers the pool from them (all shards in parallel). The
+// shard count of cfg must match the count the snapshots were written with.
 func OpenPoolFiles(cfg Config, base string) (*Pool, *RecoveryReport, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, nil, err
 	}
 	heaps := make([]*pmem.Heap, cfg.Shards)
 	err := eachShard(cfg.Shards, func(i int) (err error) {
-		heaps[i], err = openShardHeap(base, i)
-		return err
+		if heaps[i], err = openShardHeap(base, i); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, nil, err
@@ -226,32 +140,15 @@ func OpenPoolFiles(cfg Config, base string) (*Pool, *RecoveryReport, error) {
 	return Recover(cfg, heaps)
 }
 
-// openShardHeap rebuilds one shard's heap from its preferred snapshot form.
+// openShardHeap boots one shard's heap straight from its frame chain.
 func openShardHeap(base string, i int) (*pmem.Heap, error) {
-	if frames, _ := shardSnapshot(base, i); frames {
-		st, err := frame.NewStore(frame.DirFS{Dir: ShardFrameDir(base, i)}, frame.Params{}, nil)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		img, _, err := st.Restore(0)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		h, err := pmem.OpenImageBytes(img, pmem.NVMMConfig(0))
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		return h, nil
-	}
-	path := ShardFile(base, i)
-	f, err := os.Open(path)
+	st, err := frame.NewStore(frame.DirFS{Dir: ShardFrameDir(base, i)}, frame.Params{}, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	h, err := pmem.Open(f, pmem.NVMMConfig(0))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	sink := &frame.HeapSink{Config: pmem.NVMMConfig(0)}
+	if _, err := st.Restore(sink, 0); err != nil {
+		return nil, err
 	}
-	return h, nil
+	return sink.Heap()
 }

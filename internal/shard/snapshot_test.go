@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,50 +11,41 @@ import (
 	"github.com/respct/respct/internal/frame"
 )
 
-// TestDiscoveryIgnoresStaleTemps is the regression test for snapshot
-// discovery counting a crashed writer's temp file as a shard image: with
-// shards 0 and 1 committed and a "kv-2.img.tmp123" leftover, the store has
-// exactly two shards.
-func TestDiscoveryIgnoresStaleTemps(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "kv.img")
-	for i := 0; i < 2; i++ {
-		if err := os.WriteFile(ShardFile(base, i), []byte("img"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+// TestLegacyImageRefused: a base whose shard 0 exists only as a whole-image
+// file from before frame stores is refused by name, never read as "no
+// snapshot yet" (which would start an empty store over it). A certified frame
+// store beside the file wins, as it always did.
+func TestLegacyImageRefused(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "kv.img")
+	if n, err := SnapshotFileCount(base); n != 0 || err != nil {
+		t.Fatalf("fresh base: %d, %v", n, err)
 	}
-	// What writeImageAtomic's CreateTemp leaves behind when the process dies
-	// before the rename.
-	stale := filepath.Join(dir, "kv-2.img.tmp123")
-	if err := os.WriteFile(stale, []byte("torn"), 0o644); err != nil {
+	legacy := filepath.Join(filepath.Dir(base), "kv-0.img")
+	if err := os.WriteFile(legacy, []byte("RESPCTPM"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	if got := SnapshotFileCount(base); got != 2 {
-		t.Fatalf("SnapshotFileCount = %d with a stale temp for shard 2, want 2", got)
+	var lerr *LegacyImageError
+	if n, err := SnapshotFileCount(base); n != 0 || !errors.As(err, &lerr) || lerr.Path != legacy {
+		t.Fatalf("legacy-only base: %d, %v", n, err)
 	}
-	if HaveSnapshotFiles(base, 3) {
-		t.Fatal("HaveSnapshotFiles counted a stale temp as shard 2's image")
-	}
-	if !HaveSnapshotFiles(base, 2) {
-		t.Fatal("committed shards 0,1 not found")
+	if msg := lerr.Error(); !strings.Contains(msg, legacy) || !strings.Contains(msg, "no migration") {
+		t.Fatalf("refusal does not name the file and the missing migration: %q", msg)
 	}
 
-	// The next snapshot collects the leftover.
-	p, err := NewPool(testConfig(2, 1))
+	p, err := NewPool(testConfig(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if err := p.SnapshotFiles(base); err != nil {
+	if _, err := p.SnapshotFrames(base, frame.Params{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatalf("stale temp survived SnapshotFiles: %v", err)
+	if n, err := SnapshotFileCount(base); n != 1 || err != nil {
+		t.Fatalf("frame store beside a legacy image: %d, %v", n, err)
 	}
 }
 
-// TestPoolFrameSnapshotRoundTrip drives the frame-format path end to end:
+// TestPoolFrameSnapshotRoundTrip drives the snapshot path end to end:
 // full sets, then an incremental delta whose size scales with churn, then
 // recovery via OpenPoolFiles from the frame chains.
 func TestPoolFrameSnapshotRoundTrip(t *testing.T) {
@@ -101,12 +93,19 @@ func TestPoolFrameSnapshotRoundTrip(t *testing.T) {
 	}
 	p.Close()
 
-	// Frame stores are discovered like legacy images.
-	if !HaveSnapshotFiles(base, cfg.Shards) {
-		t.Fatal("frame snapshot not discovered")
+	// Discovery counts exactly the stores written, and only frame stores: the
+	// directory must hold nothing else.
+	if got, err := SnapshotFileCount(base); got != cfg.Shards || err != nil {
+		t.Fatalf("SnapshotFileCount = %d, %v, want %d", got, err, cfg.Shards)
 	}
-	if got := SnapshotFileCount(base); got != cfg.Shards {
-		t.Fatalf("SnapshotFileCount = %d, want %d", got, cfg.Shards)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !e.IsDir() || !strings.HasSuffix(e.Name(), ".fset") {
+			t.Fatalf("snapshot left %s beside the frame stores", e.Name())
+		}
 	}
 
 	p2, rep, err := OpenPoolFiles(cfg, base)
@@ -114,8 +113,11 @@ func TestPoolFrameSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	if len(rep.PerShard) != cfg.Shards {
-		t.Fatalf("report covers %d shards", len(rep.PerShard))
+	if len(rep.PerShard) != cfg.Shards || len(rep.FailedEpochs()) != cfg.Shards {
+		t.Fatalf("report covers %d shards, want %d", len(rep.PerShard), cfg.Shards)
+	}
+	if rep.CellsScanned == 0 || rep.BlocksScanned == 0 {
+		t.Fatalf("empty merged report: %+v", rep)
 	}
 	s2 := p2.Store()
 	for i := 0; i < 400; i++ {
@@ -127,6 +129,9 @@ func TestPoolFrameSnapshotRoundTrip(t *testing.T) {
 		if v, ok := s2.Get(0, key); !ok || string(v) != want {
 			t.Fatalf("key %s after frame recovery: %q,%v want %q", key, v, ok, want)
 		}
+	}
+	if got := len(s2.SnapshotLogical()); got != 400 {
+		t.Fatalf("recovered %d keys, want 400", got)
 	}
 }
 
@@ -186,7 +191,7 @@ func TestFrameSnapshotsStayIncrementalAcrossRecovery(t *testing.T) {
 	}
 }
 
-// TestShardFrameDir pins the directory naming next to ShardFile's.
+// TestShardFrameDir pins the directory naming.
 func TestShardFrameDir(t *testing.T) {
 	if got := ShardFrameDir("kv.img", 2); got != "kv-2.fset" {
 		t.Fatalf("ShardFrameDir = %q", got)
@@ -194,7 +199,7 @@ func TestShardFrameDir(t *testing.T) {
 	if got := ShardFrameDir("/tmp/state/kv.img", 0); got != "/tmp/state/kv-0.fset" {
 		t.Fatalf("ShardFrameDir = %q", got)
 	}
-	if strings.Contains(ShardFrameDir("kv.img", 1), ".img") {
-		t.Fatal("frame dir must not collide with legacy image names")
+	if got := ShardFrameDir("snapshot", 3); got != "snapshot-3.fset" {
+		t.Fatalf("ShardFrameDir = %q", got)
 	}
 }

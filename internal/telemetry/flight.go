@@ -44,7 +44,7 @@ const (
 	FlightCut                               // async cut released the workers (aux = pause ns, aux2 = addrs stolen)
 	FlightDrainCommit                       // async drain made its epoch durable (aux = lag ns, aux2 = lines)
 	FlightRecovery                          // recovery pass completed (aux = cells rolled back, aux2 = drain interrupted)
-	FlightSnapshot                          // persistent image snapshot written
+	FlightSnapshot                          // whole-image snapshot written: no writer remains, the value stays so persisted rings keep their numbering
 	FlightFrameSnap                         // frame-format snapshot written (aux = set kind 1 full / 2 delta, aux2 = bytes)
 	FlightCompaction                        // frame delta chain compacted back to a full set (aux = chain length folded, aux2 = bytes)
 )

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/respct/respct/internal/core"
+	"github.com/respct/respct/internal/frame"
 	"github.com/respct/respct/internal/pmem"
 	"github.com/respct/respct/internal/structures"
 )
@@ -55,9 +56,23 @@ func NVMM(size int64) HeapConfig { return pmem.NVMMConfig(size) }
 // and flushes cost nothing.
 func EADR(size int64) HeapConfig { return pmem.EADRConfig(size) }
 
-// OpenSnapshot reads a heap image written by Heap.Snapshot, returning the
-// post-reboot view of that machine.
-func OpenSnapshot(r io.Reader, cfg HeapConfig) (*Heap, error) { return pmem.Open(r, cfg) }
+// WriteSnapshot writes h's persistent image — what a crash would leave — to w
+// as one full frame container (docs/SNAPSHOT-FORMAT.md). Snapshot a quiesced
+// heap: one being written concurrently yields a word-consistent blur.
+func WriteSnapshot(w io.Writer, h *Heap) error {
+	_, err := frame.WriteFull(w, frame.HeapSource{H: h}, frame.Params{Compression: frame.CompressFlate})
+	return err
+}
+
+// OpenSnapshot reads a container written by WriteSnapshot, returning the
+// post-reboot view of that machine. cfg's Size is the snapshot's.
+func OpenSnapshot(r io.Reader, cfg HeapConfig) (*Heap, error) {
+	sink := &frame.HeapSink{Config: cfg}
+	if _, err := frame.RestoreStream(sink, r); err != nil {
+		return nil, err
+	}
+	return sink.Heap()
+}
 
 // NewEvictor creates a chaos evictor for crash testing.
 func NewEvictor(h *Heap, rate int, seed int64) *Evictor { return pmem.NewEvictor(h, rate, seed) }

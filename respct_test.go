@@ -112,12 +112,25 @@ func TestFacadeSnapshotRoundTrip(t *testing.T) {
 	rt.CheckpointIdle()
 
 	var img bytes.Buffer
-	if err := heap.Snapshot(&img); err != nil {
+	heap.Store64(heap.RootAddr(9), 123) // dirty, never flushed: not part of the snapshot
+	if err := respct.WriteSnapshot(&img, heap); err != nil {
 		t.Fatal(err)
+	}
+	// Garbage, nothing and a truncated container are refused, with no heap.
+	for _, bad := range [][]byte{[]byte("not a snapshot at all"), nil, img.Bytes()[:img.Len()/2]} {
+		if h, err := respct.OpenSnapshot(bytes.NewReader(bad), respct.NVMM(0)); err == nil || h != nil {
+			t.Fatalf("OpenSnapshot(%d bytes of junk) = %v, %v", len(bad), h, err)
+		}
 	}
 	h2, err := respct.OpenSnapshot(&img, respct.NVMM(0))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if h2.Size() != heap.Size() {
+		t.Fatalf("snapshot of a %d-byte heap opened as %d bytes", heap.Size(), h2.Size())
+	}
+	if got := h2.Root(9); got != 0 {
+		t.Fatalf("unflushed store leaked into the snapshot: %d", got)
 	}
 	rt2, _, err := respct.Recover(h2, respct.Config{Threads: 1}, 1)
 	if err != nil {
