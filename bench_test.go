@@ -377,40 +377,85 @@ func BenchmarkTable1API(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationFlusherPool compares checkpoints with the parallel
-// flusher pool against a single flusher (the paper's PMThreads bottleneck
-// fix applied to ResPCT itself). ns/op is one checkpoint flushing ~4k lines.
+// BenchmarkAblationFlusherPool compares a checkpoint flushed by the engine's
+// flusher pool against the same flush on one flusher (the paper's PMThreads
+// bottleneck fix applied to ResPCT itself). ns/op is one checkpoint flushing
+// 64 Ki random lines of a 512 MiB NVMM-latency heap while the four workers
+// sit in CheckpointPrevent, as kvserver's do for the whole pause. "one-list"
+// is the parallel engine fed by a single thread's list: the flusher count
+// follows the work, not the number of threads that wrote it. CI gates
+// parallel ÷ serial at -cpu 2 (see the "Flusher pool gate" step).
 func BenchmarkAblationFlusherPool(b *testing.B) {
-	for _, serial := range []bool{false, true} {
-		name := "parallel"
-		if serial {
-			name = "serial"
-		}
-		b.Run(name, func(b *testing.B) {
-			rt, err := core.NewRuntime(pmem.New(pmem.NVMMConfig(128<<20)),
-				core.Config{Threads: 4, SerialFlush: serial})
+	const (
+		threads  = 4
+		nLines   = 64 << 10
+		blockLen = 32<<20 - pmem.LineSize // payload bytes of one 32 MiB block
+		nBlocks  = 12                     // 384 MiB of the heap
+	)
+	cases := []struct {
+		name    string
+		serial  bool
+		writers int
+	}{{"parallel", false, threads}, {"serial", true, threads}, {"one-list", false, 1}}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			rt, err := core.NewRuntime(pmem.New(pmem.NVMMConfig(512<<20)),
+				core.Config{Threads: threads, SerialFlush: c.serial})
 			if err != nil {
 				b.Fatal(err)
 			}
-			cells := make([]core.InCLL, 4096)
-			t0 := rt.Thread(0)
-			for i := range cells {
-				p := rt.Arena().AllocCells(t0, 1)
-				cells[i] = core.Cell(p, 0)
-				t0.Init(cells[i], 0)
+			blocks := make([]pmem.Addr, nBlocks)
+			for i := range blocks {
+				blocks[i] = rt.Arena().AllocRaw(rt.Thread(0), blockLen/pmem.WordSize)
+				if blocks[i] == pmem.NilAddr {
+					b.Fatal("heap exhausted")
+				}
 			}
-			for i := 0; i < rt.Threads(); i++ {
-				rt.Thread(i).CheckpointAllow()
+			// Every worker dirties its share of the lines, opens its allow
+			// window, and — once the checkpoint has quiesced everyone —
+			// walks into CheckpointPrevent and waits the flush out there.
+			var ready sync.WaitGroup
+			dirty := make([]chan struct{}, threads)
+			quiesced := make([]chan struct{}, threads)
+			for w := range dirty {
+				dirty[w], quiesced[w] = make(chan struct{}), make(chan struct{})
+				go func(w int) {
+					th := rt.Thread(w)
+					x := uint64(w)*0x9E3779B97F4A7C15 + 1
+					for range dirty[w] {
+						for i := 0; w < c.writers && i < nLines/c.writers; i++ {
+							x ^= x << 13
+							x ^= x >> 7
+							x ^= x << 17
+							off := pmem.Addr(x % (blockLen / pmem.LineSize) * pmem.LineSize)
+							th.StoreTracked(blocks[x>>32%nBlocks]+off, x)
+						}
+						th.CheckpointAllow()
+						ready.Done()
+						<-quiesced[w]
+						th.CheckpointPrevent(nil)
+					}
+				}(w)
 			}
+			rt.SetQuiescedHook(func(uint64) {
+				for _, q := range quiesced {
+					q <- struct{}{}
+				}
+			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				// Dirty the cells across the 4 threads' flush lists.
-				for j, c := range cells {
-					rt.Thread(j%4).Update(c, uint64(i))
+				ready.Add(threads)
+				for _, d := range dirty {
+					d <- struct{}{}
 				}
+				ready.Wait()
 				b.StartTimer()
 				rt.Checkpoint()
+			}
+			b.StopTimer()
+			for _, d := range dirty {
+				close(d)
 			}
 		})
 	}

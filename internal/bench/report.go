@@ -3,7 +3,9 @@ package bench
 import (
 	"encoding/json"
 	"io"
+	"os/exec"
 	"runtime"
+	"strings"
 )
 
 // Report is the JSON artifact respct-bench writes next to a sweep's text
@@ -13,7 +15,8 @@ import (
 // the checked-in numbers can be re-derived from the raw counters.
 type Report struct {
 	Benchmark  string  `json:"benchmark"`
-	Scale      string  `json:"scale"` // "quick" or "paper"
+	Scale      string  `json:"scale"`  // "quick" or "paper"
+	Commit     string  `json:"commit"` // git describe --always --dirty of the tree that ran
 	GoVersion  string  `json:"go_version"`
 	GOMAXPROCS int     `json:"gomaxprocs"`
 	Config     KVScale `json:"config"`
@@ -26,11 +29,22 @@ func NewReport(benchmark, scale string, cfg KVScale, rows any) Report {
 	return Report{
 		Benchmark:  benchmark,
 		Scale:      scale,
+		Commit:     commit(),
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Config:     cfg,
 		Rows:       rows,
 	}
+}
+
+// commit names the source tree a report was measured on, so that a checked-in
+// artifact says which code produced it; "unknown" outside a git checkout.
+func commit() string {
+	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
+	if err != nil {
+		return "unknown"
+	}
+	return strings.TrimSpace(string(out))
 }
 
 // WriteReport writes the report as indented JSON (stable field order, so the

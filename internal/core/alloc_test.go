@@ -75,3 +75,29 @@ func TestUpdateAllocFree(t *testing.T) {
 		}
 	})
 }
+
+// TestSerialCheckpointAllocFree: once its scratch has grown, a checkpoint on
+// one flusher — the engine's inline path, which SerialFlush forces and small
+// checkpoints take anyway — allocates nothing, however many chunks it sorts.
+func TestSerialCheckpointAllocFree(t *testing.T) {
+	h := pmem.New(pmem.Config{Size: 32 << 20})
+	rt, err := NewRuntime(h, Config{Threads: 1, SerialFlush: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := rt.Thread(0)
+	const lines = 3 * chunkAddrs
+	p := rt.Arena().AllocRaw(th, lines*pmem.LineSize/pmem.WordSize)
+	epoch := func() {
+		for i := 0; i < lines; i++ {
+			th.StoreTracked(p+pmem.Addr(i*pmem.LineSize), uint64(i))
+		}
+		th.CheckpointAllow()
+		rt.Checkpoint()
+		th.CheckpointPrevent(nil)
+	}
+	epoch()
+	if got := testing.AllocsPerRun(10, epoch); got != 0 {
+		t.Fatalf("a steady-state serial checkpoint allocates %v times, want 0", got)
+	}
+}

@@ -2,9 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"runtime"
-	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -68,8 +65,8 @@ import (
 // collision log geometry — see arena.go for the metadata lines backing it.
 const collLogEntries = 512
 
-// drainJob is one background drain: the stolen flush lists of a cut and the
-// machinery to write them back and commit the epoch.
+// drainJob is one background drain: the stolen flush lists of a cut, which
+// the flush engine writes back, and the epoch commit that follows.
 type drainJob struct {
 	rt     *Runtime
 	ending uint64        // the epoch this drain makes durable
@@ -140,7 +137,7 @@ func (rt *Runtime) cutAsync(ending uint64, start, gateDone time.Time) Checkpoint
 	}
 	rt.drain.Store(job)
 	rt.drainLive.Store(true)
-	rt.timer.Store(false) // release the workers
+	rt.releaseWorkers()
 	job.cut = time.Now()
 	go job.run()
 
@@ -176,44 +173,7 @@ func (j *drainJob) run() {
 	// The drained (inactive) bitmap cannot swap back until this drain is
 	// joined, so one load pins it for the whole flush.
 	pend := rt.pendingBits[1-rt.activeBits.Load()]
-
-	var lines int64
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(j.lists) {
-		workers = len(j.lists)
-	}
-	if rt.cfg.SerialFlush || workers <= 1 {
-		f := rt.drainFlusher(0)
-		before := f.Flushes()
-		for _, list := range j.lists {
-			j.flushList(f, list, pend)
-		}
-		f.SFence()
-		lines = int64(f.Flushes() - before)
-	} else {
-		rt.drainFlusher(workers - 1) // grow the cache before sharing it
-		var next atomic.Int32
-		var wg sync.WaitGroup
-		var lineCount atomic.Int64
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(f *pmem.Flusher) {
-				defer wg.Done()
-				before := f.Flushes()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(j.lists) {
-						break
-					}
-					j.flushList(f, j.lists[i], pend)
-				}
-				f.SFence()
-				lineCount.Add(int64(f.Flushes() - before))
-			}(rt.drainFlushers[w])
-		}
-		wg.Wait()
-		lines = lineCount.Load()
-	}
+	lines := rt.flush.run(j.lists, j.dead, pend, rt.maxFlushers())
 
 	if rt.drainHook != nil {
 		rt.drainHook(j.ending, true)
@@ -282,56 +242,6 @@ func (rt *Runtime) takeSpareList() []pmem.Addr {
 	return l
 }
 
-// flushList queues the live lines of one stolen list on f, claiming pending
-// bits from pend a 64-bit word at a time: the list is sorted so all lines of
-// one bitmap word are adjacent, dead spans are elided by a merge walk, and a
-// single atomic And claims every surviving line of the word at once. The
-// claim arbitrates against flush-on-collision workers exactly as the old
-// per-address test-and-clear did — a bit cleared by a collision flush simply
-// does not come back from the And.
-func (j *drainJob) flushList(f *pmem.Flusher, list []pmem.Addr, pend []atomic.Uint64) {
-	slices.Sort(list)
-	dead := j.dead
-	di := 0
-	i := 0
-	for i < len(list) {
-		word := uint64(list[i]) / pmem.LineSize / 64
-		var mask uint64
-		for ; i < len(list); i++ {
-			a := list[i]
-			line := uint64(a) / pmem.LineSize
-			if line/64 != word {
-				break
-			}
-			for di < len(dead) && dead[di].end <= a {
-				di++
-			}
-			if di < len(dead) && dead[di].start <= a {
-				continue
-			}
-			mask |= 1 << (line % 64)
-		}
-		if mask == 0 {
-			continue
-		}
-		claimed := claimBits(&pend[word], mask)
-		for claimed != 0 {
-			b := bits.TrailingZeros64(claimed)
-			claimed &= claimed - 1
-			f.CLWB(pmem.LineAddr(int(word*64) + b))
-		}
-	}
-}
-
-// drainFlusher returns the i-th cached drain flusher, growing the cache as
-// needed. Only the drain goroutine calls it, and only between drains.
-func (rt *Runtime) drainFlusher(i int) *pmem.Flusher {
-	for len(rt.drainFlushers) <= i {
-		rt.drainFlushers = append(rt.drainFlushers, rt.heap.NewFlusher())
-	}
-	return rt.drainFlushers[i]
-}
-
 // markDirty records, in the active bitmap, that a's line will be owed to
 // NVMM by the checkpoint that ends the current epoch. Called from the
 // tracking paths so the cut itself never walks the tracked addresses.
@@ -350,10 +260,10 @@ func (rt *Runtime) markDirty(a pmem.Addr) {
 // claimBits atomically clears the bits of mask that are set in *w and
 // returns them — the bits this caller claimed and must now write back.
 // Deliberately a Load-then-CAS loop rather than Uint64.And: the Load-first
-// test makes the common already-claimed case (dead lines, collision-flushed
-// lines) a single read with no bus-locked RMW, and the And intrinsic's
-// old-value result miscompiles under go1.24.0/amd64 in the drain's merge
-// loop (a live register is clobbered, wedging the walk).
+// test makes the common already-claimed case (collision-flushed lines) a
+// single read with no bus-locked RMW, and the And intrinsic's old-value
+// result miscompiles under go1.24.0/amd64 in the flush engine's merge loop
+// (a live register is clobbered, wedging the walk).
 func claimBits(w *atomic.Uint64, mask uint64) uint64 {
 	for {
 		old := w.Load()

@@ -176,22 +176,6 @@ func TestSkipFlushLeavesDataVolatile(t *testing.T) {
 	}
 }
 
-func TestSerialFlushEquivalent(t *testing.T) {
-	h := pmem.New(pmem.Config{Size: 8 << 20})
-	rt, err := NewRuntime(h, Config{Threads: 2, SerialFlush: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := rt.Thread(0)
-	p := rt.Arena().AllocCells(th, 2)
-	th.Init(Cell(p, 0), 5)
-	th.Init(Cell(p, 1), 6)
-	mustCheckpointSolo(t, rt)
-	if h.LoadPersistent64(Cell(p, 0).Addr()) != 5 || h.LoadPersistent64(Cell(p, 1).Addr()) != 6 {
-		t.Fatal("serial flush lost data")
-	}
-}
-
 func TestDisableTrackingAppendsDuplicates(t *testing.T) {
 	h := pmem.New(pmem.Config{Size: 8 << 20})
 	rt, err := NewRuntime(h, Config{Threads: 1, DisableTracking: true})

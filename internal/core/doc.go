@@ -17,9 +17,11 @@
 // to-be-flushed list.
 //
 // A checkpoint ends an epoch: it waits until every worker thread is parked
-// at a Restart Point (Thread.RP), flushes every tracked cache line with a
-// pool of flushers, increments and persists the global epoch counter, and
-// releases the threads. If the machine crashes, Recover rolls back every
+// at a Restart Point (Thread.RP), flushes every tracked cache line through
+// the flush engine (flush.go: the lines partitioned by heap range, up to one
+// flusher per P), increments and persists the global epoch counter, and
+// releases the threads. A parked thread blocks until that release instead of
+// polling for it, so the flushers have the CPUs. If the machine crashes, Recover rolls back every
 // InCLL variable modified during the crashed epoch to its logged value,
 // which restores exactly the state of the last completed checkpoint —
 // buffered durable linearizability.

@@ -21,8 +21,8 @@ func (l *countingLocker) Unlock() { l.unlocks.Add(1); l.mu.Unlock() }
 // TestCheckpointPreventHandsOffMutex drives the in-flight-checkpoint branch
 // of CheckpointPrevent deterministically: with the timer raised, Prevent must
 // re-allow the checkpoint, release the caller's mutex so parked threads that
-// need it can make progress, spin until the timer drops, and re-acquire the
-// mutex exactly once.
+// need it can make progress, wait until the workers are released, and
+// re-acquire the mutex exactly once.
 func TestCheckpointPreventHandsOffMutex(t *testing.T) {
 	rt := newTestRuntime(t, 1, 0)
 	th := rt.Thread(0)
@@ -35,7 +35,7 @@ func TestCheckpointPreventHandsOffMutex(t *testing.T) {
 	go func() {
 		defer close(handoff)
 		// Wait for Prevent to release the mutex, then prove another thread
-		// can take it while the worker spins on the timer.
+		// can take it while the worker waits out the checkpoint.
 		for cmu.unlocks.Load() == 0 {
 			runtime.Gosched()
 		}
@@ -44,7 +44,7 @@ func TestCheckpointPreventHandsOffMutex(t *testing.T) {
 			t.Error("worker not re-parked while waiting out the checkpoint")
 		}
 		cmu.Unlock()
-		rt.timer.Store(false)
+		rt.releaseWorkers()
 	}()
 
 	th.CheckpointPrevent(cmu)

@@ -24,9 +24,10 @@ type Config struct {
 	// must reach restart points for checkpoints to complete.
 	Threads int
 
-	// SerialFlush disables the parallel flusher pool and drains all
-	// to-be-flushed lists with a single flusher (the configuration the
-	// paper identifies as the bottleneck of unmodified PMThreads).
+	// SerialFlush runs the flush engine with a single flusher and a single
+	// fence, on the checkpointing goroutine (the configuration the paper
+	// identifies as the bottleneck of unmodified PMThreads). Its write-back
+	// order is deterministic, which the crash-point explorer relies on.
 	SerialFlush bool
 
 	// AsyncFlush pipelines checkpoints: the checkpoint only parks the
@@ -46,7 +47,7 @@ type Config struct {
 
 	// DisableTracking makes AddModified append unconditionally even for
 	// repeat updates (ablation of the InCLL-based tracking optimisation).
-	// It changes nothing semantically — SFence coalesces duplicates —
+	// It changes nothing semantically — the flush coalesces duplicates —
 	// but shows the cost of naive tracking.
 	DisableTracking bool
 
@@ -60,7 +61,7 @@ type Config struct {
 	Sanitize bool
 
 	// Metrics, when non-nil, receives the runtime's telemetry: checkpoint
-	// pause/gate/epoch-length/lines/drain histograms plus pull-style series
+	// pause/gate/flush/epoch-length/lines/drain histograms plus pull-style series
 	// over the stat counters the runtime maintains anyway. Nil costs
 	// nothing — checkpoint-cadence observations are skipped entirely and no
 	// hot path is touched either way.
@@ -141,14 +142,20 @@ type Runtime struct {
 	sysFlusher *pmem.Flusher // guarded by ckptMu
 
 	// Checkpoint scratch, reused across epochs so steady-state checkpoints
-	// allocate nothing. All guarded by ckptMu (deadScratch is additionally
-	// held by an async drain until it completes, and Checkpoint joins any
-	// in-flight drain before reusing it).
-	deadScratch  []deadRange     // deadRanges result buffer
-	deadKeys     []uint64        // deadRanges packed sort keys
-	flushQueue   []*Thread       // flushModified's non-empty-list worklist
-	poolFlushers []*pmem.Flusher // sync flush worker pool, one per worker
-	spareLists   [][]pmem.Addr   // stolen toFlush buffers returned by drains
+	// allocate nothing. All guarded by ckptMu (deadScratch and flush are
+	// additionally held by an async drain until it completes, and Checkpoint
+	// joins any in-flight drain before reusing them).
+	deadScratch []deadRange   // deadRanges result buffer
+	deadKeys    []uint64      // deadRanges packed sort keys
+	flushLists  [][]pmem.Addr // flushModified's gathered lists
+	flush       flushEngine   // the write-back path of both checkpoint modes
+	spareLists  [][]pmem.Addr // stolen toFlush buffers returned by drains
+
+	// release is what parked threads block on once a checkpoint outlasts
+	// their bounded spin: Checkpoint and cutAsync drop timer under relMu and
+	// broadcast (see awaitRelease).
+	relMu   sync.Mutex
+	release sync.Cond // L is &relMu
 
 	// Asynchronous checkpointing state (Config.AsyncFlush; see async.go).
 	asyncOn       bool                     // AsyncFlush && !SkipFlush, frozen at construction
@@ -158,7 +165,6 @@ type Runtime struct {
 	drain         atomic.Pointer[drainJob] // in-flight drain, nil when none
 	pendingBits   [2][]atomic.Uint64       // 1 bit per heap line; double-buffered dirty/pending maps
 	activeBits    atomic.Uint32            // index tracking writes mark; 1-activeBits is being drained
-	drainFlushers []*pmem.Flusher          // cached by the drain across epochs
 	commitFlusher *pmem.Flusher            // drain-side flusher for the epoch commit
 	collMu        sync.Mutex               // serialises collision-log appends
 	collCount     int                      // volatile mirror of the log count; guarded by collMu
@@ -202,6 +208,7 @@ type Runtime struct {
 	met struct {
 		pauseNs *telemetry.Histogram // worker-visible checkpoint pause
 		gateNs  *telemetry.Histogram // gate wait within the pause
+		flushNs *telemetry.Histogram // flush_modified within the pause (sync only)
 		epochNs *telemetry.Histogram // epoch length (checkpoint-to-checkpoint)
 		lines   *telemetry.Histogram // cache lines written back per flush
 		drainNs *telemetry.Histogram // async cut-to-durable-commit lag
@@ -325,6 +332,8 @@ func (rt *Runtime) finishInit() {
 	rt.all = make([]*Thread, 0, len(rt.threads)+1)
 	rt.all = append(rt.all, rt.threads...)
 	rt.all = append(rt.all, rt.sys)
+	rt.release.L = &rt.relMu
+	rt.flush.heap = rt.heap
 	rt.asyncOn = rt.cfg.AsyncFlush && !rt.cfg.SkipFlush
 	if rt.asyncOn {
 		words := (rt.heap.Lines() + 63) / 64
@@ -350,6 +359,7 @@ func (rt *Runtime) finishInit() {
 		lb := rt.cfg.MetricsLabels
 		rt.met.pauseNs = reg.Histogram("respct_checkpoint_pause_ns", "worker-visible checkpoint pause", lb)
 		rt.met.gateNs = reg.Histogram("respct_checkpoint_gate_ns", "time waiting for workers to reach restart points", lb)
+		rt.met.flushNs = reg.Histogram("respct_checkpoint_flush_ns", "flush_modified inside the pause; an async checkpoint flushes in the drain instead", lb)
 		rt.met.epochNs = reg.Histogram("respct_epoch_length_ns", "time between consecutive checkpoints", lb)
 		rt.met.lines = reg.Histogram("respct_checkpoint_lines", "cache lines written back per checkpoint flush", lb)
 		rt.met.drainNs = reg.Histogram("respct_drain_ns", "async cut-to-durable-commit lag", lb)
@@ -492,11 +502,7 @@ func (t *Thread) Load(a pmem.Addr) uint64 { return t.rt.heap.Load64(a) }
 func (t *Thread) RP(id uint64) {
 	t.Update(t.rpID, id)
 	if t.rt.timer.Load() {
-		t.rt.park(t.id)
-		for t.rt.timer.Load() {
-			runtime.Gosched()
-		}
-		t.rt.unpark(t.id)
+		t.waitCheckpoint(nil)
 		t.refreshEpochState()
 		return
 	}
@@ -548,22 +554,70 @@ func (rt *Runtime) unpark(i int) {
 func (t *Thread) CheckpointPrevent(mu sync.Locker) {
 	t.rt.unpark(t.id)
 	if t.rt.timer.Load() {
-		t.rt.park(t.id)
-		if mu != nil {
-			mu.Unlock()
-		}
-		for t.rt.timer.Load() {
-			runtime.Gosched()
-		}
-		if mu != nil {
-			mu.Lock()
-		}
-		t.rt.unpark(t.id)
+		t.waitCheckpoint(mu)
 	}
 	// A checkpoint may have run during the allow window; with our flag down
 	// again, the epoch state is frozen until the next park, so the refreshed
 	// cache is exact.
 	t.refreshEpochState()
+}
+
+// waitCheckpoint is the slow path of RP and CheckpointPrevent: a checkpoint
+// is pending, so park, wait until it releases the workers, and unpark. mu,
+// when non-nil, is free for the whole wait. The loop closes the window
+// between observing the release and lowering the flag: a checkpoint that
+// starts inside it counts this thread as parked, so the thread must not run
+// on — it sees the raised timer after unparking and parks again.
+func (t *Thread) waitCheckpoint(mu sync.Locker) {
+	rt := t.rt
+	for {
+		rt.park(t.id)
+		if mu != nil {
+			mu.Unlock()
+		}
+		rt.awaitRelease()
+		if mu != nil {
+			mu.Lock()
+		}
+		rt.unpark(t.id)
+		if !rt.timer.Load() {
+			return
+		}
+	}
+}
+
+// parkSpins bounds how long a parked thread polls the timer before it
+// blocks: a few tens of microseconds of yields, which outlasts an async cut
+// or the flush of a few hundred lines, so short checkpoints cost no sleep and
+// wake-up, while a long flush gets the parked threads' CPUs for its flushers.
+const parkSpins = 128
+
+// awaitRelease returns once no checkpoint holds the workers parked.
+func (rt *Runtime) awaitRelease() {
+	for i := 0; i < parkSpins; i++ {
+		if !rt.timer.Load() {
+			return
+		}
+		runtime.Gosched()
+	}
+	rt.relMu.Lock()
+	for rt.timer.Load() {
+		rt.release.Wait()
+	}
+	rt.relMu.Unlock()
+}
+
+// releaseWorkers ends a checkpoint's parked window: it drops the timer and
+// wakes every thread blocked in awaitRelease. The store happens under relMu,
+// so a waiter that saw the timer raised is already waiting when the
+// broadcast goes out. A waiter that wakes late, into the next checkpoint's
+// raised timer, simply waits for that checkpoint's release — it has been
+// parked throughout.
+func (rt *Runtime) releaseWorkers() {
+	rt.relMu.Lock()
+	rt.timer.Store(false)
+	rt.relMu.Unlock()
+	rt.release.Broadcast()
 }
 
 // CondWait waits on c with the full Fig. 7 protocol: allow checkpoints,
@@ -670,7 +724,7 @@ func (rt *Runtime) Checkpoint() CheckpointInfo {
 	// freed (which would clobber data the undo log still depends on).
 	rt.arena.applyDeferredFrees(rt.sys, rt.threads)
 
-	rt.timer.Store(false)
+	rt.releaseWorkers()
 	end := time.Now()
 
 	info := CheckpointInfo{
@@ -691,6 +745,7 @@ func (rt *Runtime) Checkpoint() CheckpointInfo {
 	if rt.met.pauseNs != nil {
 		rt.met.pauseNs.ObserveDuration(0, info.Total)
 		rt.met.gateNs.ObserveDuration(0, info.GateWait)
+		rt.met.flushNs.ObserveDuration(0, info.FlushTime)
 		rt.met.lines.Observe(0, uint64(lines))
 	}
 	if rt.flight != nil {
@@ -750,105 +805,24 @@ func (rt *Runtime) deadRanges() []deadRange {
 	return rs
 }
 
-// flushInto queues one thread's live tracked lines on f. The list is left
-// unsorted: write-combining already de-duplicated it at registration time,
-// and the flusher's own SFence sort-coalesces whatever duplicates remain, so
-// sorting here would only repeat work the fence does anyway. Dead spans are
-// elided by an inline binary search over the (sorted, disjoint, line-aligned)
-// ranges — read-only probes, no comparator calls.
-func flushInto(f *pmem.Flusher, list []pmem.Addr, dead []deadRange) {
-	if len(dead) == 0 {
-		for _, a := range list {
-			f.CLWB(a)
-		}
-		return
-	}
-	for _, a := range list {
-		// Find the last span starting at or before a; a is dead iff it falls
-		// before that span's end (spans cover whole lines, and headers — one
-		// full line — are excluded, so any overlap decides the line).
-		lo, hi := 0, len(dead)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if dead[mid].start <= a {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo > 0 && a < dead[lo-1].end {
-			continue
-		}
-		f.CLWB(a)
-	}
-}
-
 // flushModified drains every thread's to-be-flushed list, writing the
 // corresponding cache lines back to NVMM — except lines that live wholly
-// inside blocks freed during the ending epoch (see deadRanges). The parallel
-// path runs at most GOMAXPROCS worker goroutines that steal whole lists off a
-// shared cursor (paper: "a pool of flusher threads flushes data to NVMM in
-// parallel during checkpoints") — one goroutine per list degrades on few-core
-// hosts, and on a single core the serial path avoids the spawns entirely.
+// inside blocks freed during the ending epoch (see deadRanges) — through the
+// flush engine (paper: "a pool of flusher threads flushes data to NVMM in
+// parallel during checkpoints").
 func (rt *Runtime) flushModified() (addrs, lines int) {
 	dead := rt.deadRanges()
-	queue := rt.flushQueue[:0]
+	lists := rt.flushLists[:0]
 	for _, t := range rt.allThreads() {
-		if len(t.toFlush) > 0 {
-			addrs += len(t.toFlush)
-			queue = append(queue, t)
-		}
+		addrs += len(t.toFlush)
+		lists = append(lists, t.toFlush)
 	}
-	rt.flushQueue = queue
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(queue) {
-		workers = len(queue)
+	rt.flushLists = lists
+	lines = rt.flush.run(lists, dead, nil, rt.maxFlushers())
+	for _, t := range rt.allThreads() {
+		t.resetTracking()
 	}
-	if rt.cfg.SerialFlush || workers <= 1 {
-		f := rt.sysFlusher
-		before := f.Flushes()
-		for _, t := range queue {
-			flushInto(f, t.toFlush, dead)
-			t.resetTracking()
-		}
-		f.SFence()
-		return addrs, int(f.Flushes() - before)
-	}
-
-	var next atomic.Int32
-	var lineCount atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		f := rt.poolFlusher(w)
-		wg.Add(1)
-		go func(f *pmem.Flusher) {
-			defer wg.Done()
-			before := f.Flushes()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(queue) {
-					break
-				}
-				t := queue[i]
-				flushInto(f, t.toFlush, dead)
-				t.resetTracking()
-			}
-			f.SFence()
-			lineCount.Add(int64(f.Flushes() - before))
-		}(f)
-	}
-	wg.Wait()
-	return addrs, int(lineCount.Load())
-}
-
-// poolFlusher returns the w-th cached flush-pool flusher, growing the cache
-// as needed. Guarded by ckptMu (only checkpoints use the pool).
-func (rt *Runtime) poolFlusher(w int) *pmem.Flusher {
-	for len(rt.poolFlushers) <= w {
-		rt.poolFlushers = append(rt.poolFlushers, rt.heap.NewFlusher())
-	}
-	return rt.poolFlushers[w]
+	return addrs, lines
 }
 
 // Stats returns cumulative checkpoint statistics.
