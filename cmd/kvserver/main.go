@@ -75,7 +75,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:11222", "listen address")
-	workers := flag.Int("workers", 4, "server worker threads")
+	workers := flag.Int("workers", 4, "store threads: requests executing at once; further connections queue for one")
 	shards := flag.Int("shards", 1, "key-space partitions, each with its own heap and runtime")
 	sync := flag.Bool("sync", false, "checkpoint all shards together instead of staggering them")
 	async := flag.Bool("async", false, "asynchronous checkpoints: workers pause only for the cut, flush and durable commit run in the background (staleness bound doubles)")
@@ -112,7 +112,7 @@ func main() {
 		h := pmem.New(pmem.NVMMConfig(*heapBytes))
 		srv, err := newServer(kv.NewTransientStore(h))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "listen:", err)
+			fmt.Fprintln(os.Stderr, "kvserver:", err)
 			os.Exit(1)
 		}
 		msrv := serveMetrics(reg, *metricsAddr)
@@ -182,7 +182,7 @@ func main() {
 	pool.Start()
 	srv, err := newServer(pool.Store())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "listen:", err)
+		fmt.Fprintln(os.Stderr, "kvserver:", err)
 		os.Exit(1)
 	}
 	msrv := serveMetrics(reg, *metricsAddr)

@@ -94,6 +94,16 @@ func (s *server) vmHWM(t *testing.T) (hwm int64, ok bool) {
 	return kb << 10, true
 }
 
+// build compiles the binary under test into a temporary directory.
+func build(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "kvserver")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
 // refused runs the binary expecting exit status 1 before it listens, and
 // returns what it said.
 func refused(t *testing.T, bin string, args ...string) string {
@@ -148,10 +158,7 @@ func wantFiles(t *testing.T, dir, container string) {
 // the old container, and a restarted process never holds a copy of the image
 // beside the heap it boots.
 func TestProcessLifecycle(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "kvserver")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := build(t)
 	// A new flag is a new configuration every test and benchmark has to cover.
 	usage, _ := exec.Command(bin, "-h").CombinedOutput()
 	if n := len(regexp.MustCompile(`(?m)^  -`).FindAll(usage, -1)); n != 13 {
@@ -232,5 +239,18 @@ func TestProcessLifecycle(t *testing.T) {
 	}
 	if got := storeFiles(t, legacyDir); len(got) != 1 {
 		t.Fatalf("refused start wrote beside the legacy image: %v", got)
+	}
+}
+
+// TestEmptyPoolRefused: with no store thread to lease every request would
+// wait forever, so -workers 0 exits 1 before listening, with or without
+// -transient (which builds no shard pool to refuse it first).
+func TestEmptyPoolRefused(t *testing.T) {
+	bin := build(t)
+	for _, mode := range [][]string{{"-transient"}, {}} {
+		args := append([]string{"-addr", "127.0.0.1:0", "-workers", "0", "-heap", strconv.Itoa(16 << 20), "-buckets", "4096"}, mode...)
+		if out := refused(t, bin, args...); !strings.Contains(out, "0 workers") && !strings.Contains(out, "worker count 0") {
+			t.Fatalf("kvserver %v: refusal does not name the worker count: %q", args, out)
+		}
 	}
 }

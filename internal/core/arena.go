@@ -27,13 +27,17 @@ import (
 // allocator back to the last checkpoint together with the data: blocks
 // carved during a crashed epoch are un-carved, pops are un-popped.
 //
-// Frees are deferred: Free queues the block on the freeing thread's volatile
-// pending list and the checkpoint pushes it onto the free list at the start
-// of the next epoch. A block can therefore never be recycled in the epoch
-// that freed it, which would otherwise let a new owner overwrite payload
-// words the undo log still needs. The price is that blocks freed during the
-// epoch a crash destroys leak (they are unreachable after recovery); the
-// paper's copy-on-write competitors pay a comparable recovery-GC cost.
+// Frees are deferred: Free puts the block in the freeing thread's volatile
+// magazine, from which that thread recycles it once the freeing epoch is
+// durable; only a magazine's overflow spills, at a checkpoint, onto the
+// persistent free lists. A block can therefore never be recycled in the
+// epoch that freed it, which would otherwise let a new owner overwrite
+// payload words the undo log still needs. The price is paid at restart:
+// recovery does not rebuild magazines, so every block a magazine holds when
+// the process stops leaks — not only those freed in the epoch a crash
+// destroys, but every freed block not yet recycled or spilled, even after a
+// clean checkpoint (docs/FAILURE-MODEL.md §4). The paper's copy-on-write
+// competitors pay a comparable recovery-GC cost.
 const (
 	numClasses  = 21 // classes 64B << 0..20 (64 B .. 64 MiB)
 	headerSize  = pmem.LineSize

@@ -540,7 +540,7 @@ type kvBatchRun struct {
 }
 
 // buildFrame encodes one deterministic request batch and decodes it back,
-// exactly as a frame arrives at a server worker.
+// exactly as a frame arrives at a server connection.
 func (r *kvBatchRun) buildFrame(rng *rand.Rand, round int, f *wire.ReqFrame) error {
 	var b wire.ReqBuilder
 	for i := 0; i < r.w.opsPerFrame; i++ {
@@ -577,8 +577,8 @@ func (r *kvBatchRun) Execute() error {
 			return err
 		}
 		resp.Reset()
-		// Exactly what a server worker does with a claimed frame; the
-		// driver only checkpoints between frames.
+		// Exactly what a server connection does with a frame under its
+		// lease; the workload only checkpoints between frames.
 		if err := kv.ApplyFrame(st, 0, &f, &resp); err != nil {
 			return err
 		}

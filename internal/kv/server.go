@@ -28,30 +28,33 @@ import (
 // (scan, qpush/qpop, lappend/lrange, expire/ttl, multi); on other stores
 // they answer "SERVER_ERROR structures disabled".
 //
-// Both protocols are codecs around one executor (exec.go): a connection
-// goroutine decodes a request into an op, hands it to a worker, and renders
-// the worker's result. The binary protocol (internal/wire,
-// docs/WIRE-PROTOCOL.md) carries batches of operations per frame; a worker
-// claims a whole frame, so the per-request hand-off cost is amortized across
-// the batch. A v2 frame with FlagAtomic is additionally all-or-nothing: see
-// ApplyFrame.
+// Both protocols are codecs around one executor (exec.go), and a request
+// runs to completion on the goroutine of the connection that read it:
+// decode it into an op, lease a store thread index, execute, give the index
+// back, render the result. The binary protocol (internal/wire,
+// docs/WIRE-PROTOCOL.md) carries batches of operations per frame, executed
+// under one lease. A v2 frame with FlagAtomic is additionally
+// all-or-nothing: see ApplyFrame.
 //
 // Connections are accepted without limit (the YCSB evaluation uses 32
-// clients), but requests are executed by a fixed pool of worker threads
-// (the paper uses 4), each owning one store thread index. The server takes
-// no checkpoint windows itself: the blocking-call rule of §3.3.3 is the
-// store's business (DESIGN.md §3f), so a persistent store must come gated —
-// a GatedStore or a shard.Store, whose threads sit in an allow window
-// whenever they are between operations, a worker waiting for work included.
+// clients), but at most Options.Workers requests execute at once (the paper
+// uses 4 threads): that many store thread indexes exist, and a request
+// waits, first come first served, for a free one. A lease covers exactly one
+// text command (a MULTI counts as one) or one binary frame and is never held
+// across a socket read or write, so a slow reader cannot pin a thread. The
+// server takes no checkpoint windows itself: the blocking-call rule of
+// §3.3.3 is the store's business (DESIGN.md §3f), so a persistent store must
+// come gated — a GatedStore or a shard.Store, whose threads sit in an allow
+// window whenever they are between operations, an unleased thread included.
 type Server struct {
-	sf       surface // the store, resolved once
-	proto    Protocol
-	ln       net.Listener
-	dispatch chan *job
-	wg       sync.WaitGroup
-	connWG   sync.WaitGroup
-	closed   chan struct{}
-	connSeq  atomic.Uint32
+	sf      surface // the store, resolved once
+	proto   Protocol
+	ln      net.Listener
+	slots   chan int // the unleased store thread indexes
+	wg      sync.WaitGroup
+	connWG  sync.WaitGroup
+	closed  chan struct{}
+	connSeq atomic.Uint32
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -90,8 +93,9 @@ func ParseProtocol(s string) (Protocol, error) {
 
 // Options configures NewServerOpts beyond the store itself.
 type Options struct {
-	// Workers is the executing thread-pool size; each worker owns one
-	// store thread index.
+	// Workers is the number of store threads: how many requests execute at
+	// once, each on a leased thread index in [0, Workers); further requests
+	// queue for one. It must be at least 1.
 	Workers int
 	// Addr is the TCP listen address (e.g. "127.0.0.1:0").
 	Addr string
@@ -101,13 +105,14 @@ type Options struct {
 	Metrics *telemetry.Registry
 }
 
-// serverMetrics is the server's optional telemetry: per-op latency
-// histograms for the text path (observed by the executing worker, so
-// recording is sharded by worker index; one respct_kv_op_ns series per
-// registry verb, indexed here by its Opcode), per-frame figures for the
-// binary path, byte counters for both directions of the binary protocol, an
+// serverMetrics is the server's optional telemetry: the wait for a lease,
+// per-op latency histograms for the text path (one respct_kv_op_ns series
+// per registry verb, indexed here by its Opcode), per-frame figures for the
+// binary path — all recorded under the leased thread index, so sharded by
+// it — byte counters for both directions of the binary protocol, an
 // active-connection gauge and a protocol-error counter.
 type serverMetrics struct {
+	leaseWait *telemetry.Histogram
 	opNs      [len(byCode)]*telemetry.Histogram
 	conns     *telemetry.Gauge
 	protoErrs *telemetry.Counter
@@ -122,6 +127,7 @@ type serverMetrics struct {
 
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	m := &serverMetrics{
+		leaseWait: reg.Histogram("respct_kv_lease_wait_ns", "decoded request to leased store thread", nil),
 		conns:     reg.Gauge("respct_kv_conns", "open client connections", nil),
 		protoErrs: reg.Counter("respct_kv_protocol_errors_total", "malformed client commands", nil),
 
@@ -130,29 +136,16 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		bytesIn:  reg.Counter("respct_wire_bytes_total", "binary protocol bytes", telemetry.Labels{"dir": "in"}),
 		bytesOut: reg.Counter("respct_wire_bytes_total", "binary protocol bytes", telemetry.Labels{"dir": "out"}),
 		frameOps: reg.Histogram("respct_wire_frame_ops", "operations per binary frame", nil),
-		frameNs:  reg.Histogram("respct_wire_frame_ns", "binary frame service time, claim to response built", nil),
+		frameNs:  reg.Histogram("respct_wire_frame_ns", "binary frame service time, lease to response built", nil),
 	}
 	for _, c := range commands {
-		m.opNs[c.Opcode] = reg.Histogram("respct_kv_op_ns", "server-side operation latency, dispatch to reply",
+		m.opNs[c.Opcode] = reg.Histogram("respct_kv_op_ns", "server-side operation latency, lease to result",
 			telemetry.Labels{"op": c.Verb})
 	}
 	return m
 }
 
-// job is one unit of worker work: a text command (o) or a whole binary frame
-// (frame and resp), executed into the connection's result r. A connection
-// owns one job and reuses it, so a scan's entries live in the connection's
-// buffer, not the worker's: the text codec renders them after the worker
-// has moved on.
-type job struct {
-	o     *op
-	r     *result
-	frame *wire.ReqFrame
-	resp  *wire.RespBuilder
-	done  chan error // capacity 1: the worker's answer
-}
-
-// NewServer starts a server for store with the given worker count,
+// NewServer starts a server for store with the given store thread count,
 // listening on addr (e.g. "127.0.0.1:0"). Use Addr to discover the bound
 // address.
 func NewServer(store Store, workers int, addr string) (*Server, error) {
@@ -161,27 +154,27 @@ func NewServer(store Store, workers int, addr string) (*Server, error) {
 
 // NewServerOpts starts a server for store with the full option set.
 func NewServerOpts(store Store, o Options) (*Server, error) {
+	if o.Workers < 1 {
+		// No thread to lease: every request would wait forever.
+		return nil, fmt.Errorf("kv: server needs at least one store thread, got %d workers", o.Workers)
+	}
 	ln, err := net.Listen("tcp", o.Addr)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
-		sf:    surfaceOf(store),
-		proto: o.Protocol,
-		ln:    ln,
-		// A connection has one job in flight at a time, so the buffer only
-		// has to absorb the connections that outnumber the workers; past it
-		// a hand-off simply blocks until a worker frees up.
-		dispatch: make(chan *job, 256),
-		closed:   make(chan struct{}),
-		conns:    make(map[net.Conn]struct{}),
+		sf:     surfaceOf(store),
+		proto:  o.Protocol,
+		ln:     ln,
+		slots:  make(chan int, o.Workers),
+		closed: make(chan struct{}),
+		conns:  make(map[net.Conn]struct{}),
+	}
+	for th := 0; th < o.Workers; th++ {
+		s.slots <- th
 	}
 	if o.Metrics != nil {
 		s.met = newServerMetrics(o.Metrics)
-	}
-	for w := 0; w < o.Workers; w++ {
-		s.wg.Add(1)
-		go s.worker(w)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -213,42 +206,46 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// do hands j to a worker and waits for its answer: the dispatch and reply
-// hops that every request of either protocol pays.
-func (s *Server) do(j *job) error {
-	s.dispatch <- j
-	return <-j.done
+// lease takes a free store thread index, waiting behind earlier requests
+// while every index is leased (a channel serves its receivers in arrival
+// order); the caller gives it back with s.slots <- th. With telemetry on it
+// also observes the wait and returns when execution starts.
+func (s *Server) lease() (th int, start time.Time) {
+	if s.met == nil {
+		return <-s.slots, start
+	}
+	decoded := time.Now()
+	th = <-s.slots
+	start = time.Now()
+	s.met.leaseWait.ObserveDuration(th, start.Sub(decoded))
+	return th, start
 }
 
-func (s *Server) worker(w int) {
-	defer s.wg.Done()
-	for j := range s.dispatch {
-		j.done <- s.run(w, j)
+// do executes one text command — a MULTI included — into r under a lease
+// that it returns before the caller renders r.
+func (s *Server) do(o *op, r *result) {
+	th, start := s.lease()
+	s.sf.execute(th, o, r)
+	if s.met != nil {
+		s.met.opNs[o.code].ObserveDuration(th, time.Since(start))
 	}
+	s.slots <- th
 }
 
-// run executes one job on worker w, recording telemetry when enabled. A
-// non-nil error is a malformed binary frame (see ApplyFrame).
-func (s *Server) run(w int, j *job) error {
-	var start time.Time
+// doFrame executes one binary frame under a lease, building its response
+// frame in resp; the caller writes resp after the lease is returned. A
+// non-nil error is a malformed frame (see ApplyFrame).
+func (s *Server) doFrame(f *wire.ReqFrame, resp *wire.RespBuilder, r *result) error {
+	resp.Reset()
+	th, start := s.lease()
+	err := s.sf.applyFrame(th, f, resp, r)
 	if s.met != nil {
-		start = time.Now()
+		s.met.frameNs.ObserveDuration(th, time.Since(start))
+		s.met.frameOps.Observe(th, uint64(f.Ops()))
+		s.met.wireOps.Add(th, uint64(f.Ops()))
+		s.met.frames.Inc(th)
 	}
-	if j.frame == nil {
-		s.sf.execute(w, j.o, j.r)
-		if s.met != nil {
-			s.met.opNs[j.o.code].ObserveDuration(w, time.Since(start))
-		}
-		return nil
-	}
-	j.resp.Reset()
-	err := s.sf.applyFrame(w, j.frame, j.resp, j.r)
-	if s.met != nil {
-		s.met.frameNs.ObserveDuration(w, time.Since(start))
-		s.met.frameOps.Observe(w, uint64(j.frame.Ops()))
-		s.met.wireOps.Add(w, uint64(j.frame.Ops()))
-		s.met.frames.Inc(w)
-	}
+	s.slots <- th
 	return err
 }
 
@@ -300,16 +297,15 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // serveBinary is the binary-protocol connection loop: read one frame,
-// dispatch it whole to a worker, write the worker-built response frame.
-// Responses are flushed only when no further request bytes are buffered, so
-// a pipelining client pays one write-back per burst, not per frame. Any
-// frame error closes the connection — the stream cannot be re-synchronized
-// after a bad frame.
+// execute it whole under one lease, write the response frame. Responses are
+// flushed only when no further request bytes are buffered, so a pipelining
+// client pays one write-back per burst, not per frame. Any frame error
+// closes the connection — the stream cannot be re-synchronized after a bad
+// frame.
 func (s *Server) serveBinary(r *bufio.Reader, wtr *bufio.Writer, cid int) {
 	var req wire.ReqFrame
 	var resp wire.RespBuilder
 	var res result
-	j := &job{frame: &req, resp: &resp, r: &res, done: make(chan error, 1)}
 	for {
 		if err := req.Decode(r); err != nil {
 			if wire.IsProtocolError(err) {
@@ -320,7 +316,7 @@ func (s *Server) serveBinary(r *bufio.Reader, wtr *bufio.Writer, cid int) {
 		if s.met != nil {
 			s.met.bytesIn.Add(cid, uint64(req.Len()))
 		}
-		if err := s.do(j); err != nil {
+		if err := s.doFrame(&req, &resp, &res); err != nil {
 			s.protoErr()
 			return
 		}
@@ -339,12 +335,12 @@ func (s *Server) serveBinary(r *bufio.Reader, wtr *bufio.Writer, cid int) {
 	}
 }
 
-// Close shuts the server down: stop accepting, unblock and drain the open
-// connections, stop the workers. A client that holds its socket open without
-// sending cannot stall shutdown: every open connection's read deadline is
-// set to the past, so its blocked read returns immediately (an in-flight
-// request still gets its response — workers run until the connections are
-// drained).
+// Close shuts the server down: stop accepting, then unblock and drain the
+// open connections. A client that holds its socket open without sending
+// cannot stall shutdown: every open connection's read deadline is set to the
+// past, so its blocked read returns immediately. An in-flight request still
+// gets its response: its connection goroutine finishes it first — waiting
+// out a checkpoint its leased thread is parked in, if need be.
 func (s *Server) Close() {
 	select {
 	case <-s.closed:
@@ -359,6 +355,5 @@ func (s *Server) Close() {
 	}
 	s.connMu.Unlock()
 	s.connWG.Wait()
-	close(s.dispatch)
 	s.wg.Wait()
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // Store is the abstract KV interface the server and benchmarks drive. th is
-// the worker index (one goroutine per index at a time).
+// the store thread index (one goroutine per index at a time).
 type Store interface {
 	Set(th int, key string, value []byte)
 	Get(th int, key string) ([]byte, bool)

@@ -49,7 +49,7 @@ var (
 
 // StructOps is the structure surface the executor drives, implemented by
 // RespctStore and GatedStore (single heap) and shard.Store (fan-out). th is
-// the worker index, as in Store.
+// the store thread index, as in Store.
 type StructOps interface {
 	// ScanInto replaces dst's contents with up to limit entries (limit <= 0:
 	// unbounded) with from <= key <= to in key order (empty to = unbounded),

@@ -230,15 +230,14 @@ func (r *result) toText(o *op, wtr *bufio.Writer, num *[20]byte) {
 	}
 }
 
-// textConn is one text-protocol connection: the codec's reused buffers and
-// the job its commands ride to a worker on.
+// textConn is one text-protocol connection: the codec's reused buffers, and
+// the op and result its commands execute through.
 type textConn struct {
 	s      *Server
 	r      *bufio.Reader
 	w      *bufio.Writer
 	o      op
 	res    result
-	j      job
 	f      [4][]byte
 	keyBuf []byte   // Body verbs' keys survive the payload read in here
 	valBuf []byte   // reused payload buffer
@@ -250,14 +249,15 @@ type textConn struct {
 // per-connection buffer, so the loop is allocation-free per op in steady
 // state; responses are written without fmt and flushed only when no further
 // request bytes are buffered, so a pipelining client pays one write-back
-// per burst.
+// per burst. Each command takes its own lease, even within a burst: the
+// reply is rendered after the lease is returned, and rendering may block on
+// the socket.
 func (s *Server) serveText(r *bufio.Reader, wtr *bufio.Writer) {
 	c := &textConn{s: s, r: r, w: wtr}
-	c.j = job{o: &c.o, r: &c.res, done: make(chan error, 1)}
 	for {
 		run, keep := c.decode()
 		if run {
-			s.do(&c.j)
+			s.do(&c.o, &c.res)
 			if c.res.status == statusCrossShard {
 				s.protoErr()
 			}

@@ -9,7 +9,7 @@ import "unsafe"
 //
 // The view is sound because of two lifetime facts the callers maintain:
 // the backing buffer is not rewritten until the operation has completed
-// (the connection goroutine blocks on the worker's reply before its next
+// (the connection goroutine runs the operation itself before its next
 // read), and no Store implementation retains the key beyond the call — the
 // Store interface documents that contract, and both RespctStore and
 // TransientStore copy key bytes into their own records.
