@@ -1,8 +1,7 @@
-// Benchmarks at the repository root: one testing.B entry point per figure
-// and table of the paper's evaluation, plus ablations of the design choices
-// DESIGN.md calls out. These run CI-sized configurations; the full sweeps
-// with paper-sized problems are behind `go run ./cmd/respct-bench -scale
-// paper all`.
+// Benchmarks at the repository root: the ResPCT API primitives of Table 1,
+// ablations of the design choices DESIGN.md calls out, extensions beyond the
+// paper, and the store-level costs CI gates. The paper's figures are run by
+// `go run ./cmd/respct-bench [-scale paper] all`.
 package respct_test
 
 import (
@@ -11,25 +10,12 @@ import (
 	"testing"
 	"time"
 
-	"github.com/respct/respct/internal/apps"
-	"github.com/respct/respct/internal/bench"
 	"github.com/respct/respct/internal/core"
 	"github.com/respct/respct/internal/kv"
 	"github.com/respct/respct/internal/pmem"
 	"github.com/respct/respct/internal/shard"
 	"github.com/respct/respct/internal/structures"
 )
-
-func benchParams(threads int) bench.Params {
-	return bench.Params{
-		Buckets:  4096,
-		KeySpace: 8192,
-		Prefill:  4096,
-		Threads:  threads,
-		Interval: 16 * time.Millisecond,
-		Seed:     1,
-	}
-}
 
 // driveMapOps runs b.N operations of the given update fraction, split
 // across the workers.
@@ -65,269 +51,6 @@ func driveMapOps(b *testing.B, m structures.Map, threads int, updateFrac float64
 		}(th)
 	}
 	wg.Wait()
-}
-
-// BenchmarkFig8 measures every map system under the paper's three
-// update/search mixes (Figure 8), 2 workers.
-func BenchmarkFig8(b *testing.B) {
-	const threads = 2
-	mixes := []struct {
-		name string
-		frac float64
-	}{{"r90", 0.1}, {"r50", 0.5}, {"r10", 0.9}}
-	for _, mix := range mixes {
-		for _, sys := range bench.MapSystems() {
-			b.Run(fmt.Sprintf("%s/%s", mix.name, sys.Name), func(b *testing.B) {
-				p := benchParams(threads)
-				m, closeFn := sys.New(p)
-				if !bench.Prefilled(m) {
-					bench.PrefillMap(m, bench.MapWorkload{KeySpace: p.KeySpace, Prefill: p.Prefill}, p.Seed)
-				}
-				driveMapOps(b, m, threads, mix.frac, p.KeySpace)
-				b.StopTimer()
-				closeFn()
-				m.Close()
-			})
-		}
-	}
-}
-
-// BenchmarkFig9 measures every queue system on the 1:1 enqueue/dequeue mix
-// (Figure 9), 2 workers.
-func BenchmarkFig9(b *testing.B) {
-	const threads = 2
-	for _, sys := range bench.QueueSystems() {
-		b.Run(sys.Name, func(b *testing.B) {
-			p := benchParams(threads)
-			q, closeFn := sys.New(p)
-			bench.PrefillQueue(q, 1000)
-			var wg sync.WaitGroup
-			per := b.N / threads
-			b.ResetTimer()
-			for th := 0; th < threads; th++ {
-				wg.Add(1)
-				go func(th int) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						if i&1 == 0 {
-							q.Enqueue(th, uint64(i)+1)
-						} else {
-							q.Dequeue(th)
-						}
-						q.PerOp(th)
-					}
-					q.ThreadExit(th)
-				}(th)
-			}
-			wg.Wait()
-			b.StopTimer()
-			closeFn()
-			q.Close()
-		})
-	}
-}
-
-// BenchmarkFig10 measures the ResPCT overhead decomposition (Figure 10):
-// Transient on DRAM/NVMM, InCLL-only, no-flush, and the full algorithm, on
-// the write-intensive mix.
-func BenchmarkFig10(b *testing.B) {
-	const threads = 2
-	systems := []bench.MapSystem{
-		bench.MapSystem0("Transient<DRAM>"),
-		bench.MapSystem0("Transient<NVMM>"),
-	}
-	systems = append(systems, bench.RespctMapVariants()...)
-	for _, sys := range systems {
-		b.Run(sys.Name, func(b *testing.B) {
-			p := benchParams(threads)
-			m, closeFn := sys.New(p)
-			if !bench.Prefilled(m) {
-				bench.PrefillMap(m, bench.MapWorkload{KeySpace: p.KeySpace, Prefill: p.Prefill}, p.Seed)
-			}
-			driveMapOps(b, m, threads, 0.9, p.KeySpace)
-			b.StopTimer()
-			closeFn()
-			m.Close()
-		})
-	}
-}
-
-// BenchmarkFig11 measures ResPCT under different checkpoint periods
-// (Figure 11).
-func BenchmarkFig11(b *testing.B) {
-	const threads = 2
-	for _, period := range []time.Duration{2 * time.Millisecond, 8 * time.Millisecond, 32 * time.Millisecond, 64 * time.Millisecond} {
-		b.Run(period.String(), func(b *testing.B) {
-			p := benchParams(threads)
-			p.Interval = period
-			sys := bench.MapSystem0("ResPCT")
-			m, closeFn := sys.New(p)
-			driveMapOps(b, m, threads, 0.9, p.KeySpace)
-			b.StopTimer()
-			closeFn()
-			m.Close()
-		})
-	}
-}
-
-// BenchmarkFig12 measures recovery of a crashed HashMap heap (Figure 12);
-// ns/op is the full recovery scan over the reported block count.
-func BenchmarkFig12(b *testing.B) {
-	for _, buckets := range []int{1 << 12, 1 << 14} {
-		b.Run(fmt.Sprintf("buckets%d", buckets), func(b *testing.B) {
-			keys := uint64(buckets * 2)
-			h := pmem.New(pmem.NVMMConfig(int64(keys)*320 + (128 << 20)))
-			rt, err := core.NewRuntime(h, core.Config{Threads: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			m, err := structures.NewRespctMap(rt, 0, buckets)
-			if err != nil {
-				b.Fatal(err)
-			}
-			w := bench.MapWorkload{UpdateFrac: 0.9, KeySpace: keys, Prefill: int(keys)}
-			bench.PrefillMap(m, w, 1)
-			rt.CheckpointIdle()
-			h.EvictDirtyFraction(0.5, 5)
-			h.Crash()
-			h.Reopen()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := core.Recover(h, core.Config{Threads: 1}, 4); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig13 measures each compute application, transient vs ResPCT
-// (Figure 13); ns/op is one full application run.
-func BenchmarkFig13(b *testing.B) {
-	const threads = 3
-	newRT := func() *core.Runtime {
-		rt, err := core.NewRuntime(pmem.New(pmem.NVMMConfig(128<<20)), core.Config{Threads: threads})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return rt
-	}
-	b.Run("MatMul/transient", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			apps.MatMulTransient(48, threads, 7)
-		}
-	})
-	b.Run("MatMul/respct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rt := newRT()
-			m, err := apps.NewMatMul(rt, 0, 48, 7)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ck := rt.StartCheckpointer(8 * time.Millisecond)
-			m.Run()
-			ck.Stop()
-		}
-	})
-	b.Run("LR/transient", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			apps.LRTransient(100_000, threads, 7)
-		}
-	})
-	b.Run("LR/respct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rt := newRT()
-			l, err := apps.NewLR(rt, 0, 100_000, 1000, 7)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ck := rt.StartCheckpointer(8 * time.Millisecond)
-			l.Run()
-			ck.Stop()
-		}
-	})
-	b.Run("Swaptions/transient", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			apps.SwaptionsTransient(8, 2000, threads, 7)
-		}
-	})
-	b.Run("Swaptions/respct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rt := newRT()
-			s, err := apps.NewSwaptions(rt, 0, 8, 2000, 500, 7)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ck := rt.StartCheckpointer(8 * time.Millisecond)
-			s.Run()
-			ck.Stop()
-		}
-	})
-	b.Run("Dedup/transient", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			apps.DedupTransient(2000, 500, threads, 7)
-		}
-	})
-	b.Run("Dedup/respct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rt := newRT()
-			d, err := apps.NewDedup(rt, 0, 2000, 500, 500, 7)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ck := rt.StartCheckpointer(8 * time.Millisecond)
-			d.Run()
-			ck.Stop()
-		}
-	})
-}
-
-// BenchmarkFig14 measures the KV store's data path per operation for the
-// three variants of Figure 14 (in-process, isolating store cost from TCP).
-func BenchmarkFig14(b *testing.B) {
-	value := make([]byte, 100)
-	run := func(b *testing.B, s kv.Store, close func()) {
-		const records = 2048
-		for i := 0; i < records; i++ {
-			s.Set(0, fmt.Sprintf("user%012d", i), value)
-		}
-		b.ResetTimer()
-		x := uint64(1)
-		for i := 0; i < b.N; i++ {
-			x ^= x << 13
-			x ^= x >> 7
-			x ^= x << 17
-			key := fmt.Sprintf("user%012d", x%records)
-			if x%10 == 0 {
-				s.Set(0, key, value)
-			} else {
-				s.Get(0, key)
-			}
-			s.PerOp(0)
-		}
-		b.StopTimer()
-		s.ThreadExit(0)
-		close()
-	}
-	b.Run("Transient<DRAM>", func(b *testing.B) {
-		run(b, kv.NewTransientStore(pmem.New(pmem.DRAMConfig(256<<20))), func() {})
-	})
-	b.Run("Transient<NVMM>", func(b *testing.B) {
-		run(b, kv.NewTransientStore(pmem.New(pmem.NVMMConfig(256<<20))), func() {})
-	})
-	b.Run("ResPCT", func(b *testing.B) {
-		rt, err := core.NewRuntime(pmem.New(pmem.NVMMConfig(256<<20)), core.Config{Threads: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s, err := kv.NewRespctStore(rt, 0, 4096)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rt.CheckpointIdle()
-		ck := rt.StartCheckpointer(16 * time.Millisecond)
-		run(b, s, ck.Stop)
-	})
 }
 
 // BenchmarkTable1API measures the primitive costs of the ResPCT API of
@@ -525,28 +248,6 @@ func BenchmarkExtensionEADR(b *testing.B) {
 			driveMapOps(b, m, 2, 0.9, 8192)
 			b.StopTimer()
 			ck.Stop()
-		})
-	}
-}
-
-// BenchmarkAblationRPBatch reproduces the §5.3 RP-positioning trade-off as a
-// benchmark: Linear Regression with per-point vs batched restart points.
-func BenchmarkAblationRPBatch(b *testing.B) {
-	for _, batch := range []int{1, 100, 1000} {
-		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rt, err := core.NewRuntime(pmem.New(pmem.NVMMConfig(64<<20)), core.Config{Threads: 2})
-				if err != nil {
-					b.Fatal(err)
-				}
-				l, err := apps.NewLR(rt, 0, 50_000, batch, 7)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ck := rt.StartCheckpointer(8 * time.Millisecond)
-				l.Run()
-				ck.Stop()
-			}
 		})
 	}
 }

@@ -1,30 +1,23 @@
 // Command respct-bench regenerates the paper's evaluation (§5): one
-// sub-command per figure/table.
+// sub-command per figure/table, as listed by bench.Figures.
 //
 // Usage:
 //
-//	respct-bench [flags] <fig8|fig9|fig10|fig11|fig12|fig13|fig14|figshards|figpause|figframes|figstores|fignet|figscan|rpstudy|table3|all>
+//	respct-bench [flags] <fig8|fig9|fig10|fig11|fig12|fig13|fig14|figstores|fignet|figscan|rpstudy|table3|all>
 //
 // Flags:
 //
 //	-scale quick|paper   problem sizes (default quick)
-//	-duration d          per-configuration measurement time
-//	-threads list        comma-separated thread counts (e.g. 1,4,16,64)
+//	-duration d          per-configuration measurement time of Figs. 8–11
+//	-threads list        comma-separated thread counts of Figs. 8–11 (e.g. 1,4,16,64)
 //	-interval d          checkpoint period (default 64ms at paper scale)
-//	-csv dir             also write raw fig8/fig9 results as CSV into dir
-//	-json dir            also write figpause/figshards/figframes/figstores/
-//	                     fignet/figscan results as JSON into dir
-//	                     (BENCH_figpause.json, BENCH_figshards.json,
-//	                     BENCH_figframes.json, BENCH_figstores.json,
-//	                     BENCH_fignet.json, BENCH_figscan.json); the
-//	                     figpause/figshards runs are instrumented and every
-//	                     row carries its closing telemetry snapshot
-//	-baseline file       with figstores: compare against a checked-in
-//	                     BENCH_figstores.json, exit 1 if any row's store
-//	                     ns/op regressed by more than 10%; with fignet and
-//	                     figscan: compare against BENCH_fignet.json /
-//	                     BENCH_figscan.json, exit 1 if a depth's binary/text
-//	                     throughput ratio fell >10%
+//	-json dir            also write each figure's rows as dir/BENCH_<name>.json
+//	                     (fig8, fig9, figstores, fignet, figscan)
+//	-baseline file       gate one gated figure (figstores: store ns/op per
+//	                     row; fignet, figscan: binary/text throughput ratio
+//	                     per depth) against a checked-in BENCH_<name>.json:
+//	                     the run uses the baseline's GOMAXPROCS and exits 1
+//	                     if a quantity is more than 10% worse on 3 attempts
 //	-v                   progress logging to stderr
 package main
 
@@ -33,6 +26,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -42,206 +36,101 @@ import (
 
 func main() {
 	scaleFlag := flag.String("scale", "quick", "problem scale: quick or paper")
-	durFlag := flag.Duration("duration", 0, "measurement duration per configuration (0 = scale default)")
-	threadsFlag := flag.String("threads", "", "comma-separated thread counts (empty = scale default)")
+	durFlag := flag.Duration("duration", 0, "measurement duration per configuration of Figs. 8-11 (0 = scale default)")
+	threadsFlag := flag.String("threads", "", "comma-separated thread counts of Figs. 8-11 (empty = scale default)")
 	intervalFlag := flag.Duration("interval", 0, "checkpoint period (0 = scale default)")
 	verbose := flag.Bool("v", false, "log progress to stderr")
-	csvDir := flag.String("csv", "", "directory to also write raw fig8/fig9 results as CSV")
-	jsonDir := flag.String("json", "", "directory to also write figpause/figshards/figframes/figstores/fignet/figscan results as BENCH_<name>.json (figpause/figshards rows carry telemetry snapshots)")
-	baseline := flag.String("baseline", "", "checked-in BENCH_<name>.json to compare a figstores run (exit 1 on >10% store ns/op regression) or a fignet/figscan run (exit 1 if a depth's binary/text throughput ratio fell >10%) against")
+	jsonDir := flag.String("json", "", "directory to also write each figure's rows as BENCH_<name>.json")
+	baseline := flag.String("baseline", "", "checked-in BENCH_<name>.json to gate a figstores, fignet or figscan run against (exit 1 on a >10% regression)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		flag.Usage()
 		os.Exit(2)
 	}
+	fail := func(code int, err error) {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(code)
+	}
 
-	var s bench.Scale
-	var as bench.AppScale
-	var ks bench.KVScale
-	switch *scaleFlag {
-	case "quick":
-		s, as, ks = bench.QuickScale(), bench.QuickAppScale(), bench.QuickKVScale()
-	case "paper":
-		s, as, ks = bench.PaperScale(), bench.PaperAppScale(), bench.PaperKVScale()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleFlag)
-		os.Exit(2)
+	cfg, err := bench.NewConfig(*scaleFlag)
+	if err != nil {
+		fail(2, err)
 	}
 	if *durFlag > 0 {
-		s.Duration = *durFlag
+		cfg.Map.Duration = *durFlag
 	}
 	if *intervalFlag > 0 {
-		s.Interval = *intervalFlag
-		as.Interval = *intervalFlag
-		ks.Interval = *intervalFlag
+		cfg.Map.Interval, cfg.App.Interval, cfg.KV.Interval = *intervalFlag, *intervalFlag, *intervalFlag
 	}
 	if *threadsFlag != "" {
 		var tcs []int
 		for _, f := range strings.Split(*threadsFlag, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "bad thread count %q\n", f)
-				os.Exit(2)
+				fail(2, fmt.Errorf("bad thread count %q", f))
 			}
 			tcs = append(tcs, n)
 		}
-		s.ThreadCounts = tcs
+		cfg.Map.ThreadCounts = tcs
+	}
+	figs, err := bench.Select(flag.Arg(0))
+	if err != nil {
+		fail(2, err)
+	}
+
+	var base bench.Baseline
+	if *baseline != "" {
+		if len(figs) != 1 {
+			fail(2, fmt.Errorf("-baseline gates one figure, not %q", flag.Arg(0)))
+		}
+		if base, err = figs[0].LoadBaseline(*baseline); err != nil {
+			fail(2, err)
+		}
+		// The baseline was recorded at this GOMAXPROCS; the gated
+		// quantities move with it, so the run uses the same.
+		runtime.GOMAXPROCS(base.GOMAXPROCS)
+		fmt.Fprintf(os.Stderr, "%s: GOMAXPROCS=%d, as recorded in %s\n", figs[0].Name, base.GOMAXPROCS, *baseline)
 	}
 
 	var log func(string)
 	if *verbose {
 		log = func(msg string) { fmt.Fprintln(os.Stderr, time.Now().Format("15:04:05"), msg) }
 	}
-
-	run := func(name string) {
-		writeCSV := func(base string, results []bench.Result) {
-			if *csvDir == "" {
-				return
-			}
-			f, err := os.Create(filepath.Join(*csvDir, base))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "csv:", err)
-				return
-			}
-			defer f.Close()
-			if err := bench.WriteCSV(f, results); err != nil {
-				fmt.Fprintln(os.Stderr, "csv:", err)
-			}
-		}
-		writeJSON := func(base string, rep bench.Report) {
-			f, err := os.Create(filepath.Join(*jsonDir, base))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "json:", err)
-				return
-			}
-			defer f.Close()
-			if err := bench.WriteReport(f, rep); err != nil {
+	for _, f := range figs {
+		table, rows := f.Run(cfg, log)
+		fmt.Print(table)
+		if *jsonDir != "" && rows != nil {
+			if err := writeReport(filepath.Join(*jsonDir, "BENCH_"+f.Name+".json"), bench.NewReport(f.Name, cfg, rows)); err != nil {
 				fmt.Fprintln(os.Stderr, "json:", err)
 			}
 		}
-		switch name {
-		case "fig8":
-			out, results := bench.Fig8R(s, nil, log)
-			fmt.Print(out)
-			writeCSV("fig8.csv", results)
-		case "fig9":
-			out, results := bench.Fig9R(s, nil, log)
-			fmt.Print(out)
-			writeCSV("fig9.csv", results)
-		case "fig10":
-			fmt.Print(bench.Fig10(s, log))
-		case "fig11":
-			fmt.Print(bench.Fig11(s, log))
-		case "fig12":
-			fmt.Print(bench.Fig12(s, nil, log))
-		case "fig13":
-			fmt.Print(bench.Fig13(as, log))
-		case "fig14":
-			fmt.Print(bench.Fig14(ks, log))
-		case "figshards":
-			if *jsonDir != "" {
-				out, results := bench.FigShardsReport(ks, nil, log)
-				fmt.Print(out)
-				writeJSON("BENCH_figshards.json", bench.NewReport("figshards", *scaleFlag, ks, results))
-			} else {
-				fmt.Print(bench.FigShards(ks, nil, log))
+		if *baseline != "" {
+			// One noisy run must not fail CI: a genuine regression
+			// reproduces on every attempt, a neighbour stealing the CPU
+			// does not, so the gate reruns the figure before giving up.
+			err := f.Check(base, f.Gate.Quantities(rows))
+			for attempt := 2; err != nil && attempt <= 3; attempt++ {
+				fmt.Fprintf(os.Stderr, "%s: retrying (attempt %d/3) after: %v\n", f.Name, attempt, err)
+				_, rows = f.Run(cfg, log)
+				err = f.Check(base, f.Gate.Quantities(rows))
 			}
-		case "figpause":
-			if *jsonDir != "" {
-				out, results := bench.FigPauseReport(ks, nil, log)
-				fmt.Print(out)
-				writeJSON("BENCH_figpause.json", bench.NewReport("figpause", *scaleFlag, ks, results))
-			} else {
-				fmt.Print(bench.FigPause(ks, nil, log))
+			if err != nil {
+				fail(1, err)
 			}
-		case "figstores":
-			out, results := bench.FigStoresR(ks, log)
-			fmt.Print(out)
-			if *jsonDir != "" {
-				writeJSON("BENCH_figstores.json", bench.NewReport("figstores", *scaleFlag, ks, results))
-			}
-			if *baseline != "" {
-				// One noisy run must not fail CI: a genuine regression
-				// reproduces on every attempt, a neighbour stealing the CPU
-				// does not, so the gate reruns the sweep before giving up.
-				err := bench.CompareStoreBaseline(*baseline, results, 0.10)
-				for attempt := 2; err != nil && attempt <= 3; attempt++ {
-					fmt.Fprintf(os.Stderr, "figstores: retrying (attempt %d/3) after: %v\n", attempt, err)
-					_, results = bench.FigStoresR(ks, log)
-					err = bench.CompareStoreBaseline(*baseline, results, 0.10)
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Fprintf(os.Stderr, "figstores: within 10%% of %s\n", *baseline)
-			}
-		case "fignet":
-			out, results := bench.FigNetR(ks, log)
-			fmt.Print(out)
-			if *jsonDir != "" {
-				writeJSON("BENCH_fignet.json", bench.NewReport("fignet", *scaleFlag, ks, results))
-			}
-			if *baseline != "" {
-				// Gate the binary/text capacity ratio, not absolute kops —
-				// the ratio is what the wire subsystem owns and it is stable
-				// across hosts. Same retry policy as figstores.
-				err := bench.CompareNetBaseline(*baseline, results, 0.10)
-				for attempt := 2; err != nil && attempt <= 3; attempt++ {
-					fmt.Fprintf(os.Stderr, "fignet: retrying (attempt %d/3) after: %v\n", attempt, err)
-					_, results = bench.FigNetR(ks, log)
-					err = bench.CompareNetBaseline(*baseline, results, 0.10)
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Fprintf(os.Stderr, "fignet: within 10%% of %s\n", *baseline)
-			}
-		case "figscan":
-			out, results := bench.FigScanR(ks, log)
-			fmt.Print(out)
-			if *jsonDir != "" {
-				writeJSON("BENCH_figscan.json", bench.NewReport("figscan", *scaleFlag, ks, results))
-			}
-			if *baseline != "" {
-				// Same ratio gate and retry policy as fignet: the binary/text
-				// capacity ratio is the host-stable figure the scan surface
-				// owns.
-				err := bench.CompareScanBaseline(*baseline, results, 0.10)
-				for attempt := 2; err != nil && attempt <= 3; attempt++ {
-					fmt.Fprintf(os.Stderr, "figscan: retrying (attempt %d/3) after: %v\n", attempt, err)
-					_, results = bench.FigScanR(ks, log)
-					err = bench.CompareScanBaseline(*baseline, results, 0.10)
-				}
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Fprintf(os.Stderr, "figscan: within 10%% of %s\n", *baseline)
-			}
-		case "figframes":
-			out, results := bench.FigFramesR(ks, nil, nil, log)
-			fmt.Print(out)
-			if *jsonDir != "" {
-				writeJSON("BENCH_figframes.json", bench.NewReport("figframes", *scaleFlag, ks, results))
-			}
-		case "rpstudy":
-			fmt.Print(bench.RPPlacementStudy(as, log))
-		case "table3":
-			fmt.Print(bench.Table3())
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
-			os.Exit(2)
+			fmt.Fprintf(os.Stderr, "%s: within %.0f%% of %s\n", f.Name, 100*bench.GateTolerance, *baseline)
 		}
 		fmt.Println()
 	}
+}
 
-	if flag.Arg(0) == "all" {
-		for _, name := range []string{"fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "figshards", "figpause", "figframes", "figstores", "fignet", "figscan", "rpstudy", "table3"} {
-			run(name)
-		}
-		return
+func writeReport(path string, rep bench.Report) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	run(flag.Arg(0))
+	if err := bench.WriteReport(f, rep); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

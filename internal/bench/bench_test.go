@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/respct/respct/internal/core"
 )
 
 func tinyScale() Scale {
@@ -81,6 +83,16 @@ func TestFig11Report(t *testing.T) {
 	}
 }
 
+// TestFig11PrefillIsDurable: a Fig. 11 row's checkpointer starts on a map
+// whose prefill is already durable, so no row's first checkpoint writes back
+// the prefill inside the timed window.
+func TestFig11PrefillIsDurable(t *testing.T) {
+	_, rt := respctMap(tinyScale().params(2), core.Config{})
+	if info := rt.CheckpointIdle(); info.LinesWrote != 0 {
+		t.Fatalf("checkpoint at checkpointer start wrote %d lines, want 0", info.LinesWrote)
+	}
+}
+
 func TestFig12Report(t *testing.T) {
 	out := Fig12(tinyScale(), []int{256, 512}, nil)
 	if !strings.Contains(out, "buckets") || !strings.Contains(out, "512") {
@@ -134,19 +146,5 @@ func TestPrefillMapInsertsExactCount(t *testing.T) {
 	}
 	if count != w.Prefill {
 		t.Fatalf("prefill inserted %d keys, want %d", count, w.Prefill)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	var buf strings.Builder
-	results := []Result{
-		{System: "A", Workload: "w", Threads: 2, Ops: 100, Duration: time.Second},
-	}
-	if err := WriteCSV(&buf, results); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "system,workload,threads") || !strings.Contains(out, "A,w,2,100") {
-		t.Fatalf("csv malformed:\n%s", out)
 	}
 }

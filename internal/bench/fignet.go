@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -15,12 +13,12 @@ import (
 	"github.com/respct/respct/internal/ycsb"
 )
 
-// NetRow is one cell of the figNet protocol comparison: a wire protocol at
-// one pipeline depth against the ResPCT-backed server. Kops is closed-loop
-// capacity (batches issued back to back); the latency quantiles come from a
-// separate open-loop pass at OpenRateKops — a Poisson arrival schedule at
-// ~70% of the measured capacity, with latency accounted from each batch's
-// intended start, so the tails are coordinated-omission safe.
+// NetRow is one cell of a protocol × depth sweep (fignet, figscan): a wire
+// protocol at one pipeline depth against the ResPCT-backed server. Kops is
+// closed-loop capacity (batches issued back to back); the latency quantiles
+// come from a separate open-loop pass at OpenRateKops — a Poisson arrival
+// schedule at ~70% of the measured capacity, with latency accounted from
+// each batch's intended start, so the tails are coordinated-omission safe.
 type NetRow struct {
 	Protocol     string  `json:"protocol"` // "text" or "binary"
 	Depth        int     `json:"depth"`    // ops per pipelined batch
@@ -32,20 +30,11 @@ type NetRow struct {
 	Max          int64   `json:"max_ns"`
 }
 
-// netDepths are the pipeline depths each protocol is measured at.
-var netDepths = []int{1, 8, 64}
-
 // openLoadFraction sets the open-loop arrival rate relative to the measured
 // closed-loop capacity: high enough to be a serving load, low enough that
 // the queue is stable and the tail reflects service jitter, not saturation
 // collapse.
 const openLoadFraction = 0.7
-
-// FigNet runs the network protocol comparison and renders the table.
-func FigNet(s KVScale, log func(string)) string {
-	out, _ := FigNetR(s, log)
-	return out
-}
 
 // textBatchExec drives pipelined batches over the text protocol: N commands
 // written back to back, one flush, N replies read in order.
@@ -125,16 +114,19 @@ func (e *binBatchExec) ExecBatch(cli int, ops []ycsb.BatchOp) error {
 	return nil
 }
 
-// FigNetR is FigNet returning the raw rows as well. One ResPCT store and
-// server serve every cell (load phase runs once); per cell the executor
-// reconnects, so depth and protocol changes never share connection state.
-func FigNetR(s KVScale, log func(string)) (string, []NetRow) {
+// FigNet runs a protocol × depth sweep: text and binary at every depth, each
+// cell a closed-loop capacity probe plus an open-loop tail pass, against a
+// ResPCT store built with opts (plain for fignet, structures for figscan's
+// ordered scans) behind the server. w is loaded once; every cell reconnects,
+// so protocol and depth changes never share connection state. The table
+// opens with title and ends with the binary/text capacity ratio per depth.
+func FigNet(s KVScale, opts kv.StoreOptions, w ycsb.Workload, depths []int, title string, log func(string)) (string, []NetRow) {
 	h := pmem.New(pmem.NVMMConfig(s.HeapBytes))
 	rt, err := core.NewRuntime(h, core.Config{Threads: s.Workers})
 	if err != nil {
 		panic(err)
 	}
-	st, err := kv.NewRespctStore(rt, 0, s.Buckets)
+	st, err := kv.NewRespctStoreOpts(rt, 0, opts)
 	if err != nil {
 		panic(err)
 	}
@@ -148,12 +140,7 @@ func FigNetR(s KVScale, log func(string)) (string, []NetRow) {
 	}
 	defer srv.Close()
 
-	w := ycsb.Workload{
-		Name: "fignet", Records: s.Records, Operations: s.Operations,
-		ReadProp: 0.5, ValueSize: s.ValueSize, Zipfian: true,
-		Clients: s.Clients, Seed: 42,
-	}
-	loader, err := newTCPExecutor(srv.Addr(), s.Clients)
+	loader, err := newTCPExecutor(srv.Addr(), w.Clients)
 	if err != nil {
 		panic(err)
 	}
@@ -163,16 +150,15 @@ func FigNetR(s KVScale, log func(string)) (string, []NetRow) {
 	loader.closeAll()
 
 	var out strings.Builder
-	out.WriteString(fmt.Sprintf("figNet — wire protocol comparison, ResPCT store, %d keys, %d-byte values, %d clients, %d workers\n",
-		s.Records, s.ValueSize, s.Clients, s.Workers))
+	out.WriteString(title + "\n")
 	out.WriteString(fmt.Sprintf("open-loop tails at %.0f%% of measured capacity (Poisson arrivals, intended-start latency)\n", 100*openLoadFraction))
 	out.WriteString(fmt.Sprintf("%-8s %6s %12s %14s %10s %10s %10s %10s\n",
 		"protocol", "depth", "kops/s", "open kops/s", "p50", "p99", "p999", "max"))
 	var rows []NetRow
 	for _, proto := range []string{"text", "binary"} {
-		for _, depth := range netDepths {
+		for _, depth := range depths {
 			if log != nil {
-				log(fmt.Sprintf("fignet %s depth=%d", proto, depth))
+				log(fmt.Sprintf("%s %s depth=%d", w.Name, proto, depth))
 			}
 			row := runNetCell(srv.Addr(), w, proto, depth)
 			rows = append(rows, row)
@@ -185,10 +171,10 @@ func FigNetR(s KVScale, log func(string)) (string, []NetRow) {
 			runtime.GC()
 		}
 	}
-	for _, depth := range netDepths {
-		t, b := netCell(rows, "text", depth), netCell(rows, "binary", depth)
-		if t != nil && b != nil && t.Kops > 0 {
-			out.WriteString(fmt.Sprintf("binary/text capacity ratio at depth %2d: %.2fx\n", depth, b.Kops/t.Kops))
+	ratios := capacityRatios(rows)
+	for _, depth := range depths {
+		if r, ok := ratios[depth]; ok {
+			out.WriteString(fmt.Sprintf("binary/text capacity ratio at depth %2d: %.2fx\n", depth, r))
 		}
 	}
 	return out.String(), rows
@@ -253,57 +239,34 @@ func dialBatchExec(addr, proto string, n int) (ycsb.BatchExecutor, func()) {
 	}
 }
 
-func netCell(rows []NetRow, proto string, depth int) *NetRow {
-	for i := range rows {
-		if rows[i].Protocol == proto && rows[i].Depth == depth {
-			return &rows[i]
+// capacityRatios returns the binary/text capacity ratio per depth; a depth
+// without both protocols measured has none.
+func capacityRatios(rows []NetRow) map[int]float64 {
+	text := map[int]float64{}
+	for _, r := range rows {
+		if r.Protocol == "text" {
+			text[r.Depth] = r.Kops
 		}
 	}
-	return nil
+	ratios := map[int]float64{}
+	for _, r := range rows {
+		if t := text[r.Depth]; r.Protocol == "binary" && t > 0 {
+			ratios[r.Depth] = r.Kops / t
+		}
+	}
+	return ratios
 }
 
-// CompareNetBaseline checks fresh figNet rows against a checked-in
-// BENCH_fignet.json. Absolute throughput swings with the host, so the gate
-// is the binary/text capacity ratio per depth — the figure the wire
-// subsystem owns: the ratio must not fall more than tolerance below the
-// baseline's. Depths missing from either side are ignored.
-func CompareNetBaseline(path string, rows []NetRow, tolerance float64) error {
-	return compareRatioBaseline("fignet", path, rows, netDepths, tolerance)
-}
-
-// compareRatioBaseline is the shared binary/text ratio gate behind the
-// fignet and figscan baselines.
-func compareRatioBaseline(fig, path string, rows []NetRow, depths []int, tolerance float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
+// ratioQuantities is the fignet and figscan gate: the binary/text capacity
+// ratio at depth 8, higher is better. Absolute throughput swings with the
+// host; the ratio is the figure the wire subsystem owns. Depth 8 is the
+// batched regime the binary protocol exists for and the one depth both
+// figures measure: depth 1 prices the per-request path the protocols share,
+// and deeper pipelines buffer large scan replies.
+func ratioQuantities(rows []NetRow) map[string]float64 {
+	q := map[string]float64{}
+	if r, ok := capacityRatios(rows)[8]; ok {
+		q["depth 8"] = r
 	}
-	var rep struct {
-		Rows []NetRow `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("parse %s: %w", path, err)
-	}
-	ratio := func(rs []NetRow, depth int) float64 {
-		t, b := netCell(rs, "text", depth), netCell(rs, "binary", depth)
-		if t == nil || b == nil || t.Kops <= 0 {
-			return 0
-		}
-		return b.Kops / t.Kops
-	}
-	var bad []string
-	for _, depth := range depths {
-		base, cur := ratio(rep.Rows, depth), ratio(rows, depth)
-		if base <= 0 || cur <= 0 {
-			continue
-		}
-		if cur < base*(1-tolerance) {
-			bad = append(bad, fmt.Sprintf("depth %d: binary/text ratio %.2fx vs baseline %.2fx (-%.1f%%)",
-				depth, cur, base, 100*(1-cur/base)))
-		}
-	}
-	if len(bad) > 0 {
-		return fmt.Errorf("%s regression beyond %.0f%%:\n  %s", fig, 100*tolerance, strings.Join(bad, "\n  "))
-	}
-	return nil
+	return q
 }

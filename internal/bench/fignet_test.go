@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -17,13 +14,19 @@ func tinyScanScale() KVScale {
 	}
 }
 
-// TestFigScanRows smoke-tests the YCSB-E cell matrix: both protocols at both
-// depths actually serve scans (errors inside a cell panic the run), and
-// every row records positive throughput.
+// TestFigScanRows smoke-tests the figscan entry of the figure table, the
+// YCSB-E cell matrix: both protocols at both depths actually serve scans
+// (errors inside a cell panic the run), and every row records positive
+// throughput.
 func TestFigScanRows(t *testing.T) {
-	out, rows := FigScanR(tinyScanScale(), nil)
-	if len(rows) != 2*len(scanDepths) {
-		t.Fatalf("got %d rows, want %d (text/binary × depths):\n%s", len(rows), 2*len(scanDepths), out)
+	figs, err := Select("figscan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, res := figs[0].Run(Config{KV: tinyScanScale()}, nil)
+	rows := res.([]NetRow)
+	if len(rows) != 4 {
+		t.Fatalf("got %d rows, want 4 (text/binary × depths 1, 8):\n%s", len(rows), out)
 	}
 	for _, r := range rows {
 		if r.Protocol != "text" && r.Protocol != "binary" {
@@ -43,6 +46,10 @@ func TestFigScanRows(t *testing.T) {
 	}
 }
 
+// TestCompareScanBaseline holds figscan rows to hand-written baselines: the
+// gated quantity is the depth-8 binary/text ratio, so a baseline within
+// tolerance of it passes and one 25% above it trips the gate, naming the
+// figure and the depth.
 func TestCompareScanBaseline(t *testing.T) {
 	rows := []NetRow{
 		{Protocol: "text", Depth: 1, Kops: 100},
@@ -50,41 +57,22 @@ func TestCompareScanBaseline(t *testing.T) {
 		{Protocol: "text", Depth: 8, Kops: 200},
 		{Protocol: "binary", Depth: 8, Kops: 400}, // ratio 2.0
 	}
-	write := func(t *testing.T, base []NetRow) string {
-		t.Helper()
-		data, err := json.Marshal(NewReport("figscan", "quick", KVScale{}, base))
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "BENCH_figscan.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	ok := write(t, []NetRow{
+	fig, ok := gateBaseline(t, "figscan", []NetRow{
 		{Protocol: "text", Depth: 1, Kops: 100}, {Protocol: "binary", Depth: 1, Kops: 155},
 		{Protocol: "text", Depth: 8, Kops: 100}, {Protocol: "binary", Depth: 8, Kops: 210},
 	})
-	if err := CompareScanBaseline(ok, rows, 0.10); err != nil {
+	if err := fig.Check(ok, fig.Gate.Quantities(rows)); err != nil {
 		t.Fatalf("within-tolerance compare failed: %v", err)
 	}
 
-	// Depth-8 ratio 25% above the measured one: the gate must trip and name
-	// the depth.
-	bad := write(t, []NetRow{
+	_, bad := gateBaseline(t, "figscan", []NetRow{
 		{Protocol: "text", Depth: 8, Kops: 100}, {Protocol: "binary", Depth: 8, Kops: 270},
 	})
-	err := CompareScanBaseline(bad, rows, 0.10)
+	err := fig.Check(bad, fig.Gate.Quantities(rows))
 	if err == nil {
 		t.Fatal("ratio regression passed the 10% gate")
 	}
 	if !strings.Contains(err.Error(), "depth 8") || !strings.Contains(err.Error(), "figscan") {
 		t.Fatalf("regression error does not name the depth: %v", err)
-	}
-
-	if err := CompareScanBaseline(filepath.Join(t.TempDir(), "absent.json"), rows, 0.10); err == nil {
-		t.Fatal("missing baseline file did not error")
 	}
 }

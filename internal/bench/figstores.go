@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -37,13 +35,8 @@ type StoreOpResult struct {
 // uniform rows bound the cache-miss cost of the same machinery. Store cost
 // is the best of storePhases timed phases; allocations come from MemStats
 // deltas around the timed loop (the acceptance gate wants a hard zero).
-func FigStores(s KVScale, log func(string)) string {
-	out, _ := FigStoresR(s, log)
-	return out
-}
-
-// FigStoresR is FigStores returning the raw per-row results as well.
-func FigStoresR(s KVScale, log func(string)) (string, []StoreOpResult) {
+// Returns the table and the raw per-row results.
+func FigStores(s KVScale, log func(string)) (string, []StoreOpResult) {
 	var out strings.Builder
 	out.WriteString(fmt.Sprintf("figStores — tracked-store micro-benchmark, %d slots, %d stores/phase, best of %d phases, %d flush ckpts\n",
 		s.Records, storeOpsPerPhase(s), storePhases, storeFlushCkpts))
@@ -214,40 +207,14 @@ func runStoreRow(s KVScale, async, zipfian bool) StoreOpResult {
 	}
 }
 
-// CompareStoreBaseline checks fresh figStores rows against a checked-in
-// BENCH_figstores.json and reports every row whose store ns/op regressed by
-// more than tolerance (e.g. 0.10 for 10%). Rows missing from the baseline
-// are ignored — a new cell cannot regress. The flush figure is not gated:
-// it is dominated by the simulator's calibrated NVM penalties and so is
-// stable by construction; ns/op is the number the tracking-layer work moves.
-func CompareStoreBaseline(path string, rows []StoreOpResult, tolerance float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep struct {
-		Rows []StoreOpResult `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("parse %s: %w", path, err)
-	}
-	baseline := make(map[string]StoreOpResult, len(rep.Rows))
-	for _, r := range rep.Rows {
-		baseline[r.Mode+"/"+r.Dist] = r
-	}
-	var bad []string
+// storeQuantities is figstores' gate: store ns/op per mode/dist row, lower
+// is better. It is an absolute time, so it only holds against a baseline
+// recorded on a host of the same speed; the flush figure is not gated, being
+// dominated by the simulator's calibrated NVM penalties.
+func storeQuantities(rows []StoreOpResult) map[string]float64 {
+	q := make(map[string]float64, len(rows))
 	for _, r := range rows {
-		b, ok := baseline[r.Mode+"/"+r.Dist]
-		if !ok || b.StoreNsOp <= 0 {
-			continue
-		}
-		if r.StoreNsOp > b.StoreNsOp*(1+tolerance) {
-			bad = append(bad, fmt.Sprintf("%s/%s: %.1f ns/op vs baseline %.1f (+%.1f%%)",
-				r.Mode, r.Dist, r.StoreNsOp, b.StoreNsOp, 100*(r.StoreNsOp/b.StoreNsOp-1)))
-		}
+		q[r.Mode+"/"+r.Dist] = r.StoreNsOp
 	}
-	if len(bad) > 0 {
-		return fmt.Errorf("figstores regression beyond %.0f%%:\n  %s", 100*tolerance, strings.Join(bad, "\n  "))
-	}
-	return nil
+	return q
 }

@@ -1,9 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -18,7 +15,7 @@ func tinyStoreScale() KVScale {
 }
 
 func TestFigStoresRows(t *testing.T) {
-	out, results := FigStoresR(tinyStoreScale(), nil)
+	out, results := FigStores(tinyStoreScale(), nil)
 	if len(results) != 4 {
 		t.Fatalf("got %d rows, want 4 (sync/async × zipfian/uniform):\n%s", len(results), out)
 	}
@@ -50,51 +47,36 @@ func TestFigStoresRows(t *testing.T) {
 	}
 }
 
+// TestCompareStoreBaseline holds figstores rows to hand-written baselines:
+// store ns/op within tolerance passes, one row 25% slower trips the gate and
+// is named, and a row the baseline lacks is skipped.
 func TestCompareStoreBaseline(t *testing.T) {
 	rows := []StoreOpResult{
 		{Mode: "sync", Dist: "zipfian", StoreNsOp: 1000},
 		{Mode: "async", Dist: "uniform", StoreNsOp: 2000},
 	}
-	writeBaseline := func(t *testing.T, rep Report) string {
-		t.Helper()
-		data, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "BENCH_figstores.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	// Fresh run within tolerance of the baseline: no error.
-	ok := writeBaseline(t, NewReport("figstores", "quick", KVScale{}, []StoreOpResult{
+	fig, ok := gateBaseline(t, "figstores", []StoreOpResult{
 		{Mode: "sync", Dist: "zipfian", StoreNsOp: 950},
 		{Mode: "async", Dist: "uniform", StoreNsOp: 1900},
-	}))
-	if err := CompareStoreBaseline(ok, rows, 0.10); err != nil {
+	})
+	if err := fig.Check(ok, fig.Gate.Quantities(rows)); err != nil {
 		t.Fatalf("within-tolerance compare failed: %v", err)
 	}
 
-	// One row 25% slower than baseline: the gate must trip and name it.
-	bad := writeBaseline(t, NewReport("figstores", "quick", KVScale{}, []StoreOpResult{
+	_, bad := gateBaseline(t, "figstores", []StoreOpResult{
 		{Mode: "sync", Dist: "zipfian", StoreNsOp: 800},
 		{Mode: "async", Dist: "uniform", StoreNsOp: 1900},
-	}))
-	err := CompareStoreBaseline(bad, rows, 0.10)
+	})
+	err := fig.Check(bad, fig.Gate.Quantities(rows))
 	if err == nil {
 		t.Fatal("25% regression passed the 10% gate")
 	}
-	if !strings.Contains(err.Error(), "sync/zipfian") {
-		t.Fatalf("regression error does not name the row: %v", err)
+	if !strings.Contains(err.Error(), "sync/zipfian") || strings.Contains(err.Error(), "async/uniform") {
+		t.Fatalf("regression error does not name exactly the slow row: %v", err)
 	}
 
-	// Rows absent from the baseline are ignored, missing files are not.
-	if err := CompareStoreBaseline(ok, []StoreOpResult{{Mode: "sync", Dist: "new", StoreNsOp: 9e9}}, 0.10); err != nil {
+	unknown := []StoreOpResult{{Mode: "sync", Dist: "new", StoreNsOp: 9e9}}
+	if err := fig.Check(ok, fig.Gate.Quantities(unknown)); err != nil {
 		t.Fatalf("unknown row should be skipped: %v", err)
-	}
-	if err := CompareStoreBaseline(filepath.Join(t.TempDir(), "absent.json"), rows, 0.10); err == nil {
-		t.Fatal("missing baseline file did not error")
 	}
 }

@@ -78,15 +78,22 @@ func runMapSystem(sys MapSystem, w MapWorkload, threads int, s Scale) Result {
 	return r
 }
 
-// Fig8 reproduces the HashMap comparison: three update/search mixes, all
-// systems, a sweep over thread counts. Returns one table per workload.
-func Fig8(s Scale, systems []MapSystem, log func(string)) string {
-	out, _ := Fig8R(s, systems, log)
-	return out
+// runQueueSystem constructs, prefills, measures and tears down one system.
+func runQueueSystem(sys QueueSystem, threads int, s Scale) Result {
+	p := s.params(threads)
+	q, closeFn := sys.New(p)
+	PrefillQueue(q, s.QueuePrefill)
+	r := RunQueue(sys.Name, q, threads, s.Duration, p.Seed+1)
+	closeFn()
+	q.Close()
+	runtime.GC()
+	return r
 }
 
-// Fig8R is Fig8 returning the raw results as well (for CSV export).
-func Fig8R(s Scale, systems []MapSystem, log func(string)) (string, []Result) {
+// Fig8 reproduces the HashMap comparison: three update/search mixes, all
+// systems, a sweep over thread counts. Returns one table per workload and
+// the raw results.
+func Fig8(s Scale, systems []MapSystem, log func(string)) (string, []Result) {
 	if systems == nil {
 		systems = MapSystems()
 	}
@@ -110,14 +117,8 @@ func Fig8R(s Scale, systems []MapSystem, log func(string)) (string, []Result) {
 }
 
 // Fig9 reproduces the Queue comparison: 1:1 enqueue/dequeue, all systems,
-// thread sweep.
-func Fig9(s Scale, systems []QueueSystem, log func(string)) string {
-	out, _ := Fig9R(s, systems, log)
-	return out
-}
-
-// Fig9R is Fig9 returning the raw results as well (for CSV export).
-func Fig9R(s Scale, systems []QueueSystem, log func(string)) (string, []Result) {
+// thread sweep. Returns the table and the raw results.
+func Fig9(s Scale, systems []QueueSystem, log func(string)) (string, []Result) {
 	if systems == nil {
 		systems = QueueSystems()
 	}
@@ -127,14 +128,7 @@ func Fig9R(s Scale, systems []QueueSystem, log func(string)) (string, []Result) 
 			if log != nil {
 				log(fmt.Sprintf("fig9 %s threads=%d", sys.Name, tc))
 			}
-			p := s.params(tc)
-			q, closeFn := sys.New(p)
-			PrefillQueue(q, s.QueuePrefill)
-			r := RunQueue(sys.Name, q, tc, s.Duration, p.Seed+1)
-			closeFn()
-			q.Close()
-			runtime.GC()
-			results = append(results, r)
+			results = append(results, runQueueSystem(sys, tc, s))
 		}
 	}
 	return Table("Figure 9 — Queue, enq:deq 1:1 (Mops/s)", results, s.ThreadCounts), results
@@ -184,13 +178,7 @@ func Fig10(s Scale, log func(string)) string {
 		if log != nil {
 			log("fig10 queue " + sys.Name)
 		}
-		p := s.params(threads)
-		q, closeFn := sys.New(p)
-		PrefillQueue(q, s.QueuePrefill)
-		qResults = append(qResults, RunQueue(sys.Name, q, threads, s.Duration, p.Seed+1))
-		closeFn()
-		q.Close()
-		runtime.GC()
+		qResults = append(qResults, runQueueSystem(sys, threads, s))
 	}
 	out.WriteString(NormalizedTable(
 		fmt.Sprintf("Figure 10 — Queue, %d threads (normalized to Transient<DRAM>)", threads),
@@ -200,7 +188,10 @@ func Fig10(s Scale, log func(string)) string {
 
 // Fig11 reproduces the checkpoint-period sweep: ResPCT on the
 // write-intensive map workload with periods from 1 ms to 64 ms, reporting
-// throughput and the measured effective period.
+// throughput, the measured effective period, the checkpoints taken and the
+// longest pause. Each row's map is built like Fig. 8's ResPCT (respctMap), so
+// the prefill is durable before the checkpointer starts and no row times its
+// write-back.
 func Fig11(s Scale, log func(string)) string {
 	threads := s.ThreadCounts[len(s.ThreadCounts)-1]
 	w := MapWorkload{Name: "write-intensive (9:1)", UpdateFrac: 0.9, KeySpace: s.KeySpace, Prefill: s.Prefill}
@@ -215,22 +206,14 @@ func Fig11(s Scale, log func(string)) string {
 			log(fmt.Sprintf("fig11 period=%v", period))
 		}
 		p := s.params(threads)
-		p.Interval = period
-		h := pmem.New(pmem.NVMMConfig(mapHeapSize(p)))
-		rt, err := core.NewRuntime(h, core.Config{Threads: threads})
-		if err != nil {
-			panic(err)
-		}
-		m, err := structures.NewRespctMap(rt, 0, p.Buckets)
-		if err != nil {
-			panic(err)
-		}
-		PrefillMap(m, w, p.Seed)
+		m, rt := respctMap(p, core.Config{})
+		before := rt.Stats().Checkpoints
 		ck := rt.StartCheckpointer(period)
 		r := RunMap("ResPCT", m, threads, s.Duration, w, p.Seed+1)
 		ck.Stop()
 		eff := ck.EffectivePeriod()
-		out.WriteString(fmt.Sprintf("%-12v %12.3f %18v %14d %12v\n", period, r.Mops(), eff.Round(100*time.Microsecond), rt.Stats().Checkpoints, ck.MaxPause().Round(100*time.Microsecond)))
+		out.WriteString(fmt.Sprintf("%-12v %12.3f %18v %14d %12v\n", period, r.Mops(), eff.Round(100*time.Microsecond),
+			rt.Stats().Checkpoints-before, ck.MaxPause().Round(100*time.Microsecond)))
 		runtime.GC()
 	}
 	return out.String()
@@ -263,9 +246,7 @@ func Fig12(s Scale, bucketsSweep []int, log func(string)) string {
 		}
 		w := MapWorkload{UpdateFrac: 0.9, KeySpace: keys, Prefill: int(keys)}
 		PrefillMap(m, w, p.Seed)
-		rt.Thread(0).CheckpointAllow()
-		rt.Checkpoint()
-		rt.Thread(0).CheckpointPrevent(nil)
+		rt.CheckpointIdle()
 		// A burst of doomed-epoch work so recovery has rollbacks to do.
 		RunMap("setup", m, 1, 50*time.Millisecond, w, p.Seed+1)
 		h.EvictDirtyFraction(0.5, 7)

@@ -22,7 +22,7 @@ func microScale() Scale {
 }
 
 func TestFig8AllSystems(t *testing.T) {
-	out := Fig8(microScale(), nil, nil)
+	out, _ := Fig8(microScale(), nil, nil)
 	for _, sys := range MapSystems() {
 		if !strings.Contains(out, sys.Name) {
 			t.Fatalf("Fig8 output missing %s:\n%s", sys.Name, out)
@@ -34,7 +34,7 @@ func TestFig8AllSystems(t *testing.T) {
 }
 
 func TestFig9AllSystems(t *testing.T) {
-	out := Fig9(microScale(), nil, nil)
+	out, _ := Fig9(microScale(), nil, nil)
 	for _, sys := range QueueSystems() {
 		if !strings.Contains(out, sys.Name) {
 			t.Fatalf("Fig9 output missing %s:\n%s", sys.Name, out)

@@ -1,16 +1,13 @@
 // Package bench drives the paper's evaluation (§5): fixed-duration
 // throughput runs of every system over the Queue and HashMap
 // micro-benchmarks, the overhead decomposition, the checkpoint-period sweep,
-// recovery timing, and table rendering. The cmd/respct-bench binary wires
-// these into one sub-command per figure.
+// recovery timing, and table rendering. Figures lists every experiment by
+// name; the cmd/respct-bench binary runs one (or all) of them.
 package bench
 
 import (
-	"encoding/csv"
 	"fmt"
-	"io"
 	"math/rand"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -194,26 +191,4 @@ func NormalizedTable(title, baseline string, results []Result) string {
 		out += fmt.Sprintf("%-28s %10.3f Mops/s   %6.3fx vs %s\n", r.System, r.Mops(), norm, baseline)
 	}
 	return out
-}
-
-// WriteCSV emits results as CSV (system, workload, threads, ops, seconds,
-// mops) for external plotting.
-func WriteCSV(w io.Writer, results []Result) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"system", "workload", "threads", "ops", "seconds", "mops"}); err != nil {
-		return err
-	}
-	for _, r := range results {
-		rec := []string{
-			r.System, r.Workload, strconv.Itoa(r.Threads),
-			strconv.FormatUint(r.Ops, 10),
-			strconv.FormatFloat(r.Duration.Seconds(), 'f', 6, 64),
-			strconv.FormatFloat(r.Mops(), 'f', 6, 64),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

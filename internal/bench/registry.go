@@ -49,9 +49,10 @@ func mapHeapSize(p Params) int64 {
 
 func queueHeapSize(Params) int64 { return 512 << 20 }
 
-// respctMapVariant builds the ResPCT map with optional algorithm switches
-// (the Fig. 10 decomposition).
-func respctMapVariant(p Params, cfg core.Config, checkpoint bool) (structures.Map, func()) {
+// respctMap builds the ResPCT map with optional algorithm switches (the
+// Fig. 10 decomposition), prefilled and with the prefill made durable, so a
+// checkpointer started on the returned runtime has nothing left to flush.
+func respctMap(p Params, cfg core.Config) (structures.Map, *core.Runtime) {
 	h := pmem.New(pmem.NVMMConfig(mapHeapSize(p)))
 	cfg.Threads = p.Threads
 	rt, err := core.NewRuntime(h, cfg)
@@ -62,28 +63,19 @@ func respctMapVariant(p Params, cfg core.Config, checkpoint bool) (structures.Ma
 	if err != nil {
 		panic(err)
 	}
-	var ck *core.Checkpointer
-	closeFn := func() {
-		if ck != nil {
-			ck.Stop()
-		}
+	PrefillMap(m, MapWorkload{KeySpace: p.KeySpace, Prefill: p.Prefill}, p.Seed)
+	rt.CheckpointIdle()
+	return prefilled{Map: m}, rt
+}
+
+// respctMapVariant is respctMap as a map system: with checkpoint, a periodic
+// checkpointer runs until the returned close function.
+func respctMapVariant(p Params, cfg core.Config, checkpoint bool) (structures.Map, func()) {
+	m, rt := respctMap(p, cfg)
+	if !checkpoint {
+		return m, func() {}
 	}
-	prefillAnd := func() {
-		PrefillMap(m, MapWorkload{KeySpace: p.KeySpace, Prefill: p.Prefill}, p.Seed)
-		// Make the prefill durable, then start the periodic checkpointer.
-		for i := 0; i < rt.Threads(); i++ {
-			rt.Thread(i).CheckpointAllow()
-		}
-		rt.Checkpoint()
-		for i := 0; i < rt.Threads(); i++ {
-			rt.Thread(i).CheckpointPrevent(nil)
-		}
-		if checkpoint {
-			ck = rt.StartCheckpointer(p.Interval)
-		}
-	}
-	prefillAnd()
-	return prefilled{Map: m}, closeFn
+	return m, rt.StartCheckpointer(p.Interval).Stop
 }
 
 // prefilled marks a map as already prefilled so RunnerMap skips it.
@@ -226,18 +218,7 @@ func QueueSystems() []QueueSystem {
 			return structures.NewTransientQueue(h), func() {}
 		}},
 		{Name: "ResPCT", Consistency: "buffered", New: func(p Params) (structures.Queue, func()) {
-			h := pmem.New(pmem.NVMMConfig(queueHeapSize(p)))
-			rt, err := core.NewRuntime(h, core.Config{Threads: p.Threads})
-			if err != nil {
-				panic(err)
-			}
-			q, err := structures.NewRespctQueue(rt, 0)
-			if err != nil {
-				panic(err)
-			}
-			rt.CheckpointIdle()
-			ck := rt.StartCheckpointer(p.Interval)
-			return q, ck.Stop
+			return respctQueueVariant(p, core.Config{}, true)
 		}},
 		{Name: "Montage*", Consistency: "buffered", New: func(p Params) (structures.Queue, func()) {
 			h := pmem.New(pmem.NVMMConfig(queueHeapSize(p)))
@@ -269,8 +250,8 @@ func QueueSystems() []QueueSystem {
 	}
 }
 
-// kvVariant is a constructible kv.Store implementation (the Fig. 14 and
-// figShards registries).
+// kvVariant is a constructible kv.Store implementation (the Fig. 14
+// registry).
 type kvVariant struct {
 	name  string
 	build func(s KVScale) (kv.Store, func())
@@ -305,32 +286,20 @@ func kvVariants() []kvVariant {
 	}
 }
 
-// shardKVConfig splits one KVScale across n shards: the total bucket count
-// and heap budget stay fixed so the comparison against a single shard is
-// iso-resource, only the partitioning varies.
-func shardKVConfig(s KVScale, n int, sync bool) shard.Config {
-	buckets := s.Buckets / n
-	if buckets < 1<<8 {
-		buckets = 1 << 8
-	}
-	return shard.Config{
-		Shards:    n,
-		Workers:   s.Workers,
-		Buckets:   buckets,
-		HeapBytes: s.HeapBytes / int64(n),
-		Interval:  s.Interval,
-		Sync:      sync,
-	}
-}
-
 // kvShardVariant builds a sharded ResPCT store with staggered checkpoints.
-// The pool's checkpoint driver is started immediately; figShards builds its
-// pools by hand instead so it can load before the first checkpoint.
+// The total bucket count and heap budget are those of the unsharded
+// variants, so the comparison is iso-resource: only the partitioning varies.
 func kvShardVariant(n int) kvVariant {
 	return kvVariant{
 		name: fmt.Sprintf("ResPCT-shard%d", n),
 		build: func(s KVScale) (kv.Store, func()) {
-			p, err := shard.NewPool(shardKVConfig(s, n, false))
+			p, err := shard.NewPool(shard.Config{
+				Shards:    n,
+				Workers:   s.Workers,
+				Buckets:   max(s.Buckets/n, 1<<8),
+				HeapBytes: s.HeapBytes / int64(n),
+				Interval:  s.Interval,
+			})
 			if err != nil {
 				panic(err)
 			}

@@ -420,10 +420,6 @@ func (p *Pool) WaitDrains() {
 	}
 }
 
-// ResetMaxPause clears the recorded longest pause. Benchmarks call it after
-// a bulk-load checkpoint so the statistic reflects only the measured phase.
-func (p *Pool) ResetMaxPause() { p.maxPause.Store(0) }
-
 // PoolStats aggregates checkpoint activity across shards.
 type PoolStats struct {
 	Shards      int

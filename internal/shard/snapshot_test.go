@@ -191,6 +191,81 @@ func TestFrameSnapshotsStayIncrementalAcrossRecovery(t *testing.T) {
 	}
 }
 
+// TestFrameDeltasScaleWithChurn: an incremental snapshot costs what was
+// churned, not what the heap holds. A fixed record count on two heap sizes
+// at two churn rates gives four delta snapshots; each must stay far under its
+// full set and carry lines, 10% churn must outweigh 1% on the same heap, and
+// 4x the heap at fixed churn must not double the delta.
+func TestFrameDeltasScaleWithChurn(t *testing.T) {
+	const records = 2000
+	heaps := []int64{8 << 20, 32 << 20}
+	churns := []int{1, 10} // percent of the keys rewritten
+	params := frame.Params{Compression: frame.CompressFlate}
+	val := make([]byte, 100)
+	for i := range val {
+		val[i] = byte(i)
+	}
+	type row struct{ full, delta *frame.SnapshotResult }
+	rows := map[[2]int64]row{}
+	for _, heap := range heaps {
+		for _, churn := range churns {
+			p, err := NewPool(Config{Shards: 1, Workers: 1, Buckets: 512, HeapBytes: heap})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := p.Store()
+			for i := 0; i < records; i++ {
+				s.Set(0, fmt.Sprintf("key-%08d", i), val)
+			}
+			base := filepath.Join(t.TempDir(), "kv.img")
+			full, err := p.SnapshotFrames(base, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			churned := records * churn / 100
+			for i := 0; i < churned; i++ {
+				s.Set(0, fmt.Sprintf("key-%08d", i*(records/churned)), val)
+			}
+			delta, err := p.SnapshotFrames(base, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Close()
+			r := row{full[0], delta[0]}
+			if r.delta.Info.Kind != frame.KindDelta {
+				t.Fatalf("heap %dMiB churn %d%%: second snapshot is %v, want delta", heap>>20, churn, r.delta.Info.Kind)
+			}
+			if r.delta.Info.Bytes*4 >= r.full.Info.Bytes {
+				t.Errorf("heap %dMiB churn %d%%: delta %d bytes not well under full %d",
+					heap>>20, churn, r.delta.Info.Bytes, r.full.Info.Bytes)
+			}
+			if r.delta.Info.Lines == 0 {
+				t.Errorf("heap %dMiB churn %d%%: delta carries no lines", heap>>20, churn)
+			}
+			rows[[2]int64{heap, int64(churn)}] = r
+		}
+	}
+	for _, heap := range heaps {
+		lo, hi := rows[[2]int64{heap, 1}].delta.Info.Bytes, rows[[2]int64{heap, 10}].delta.Info.Bytes
+		if hi <= lo {
+			t.Errorf("heap %dMiB: 10%% churn delta (%d bytes) not above 1%% churn delta (%d bytes)", heap>>20, hi, lo)
+		}
+	}
+	for _, churn := range churns {
+		small, big := rows[[2]int64{heaps[0], int64(churn)}], rows[[2]int64{heaps[1], int64(churn)}]
+		if big.full.Info.Bytes <= small.full.Info.Bytes {
+			t.Errorf("churn %d%%: full bytes did not grow with the heap (%d -> %d)",
+				churn, small.full.Info.Bytes, big.full.Info.Bytes)
+		}
+		// The delta may wiggle (the bucket layout moves with the heap) but
+		// must not scale with the image.
+		if big.delta.Info.Bytes > 2*small.delta.Info.Bytes {
+			t.Errorf("churn %d%%: delta bytes scaled with heap size (%d -> %d)",
+				churn, small.delta.Info.Bytes, big.delta.Info.Bytes)
+		}
+	}
+}
+
 // TestShardFrameDir pins the directory naming.
 func TestShardFrameDir(t *testing.T) {
 	if got := ShardFrameDir("kv.img", 2); got != "kv-2.fset" {
