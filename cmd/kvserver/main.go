@@ -1,7 +1,7 @@
 // Command kvserver runs the Memcached-like key-value store of §5.3 on
 // simulated NVMM with ResPCT checkpointing. It speaks the text protocol and
 // the pipelined binary protocol (docs/WIRE-PROTOCOL.md) on one TCP port,
-// negotiated per connection by its first byte; -protocol restricts it.
+// negotiated per connection by its first byte.
 //
 // With -shards N the key space is partitioned across N independent
 // heap+runtime shards (see internal/shard): checkpoints are staggered
@@ -24,8 +24,7 @@
 //
 //	kvserver [-addr 127.0.0.1:11222] [-workers 4] [-shards 1] [-sync] [-async]
 //	         [-buckets 1048576] [-interval 64ms] [-heap 2147483648]
-//	         [-snapshot ""] [-metrics ""] [-protocol auto|text|binary]
-//	         [-structures=true] [-transient]
+//	         [-snapshot ""] [-metrics ""] [-structures=true] [-transient]
 //
 // -transient serves the non-fault-tolerant store instead (no shards, no
 // checkpoints, no snapshots — the paper's unmodified-Memcached baseline).
@@ -84,16 +83,10 @@ func main() {
 	heapBytes := flag.Int64("heap", 2<<30, "simulated NVMM size in bytes (total across shards)")
 	snapshot := flag.String("snapshot", "", "snapshot base path: every shard's frame store is recovered from at start if present, written on shutdown")
 	metricsAddr := flag.String("metrics", "", "serve telemetry on this address (/metrics, /metrics.json, /debug/pprof/); empty disables instrumentation")
-	protocol := flag.String("protocol", "auto", `accepted wire protocols: "auto" (negotiate per connection by first byte), "text" or "binary"`)
 	structures := flag.Bool("structures", true, "enable the persistent structures surface (SCAN/QPUSH/QPOP/LAPPEND/LRANGE/EXPIRE/TTL/MULTI, see docs/COMMANDS.md); disabling reclaims the per-shard sweeper thread and two-cell records")
 	transient := flag.Bool("transient", false, "run the non-fault-tolerant store instead")
 	flag.Parse()
 
-	proto, err := kv.ParseProtocol(*protocol)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kvserver:", err)
-		os.Exit(1)
-	}
 	var reg *telemetry.Registry
 	if *metricsAddr != "" {
 		reg = telemetry.NewRegistry()
@@ -101,10 +94,9 @@ func main() {
 	}
 	newServer := func(store kv.Store) (*kv.Server, error) {
 		return kv.NewServerOpts(store, kv.Options{
-			Workers:  *workers,
-			Addr:     *addr,
-			Protocol: proto,
-			Metrics:  reg,
+			Workers: *workers,
+			Addr:    *addr,
+			Metrics: reg,
 		})
 	}
 
@@ -142,6 +134,7 @@ func main() {
 	var pool *shard.Pool
 	found := 0
 	if *snapshot != "" {
+		var err error
 		if found, err = shard.SnapshotFileCount(*snapshot); err != nil {
 			fmt.Fprintln(os.Stderr, "kvserver:", err)
 			fmt.Fprintln(os.Stderr, "kvserver: nothing was recovered; move the file aside to start an empty store")

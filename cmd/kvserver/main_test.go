@@ -161,8 +161,8 @@ func TestProcessLifecycle(t *testing.T) {
 	bin := build(t)
 	// A new flag is a new configuration every test and benchmark has to cover.
 	usage, _ := exec.Command(bin, "-h").CombinedOutput()
-	if n := len(regexp.MustCompile(`(?m)^  -`).FindAll(usage, -1)); n != 13 {
-		t.Fatalf("kvserver -h lists %d flags, want 13:\n%s", n, usage)
+	if n := len(regexp.MustCompile(`(?m)^  -`).FindAll(usage, -1)); n != 12 {
+		t.Fatalf("kvserver -h lists %d flags, want 12:\n%s", n, usage)
 	}
 
 	dir := t.TempDir()

@@ -430,12 +430,6 @@ func (a *Arena) AllocCells(t *Thread, cells int) pmem.Addr { return a.Alloc(t, c
 // AllocRaw is shorthand for Alloc(t, 0, rawWords).
 func (a *Arena) AllocRaw(t *Thread, rawWords int) pmem.Addr { return a.Alloc(t, 0, rawWords) }
 
-// AllocBytes allocates a raw block of at least n bytes and returns its
-// payload address.
-func (a *Arena) AllocBytes(t *Thread, n int) pmem.Addr {
-	return a.Alloc(t, 0, (n+pmem.WordSize-1)/pmem.WordSize)
-}
-
 // allocRPCell allocates worker i's persistent restart-point cell and records
 // its address in the RP table.
 func (a *Arena) allocRPCell(sys *Thread, i int) (InCLL, error) {

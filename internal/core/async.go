@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -290,10 +289,10 @@ func (rt *Runtime) clearPending(a pmem.Addr) bool {
 // line that was modified in the current epoch or is still owed to NVMM by an
 // in-flight drain. Incremental snapshot engines union it into a delta of a
 // *live* async pool — such lines may reach the persistent image after the
-// heap-level churn window was harvested but before the image was read, and
-// the union keeps the delta a conservative superset either way. Returns nil
-// for synchronous runtimes, which maintain no bitmaps (their flush lists are
-// drained under the parked world, so the heap churn window alone is exact at
+// snapshot store's churn window was harvested but before the image was read,
+// and the union keeps the delta a conservative superset either way. Returns
+// nil for synchronous runtimes, which maintain no bitmaps (their flush lists
+// are drained under the parked world, so the churn window alone is exact at
 // any quiesced point).
 func (rt *Runtime) DirtyLineBits() []uint64 {
 	if !rt.asyncOn {
@@ -304,21 +303,6 @@ func (rt *Runtime) DirtyLineBits() []uint64 {
 		out[i] = rt.pendingBits[0][i].Load() | rt.pendingBits[1][i].Load()
 	}
 	return out
-}
-
-// DirtyLineCount returns the number of lines currently set in the union of
-// the pending bitmaps — the churn the next checkpoint will owe to NVMM.
-// Zero for synchronous runtimes. Telemetry and the figframes bench use it to
-// report live churn without walking flush lists.
-func (rt *Runtime) DirtyLineCount() int {
-	if !rt.asyncOn {
-		return 0
-	}
-	n := 0
-	for i := range rt.pendingBits[0] {
-		n += bits.OnesCount64(rt.pendingBits[0][i].Load() | rt.pendingBits[1][i].Load())
-	}
-	return n
 }
 
 // guardLine is the flush-on-collision rule for plain tracked data: if an

@@ -266,7 +266,7 @@ func Recover(h *pmem.Heap, cfg Config, parallelism int) (*Runtime, *RecoveryRepo
 	// the handles are handed out (execution resumes in the failed epoch, so
 	// nothing changes the shared counters between here and the first store).
 	rt.refreshThreadCaches()
-	// Attach (or replace the crashed runtime's) sanitizer last, replaying
+	// Attach the sanitizer last, replaying
 	// the tracked state of every rolled-back cell: the resumed epoch owes
 	// them a flush, and rule R1 holds it to that.
 	rt.attachSanitizer(failedEpoch, true)

@@ -10,8 +10,9 @@ import (
 // Sanitizer integration. The runtime owns the sanitizer's lifecycle: it is
 // built and attached after format or recovery (so construction-time stores
 // never count), told about every epoch boundary, exempt region and publish
-// cursor, and consulted at both commit paths. The per-event hooks live in
-// pmem (see pmem.LineSanitizer); the rules live in internal/psan.
+// cursor, and consulted at both commit paths. The sanitizer observes the
+// heap's events itself (pmem.Heap.Observe) until the heap crashes; the rules
+// live in internal/psan.
 
 // Test-only fault injection for the recovery regression fixtures. Both
 // re-seed bugs this codebase actually shipped and fixed; the fixtures keep
@@ -53,15 +54,15 @@ func (rt *Runtime) sanitizeWanted() (on bool, mode psan.Mode) {
 	}
 }
 
-// attachSanitizer builds, configures and attaches the shadow heap, or
-// detaches a predecessor's (a recovered heap may still carry the crashed
-// runtime's sanitizer). epoch is the epoch execution starts in; replay
-// re-arms the tracked state of addresses recovery registered for flushing,
-// so a resumed epoch that fails to flush them still trips rule R1.
+// attachSanitizer builds, configures and attaches the shadow heap when the
+// runtime is sanitized. A crashed runtime's sanitizer detached itself at the
+// crash, so a recovered heap carries only this one. epoch is the epoch
+// execution starts in; replay re-arms the tracked state of addresses
+// recovery registered for flushing, so a resumed epoch that fails to flush
+// them still trips rule R1.
 func (rt *Runtime) attachSanitizer(epoch uint64, replay bool) {
 	on, mode := rt.sanitizeWanted()
 	if !on {
-		rt.heap.SetSanitizer(nil)
 		return
 	}
 	s := psan.New(rt.heap, mode)
@@ -87,7 +88,6 @@ func (rt *Runtime) attachSanitizer(epoch uint64, replay bool) {
 		}
 	}
 	rt.san = s
-	rt.heap.SetSanitizer(s)
 	s.SetPhase(psan.PhaseRun)
 }
 

@@ -123,7 +123,7 @@ func AsyncMapSoak(cfg AsyncSoakConfig) (*AsyncSoakReport, error) {
 		}
 	}()
 
-	ev := pmem.NewEvictor(h, cfg.EvictRate, cfg.Seed)
+	ev := pmem.NewEvictor(h, cfg.EvictRate)
 	ev.Start()
 
 	var stop atomic.Bool

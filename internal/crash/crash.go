@@ -106,7 +106,7 @@ func MapSoak(cfg MapSoakConfig) (*SoakReport, error) {
 		}
 	}()
 
-	ev := pmem.NewEvictor(h, cfg.EvictRate, cfg.Seed)
+	ev := pmem.NewEvictor(h, cfg.EvictRate)
 	ev.Start()
 
 	var stop atomic.Bool
@@ -231,7 +231,7 @@ func QueueSoak(cfg MapSoakConfig) (*SoakReport, error) {
 		}
 	}()
 
-	ev := pmem.NewEvictor(h, cfg.EvictRate, cfg.Seed)
+	ev := pmem.NewEvictor(h, cfg.EvictRate)
 	ev.Start()
 
 	var stop atomic.Bool

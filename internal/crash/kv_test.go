@@ -60,7 +60,7 @@ func TestKVStoreSoak(t *testing.T) {
 					}
 				}
 			}()
-			ev := pmem.NewEvictor(h, 32, seed)
+			ev := pmem.NewEvictor(h, 32)
 			ev.Start()
 
 			var stop atomic.Bool

@@ -76,7 +76,7 @@ func TestKVStructSoak(t *testing.T) {
 					}
 				}
 			}()
-			ev := pmem.NewEvictor(h, 32, seed)
+			ev := pmem.NewEvictor(h, 32)
 			ev.Start()
 
 			var stop atomic.Bool
@@ -203,7 +203,7 @@ func runShardStructSoak(t *testing.T, syncCk bool) {
 
 			evictors := make([]*pmem.Evictor, shards)
 			for i := range evictors {
-				evictors[i] = pmem.NewEvictor(pool.Shard(i).Heap, 16, seed+int64(i)*7)
+				evictors[i] = pmem.NewEvictor(pool.Shard(i).Heap, 16)
 				evictors[i].Start()
 			}
 

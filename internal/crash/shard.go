@@ -87,7 +87,7 @@ func ShardedKVSoak(cfg ShardedSoakConfig) (*ShardedSoakReport, error) {
 
 	evictors := make([]*pmem.Evictor, cfg.Shards)
 	for i := range evictors {
-		evictors[i] = pmem.NewEvictor(pool.Shard(i).Heap, cfg.EvictRate, cfg.Seed+int64(i)*7)
+		evictors[i] = pmem.NewEvictor(pool.Shard(i).Heap, cfg.EvictRate)
 		evictors[i].Start()
 	}
 

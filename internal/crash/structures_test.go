@@ -59,7 +59,7 @@ func TestSkipListSoak(t *testing.T) {
 					}
 				}
 			}()
-			ev := pmem.NewEvictor(h, 32, seed)
+			ev := pmem.NewEvictor(h, 32)
 			ev.Start()
 
 			var stop atomic.Bool
@@ -163,7 +163,7 @@ func TestLogSoak(t *testing.T) {
 					}
 				}
 			}()
-			ev := pmem.NewEvictor(h, 32, seed)
+			ev := pmem.NewEvictor(h, 32)
 			ev.Start()
 
 			var stop atomic.Bool

@@ -158,9 +158,9 @@ func Explore(w Workload, opt Options) (*Report, error) {
 }
 
 // runOnce executes w with actions scripted and, when crashSeq >= 0, every
-// heap crashed immediately after trace event crashSeq. Tracers are detached
-// before returning so recovery runs untraced. sanitize arms the persistency
-// sanitizer on the workload's runtimes.
+// heap crashed immediately after trace event crashSeq. The recorder is
+// detached before returning so recovery runs untraced. sanitize arms the
+// persistency sanitizer on the workload's runtimes.
 func runOnce(w Workload, actions []pmem.Action, crashSeq int64, sanitize bool) (*pmem.Recorder, Run, error) {
 	rec := pmem.NewRecorder()
 	if crashSeq >= 0 {
@@ -177,9 +177,7 @@ func runOnce(w Workload, actions []pmem.Action, crashSeq int64, sanitize bool) (
 	if err := run.Execute(); err != nil {
 		return nil, nil, err
 	}
-	for _, h := range rec.Heaps() {
-		h.SetTracer(nil, 0)
-	}
+	rec.Detach()
 	return rec, run, nil
 }
 

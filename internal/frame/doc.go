@@ -39,8 +39,10 @@
 // previous manifest intact, so recovery falls back to the previous certified
 // frame set and a later snapshot garbage-collects the orphans.
 //
-// Deltas harvest the heap's churn bitmap (pmem.Heap.SwapChurn): the lines
-// written back to the persistent image since the previous snapshot. The
-// store compacts the chain back to a single full set when it grows too long
-// or too large (Params.CompactEvery / CompactFactor).
+// Deltas carry the Store's churn window: from each full set on, the Store
+// observes its heap's write-backs (pmem.Heap.Observe) and marks their lines
+// in a bitmap, and each delta harvests the lines written back to the
+// persistent image since the previous snapshot. The store compacts the chain
+// back to a single full set when it grows too long or too large
+// (Params.CompactEvery / CompactFactor).
 package frame

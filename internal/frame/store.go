@@ -5,10 +5,11 @@ import (
 	"errors"
 	"fmt"
 	iofs "io/fs"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/respct/respct/internal/pmem"
-	"sync"
 )
 
 // ManifestName is the chain manifest's file name. Rewriting it (atomically)
@@ -60,7 +61,7 @@ type SnapshotResult struct {
 // snapshot, between extending the chain with a delta and compacting to a
 // fresh full set. Methods are serialized internally; a Store belongs to one
 // heap lineage at a time (snapshotting a different heap forces a full set,
-// since churn windows do not transfer between heap instances).
+// since its churn window watches one heap instance).
 type Store struct {
 	fs      FS
 	params  Params
@@ -68,7 +69,7 @@ type Store struct {
 
 	mu              sync.Mutex
 	man             *Manifest
-	lastHeap        *pmem.Heap
+	win             *window // churn since the last snapshot; nil until a full set
 	deltasSinceFull int
 	deltaBytes      int64
 	fullBytes       int64
@@ -126,10 +127,9 @@ func (s *Store) Snapshot(h *pmem.Heap, epoch uint64, extraDirty []uint64) (*Snap
 	start := time.Now()
 
 	full := s.man == nil ||
-		s.lastHeap != h ||
+		s.win == nil || s.win.h != h ||
 		s.man.ImageBytes != h.ImageSize() ||
 		s.man.FrameBytes != s.params.FrameBytes ||
-		!h.ChurnEnabled() ||
 		(s.params.CompactEvery > 0 && s.deltasSinceFull >= s.params.CompactEvery) ||
 		(s.params.CompactFactor > 0 && s.deltaBytes > int64(s.params.CompactFactor*float64(s.fullBytes)))
 
@@ -143,17 +143,16 @@ func (s *Store) Snapshot(h *pmem.Heap, epoch uint64, extraDirty []uint64) (*Snap
 		seq = s.man.Seq + 1
 	}
 	if full {
-		// Reset the churn window first: lines written back while the frames
-		// are read land in the fresh window and ride the next delta, so the
-		// chain never loses a mutation (it may re-carry an identical line).
-		h.EnableChurn()
-		h.SwapChurn()
+		// Open a fresh churn window first: lines written back while the
+		// frames are read land in it and ride the next delta, so the chain
+		// never loses a mutation (it may re-carry an identical line).
+		s.watch(h)
 		name = fmt.Sprintf("full-%06d.fimg", seq)
 		info, err = s.writeContainer(name, func(f File) (*SetInfo, error) {
 			return WriteFull(f, HeapSource{h}, s.params)
 		})
 	} else {
-		churn := h.SwapChurn()
+		churn := s.win.harvest()
 		for i := 0; i < len(churn) && i < len(extraDirty); i++ {
 			churn[i] |= extraDirty[i]
 		}
@@ -165,7 +164,7 @@ func (s *Store) Snapshot(h *pmem.Heap, epoch uint64, extraDirty []uint64) (*Snap
 	if err != nil {
 		// The churn window is consumed either way; only a full set can
 		// re-establish a sound chain base.
-		s.lastHeap = nil
+		s.watch(nil)
 		return nil, err
 	}
 
@@ -190,11 +189,10 @@ func (s *Store) Snapshot(h *pmem.Heap, epoch uint64, extraDirty []uint64) (*Snap
 		man.Chain = append(append([]ChainEntry(nil), s.man.Chain...), entry)
 	}
 	if err := s.commitManifest(man); err != nil {
-		s.lastHeap = nil
+		s.watch(nil)
 		return nil, err
 	}
 	s.man = man
-	s.lastHeap = h
 	if full {
 		s.deltasSinceFull = 0
 		s.deltaBytes = 0
@@ -206,6 +204,55 @@ func (s *Store) Snapshot(h *pmem.Heap, epoch uint64, extraDirty []uint64) (*Snap
 	s.gc()
 	s.metrics.snapshotDone(info, compacted, time.Since(start))
 	return &SnapshotResult{Info: info, Name: name, Compacted: compacted}, nil
+}
+
+// window is a Store's churn window over one heap: one bit per line, set by
+// every write-back of the heap until the next delta harvests it. Every
+// durable-image mutation — checkpoint flushes, collision flushes, chaos
+// evictions, the eADR battery flush — is a write-back, so the window is a
+// conservative superset of the lines whose persistent image may differ from
+// the last snapshot: a line is marked whether or not its copy changed the
+// image. The window stays attached across an in-process crash and reopen.
+type window struct {
+	h      *pmem.Heap
+	bits   []atomic.Uint64
+	detach func()
+}
+
+// watch replaces the store's window with a fresh one over h (none when h is
+// nil). Caller holds s.mu.
+func (s *Store) watch(h *pmem.Heap) {
+	if s.win != nil {
+		s.win.detach()
+		s.win = nil
+	}
+	if h == nil {
+		return
+	}
+	w := &window{h: h, bits: make([]atomic.Uint64, (h.Lines()+63)/64)}
+	w.detach = h.Observe(w, pmem.EvWriteBack)
+	s.win = w
+}
+
+// Event implements pmem.Observer: mark the written-back line.
+func (w *window) Event(e pmem.TraceEvent) {
+	b := &w.bits[e.Line/64]
+	mask := uint64(1) << (e.Line % 64)
+	if b.Load()&mask == 0 {
+		b.Or(mask)
+	}
+}
+
+// harvest returns the marked lines (line i at word i/64, bit i%64) and
+// clears them. Each word is swapped atomically, so a write-back racing the
+// harvest lands in this harvest or the next: it can blur a line's content
+// (as it always could) but never lose the line from the chain.
+func (w *window) harvest() []uint64 {
+	out := make([]uint64, len(w.bits))
+	for i := range w.bits {
+		out[i] = w.bits[i].Swap(0)
+	}
+	return out
 }
 
 // Restore rebuilds the image certified by the manifest into dst: the full

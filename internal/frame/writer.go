@@ -5,7 +5,6 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
-	"math/bits"
 	"runtime"
 	"sync"
 
@@ -88,7 +87,8 @@ func WriteFull(w io.Writer, src ImageSource, p Params) (*SetInfo, error) {
 }
 
 // WriteDelta writes a delta set carrying only the lines whose bits are set
-// in churn (one bit per image line, as returned by pmem.Heap.SwapChurn).
+// in churn (one bit per image line, line i at word i/64 bit i%64 — what a
+// Store's churn window harvests).
 // Frames with no churned line are omitted entirely. Output bytes are again
 // independent of the worker count.
 func WriteDelta(w io.Writer, src ImageSource, churn []uint64, p Params) (*SetInfo, error) {
@@ -245,15 +245,6 @@ func bitRangeAny(bm []uint64, lo, hi int) bool {
 		}
 	}
 	return false
-}
-
-// PopLines counts the set bits of a line bitmap (SwapChurn output).
-func PopLines(bm []uint64) int {
-	n := 0
-	for _, w := range bm {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 func min64(a, b int64) int64 {

@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"github.com/respct/respct/internal/pmem"
 	"github.com/respct/respct/internal/telemetry"
 	"github.com/respct/respct/internal/wire"
 )
@@ -92,60 +90,34 @@ func TestBinaryClientPipelined(t *testing.T) {
 	}
 }
 
-// TestProtocolNegotiation checks -protocol enforcement: a restricted server
-// refuses the other protocol's opening bytes with a text error and closes.
+// TestProtocolNegotiation checks that one server answers both protocols, each
+// connection in the protocol of its first byte: a text SET is visible to a
+// binary GET and the other way round.
 func TestProtocolNegotiation(t *testing.T) {
-	h := pmem.New(pmem.DRAMConfig(64 << 20))
-	textOnly, err := NewServerOpts(NewTransientStore(h), Options{Workers: 2, Addr: "127.0.0.1:0", Protocol: ProtoText})
+	srv := newTransientServer(t, 2)
+	c, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer textOnly.Close()
-	binOnly, err := NewServerOpts(NewTransientStore(h), Options{Workers: 2, Addr: "127.0.0.1:0", Protocol: ProtoBinary})
+	defer c.Close()
+	bc, err := DialBinary(srv.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer binOnly.Close()
+	defer bc.Close()
 
-	// Binary frame at a text-only server: refused.
-	conn := rawDial(t, textOnly.Addr())
-	var b wire.ReqBuilder
-	b.Get("k")
-	conn.Write(b.Bytes())
-	if line := readLine(t, conn); !strings.HasPrefix(line, "ERROR binary protocol disabled") {
-		t.Fatalf("reply = %q", line)
-	}
-	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("connection not closed: %v", err)
-	}
-	// Text still works there.
-	c, err := Dial(textOnly.Addr())
-	if err != nil {
+	if err := c.Set("t", []byte("from-text")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Set("k", []byte("v")); err != nil {
+	if err := bc.Set("b", []byte("from-binary")); err != nil {
 		t.Fatal(err)
 	}
-	c.Close()
-
-	// Text verb at a binary-only server: refused.
-	conn2 := rawDial(t, binOnly.Addr())
-	fmt.Fprintf(conn2, "get k\r\n")
-	if line := readLine(t, conn2); !strings.HasPrefix(line, "ERROR text protocol disabled") {
-		t.Fatalf("reply = %q", line)
+	if v, ok, err := bc.Get("t"); err != nil || !ok || string(v) != "from-text" {
+		t.Fatalf("binary get t = %q,%v,%v", v, ok, err)
 	}
-	if _, err := conn2.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("connection not closed: %v", err)
+	if v, ok, err := c.Get("b"); err != nil || !ok || string(v) != "from-binary" {
+		t.Fatalf("text get b = %q,%v,%v", v, ok, err)
 	}
-	// Binary still works there.
-	bc, err := DialBinary(binOnly.Addr(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bc.Set("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	bc.Close()
 }
 
 // TestBinaryCorruptFrameClosesConn: a malformed frame must close the

@@ -3,7 +3,6 @@ package kv
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -48,7 +47,6 @@ import (
 // window whenever they are between operations, an unleased thread included.
 type Server struct {
 	sf      surface // the store, resolved once
-	proto   Protocol
 	ln      net.Listener
 	slots   chan int // the unleased store thread indexes
 	wg      sync.WaitGroup
@@ -62,35 +60,6 @@ type Server struct {
 	met *serverMetrics // nil unless Options.Metrics was set
 }
 
-// Protocol selects which wire formats a Server accepts.
-type Protocol int
-
-const (
-	// ProtoAuto accepts both protocols, negotiated per connection by its
-	// first byte. The default.
-	ProtoAuto Protocol = iota
-	// ProtoText accepts only the text protocol; binary connections are
-	// refused with a text error line.
-	ProtoText
-	// ProtoBinary accepts only the binary protocol; text connections are
-	// refused with a text error line.
-	ProtoBinary
-)
-
-// ParseProtocol maps the kvserver flag spelling ("auto", "text", "binary")
-// to a Protocol.
-func ParseProtocol(s string) (Protocol, error) {
-	switch s {
-	case "auto":
-		return ProtoAuto, nil
-	case "text":
-		return ProtoText, nil
-	case "binary":
-		return ProtoBinary, nil
-	}
-	return ProtoAuto, fmt.Errorf("kv: unknown protocol %q (want auto, text or binary)", s)
-}
-
 // Options configures NewServerOpts beyond the store itself.
 type Options struct {
 	// Workers is the number of store threads: how many requests execute at
@@ -99,8 +68,6 @@ type Options struct {
 	Workers int
 	// Addr is the TCP listen address (e.g. "127.0.0.1:0").
 	Addr string
-	// Protocol restricts which protocols connections may speak.
-	Protocol Protocol
 	// Metrics enables server telemetry in this registry when non-nil.
 	Metrics *telemetry.Registry
 }
@@ -164,7 +131,6 @@ func NewServerOpts(store Store, o Options) (*Server, error) {
 	}
 	s := &Server{
 		sf:     surfaceOf(store),
-		proto:  o.Protocol,
 		ln:     ln,
 		slots:  make(chan int, o.Workers),
 		closed: make(chan struct{}),
@@ -280,17 +246,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		return
 	}
 	if first[0] == wire.MagicRequest {
-		if s.proto == ProtoText {
-			s.protoErr()
-			io.WriteString(conn, "ERROR binary protocol disabled\r\n")
-			return
-		}
 		s.serveBinary(r, wtr, cid)
-		return
-	}
-	if s.proto == ProtoBinary {
-		s.protoErr()
-		io.WriteString(conn, "ERROR text protocol disabled\r\n")
 		return
 	}
 	s.serveText(r, wtr)

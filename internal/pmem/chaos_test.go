@@ -21,7 +21,7 @@ func TestChaosPCSOUnderConcurrency(t *testing.T) {
 	base := h.DataStart()
 	varAddr := func(i int) Addr { return base + Addr(i*LineSize) }
 	// Layout per line: word0 = record, word1 = backup, word2 = version.
-	ev := NewEvictor(h, 16, 1)
+	ev := NewEvictor(h, 16)
 	ev.Start()
 
 	var wg sync.WaitGroup
@@ -61,7 +61,7 @@ func TestChaosPCSOUnderConcurrency(t *testing.T) {
 
 func TestEvictorStartRequiresChaos(t *testing.T) {
 	h := New(Config{Size: 1 << 20})
-	ev := NewEvictor(h, 4, 1)
+	ev := NewEvictor(h, 4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Evictor.Start on a non-chaos heap must panic")
@@ -72,7 +72,7 @@ func TestEvictorStartRequiresChaos(t *testing.T) {
 
 func TestEvictorStopIdempotent(t *testing.T) {
 	h := New(Config{Size: 1 << 20, Chaos: true})
-	ev := NewEvictor(h, 4, 1)
+	ev := NewEvictor(h, 4)
 	ev.Start()
 	ev.Stop()
 	ev.Stop() // must not panic or deadlock

@@ -28,10 +28,17 @@
 // volatile image is initialised from the persistent one, which is what a real
 // machine sees after a power failure.
 //
-// pmem knows no file format: the snapshot engine (internal/frame) reads the
-// persistent image through ReadPersistentAt, boots a heap from a restored
-// one through FillImageAt, and harvests the write-back churn window that makes
-// its snapshots incremental (image.go).
+// Every persistence event — a word store, a line queued by a Flusher, a line
+// write-back, a completed fence, a higher-layer annotation and the crash — is
+// reported as a TraceEvent to the Observers attached through Heap.Observe
+// (trace.go). That one hook serves every consumer: the crash explorer's
+// Recorder, the persistency sanitizer (internal/psan) and the snapshot
+// engine's churn window (internal/frame). With nothing attached an event
+// costs one atomic pointer load.
+//
+// pmem knows no file format: the snapshot engine reads the persistent image
+// through ReadPersistentAt and boots a heap from a restored one through
+// FillImageAt (image.go).
 //
 // Config carries a simple latency model (spin loops per load, store, flush
 // and fence) so that the cost difference between DRAM and NVMM, and the cost

@@ -21,16 +21,17 @@ type Evictor struct {
 	stop    chan struct{}
 	done    sync.WaitGroup
 	started atomic.Bool
-	evicted atomic.Uint64 // lines actually written back
 }
 
 // NewEvictor creates an evictor probing `rate` random lines per scheduling
 // round. Higher rates push more partial state into the persistent image.
-func NewEvictor(h *Heap, rate int, seed int64) *Evictor {
+// The lines are drawn from the heap's RNG, so the heap's Config.Seed is the
+// eviction seed (a shard pool seeds shard i's heap with
+// shard.Config.Seed + i*101).
+func NewEvictor(h *Heap, rate int) *Evictor {
 	if rate <= 0 {
 		rate = 8
 	}
-	_ = seed // per-round randomness comes from the heap RNG for reproducibility
 	return &Evictor{h: h, rate: rate, stop: make(chan struct{})}
 }
 
@@ -54,14 +55,11 @@ func (e *Evictor) Start() {
 			if e.h.Crashed() {
 				return
 			}
-			e.evicted.Add(uint64(e.h.EvictRandom(e.rate)))
+			e.h.EvictRandom(e.rate)
 			runtime.Gosched()
 		}
 	}()
 }
-
-// Evicted returns the number of lines this evictor has written back.
-func (e *Evictor) Evicted() uint64 { return e.evicted.Load() }
 
 // Stop terminates the eviction goroutine and waits for it.
 func (e *Evictor) Stop() {

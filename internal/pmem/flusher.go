@@ -37,7 +37,9 @@ func (f *Flusher) queue(line int) {
 		f.sorted = false
 	}
 	f.pending = append(f.pending, line)
-	f.h.sanQueue(line)
+	if o := f.h.obs.Load(); o != nil {
+		o.emit(TraceEvent{Kind: EvQueue, Line: line})
+	}
 }
 
 // SFence completes every write-back queued by this Flusher, charging the
@@ -80,7 +82,9 @@ func (f *Flusher) SFence() {
 	if n := h.cfg.FlushPenalty*wrote + h.cfg.FencePenalty; n > 0 {
 		spin(n)
 	}
-	h.traceFence(wrote)
+	if o := h.obs.Load(); o != nil {
+		o.emit(TraceEvent{Kind: EvFence, Line: -1, Arg: uint64(wrote)})
+	}
 }
 
 // Persist is the common clwb+sfence pair for a single address.

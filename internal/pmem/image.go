@@ -19,62 +19,8 @@ import (
 //     byte range into the persistent and the volatile image alike, the view
 //     a machine has after rebooting onto that image.
 //
-// Churn tracking makes snapshots incremental. writeBackLine is the single
-// choke point through which every durable-image mutation flows — checkpoint
-// flushes, collision flushes, chaos evictions, the eADR battery flush — so a
-// per-line bitmap maintained there is a conservative superset of "lines
-// whose persistent image may differ from the last time the bitmap was
-// swapped". A delta snapshot carries exactly those lines. The bitmap is
-// swapped atomically (SwapChurn): bits set concurrently with a swap land in
-// the fresh map and are re-captured by the next delta, so a racing
-// write-back can blur a line's content (as it always could) but never lose
-// it from the chain.
-
-// churnMap is one churn-tracking window: 1 bit per heap line.
-type churnMap struct {
-	bits []atomic.Uint64
-}
-
-func (m *churnMap) mark(line int) {
-	w := &m.bits[line/64]
-	mask := uint64(1) << (line % 64)
-	if w.Load()&mask == 0 {
-		w.Or(mask)
-	}
-}
-
-// EnableChurn switches on per-line churn tracking: from this call on, every
-// line written back to the persistent image is marked in an internal bitmap
-// until SwapChurn harvests it. Enabling is idempotent and keeps the current
-// window. Callers enable tracking immediately after capturing a full
-// snapshot, so the first SwapChurn window covers exactly the mutations since
-// that snapshot.
-func (h *Heap) EnableChurn() {
-	if h.churn.Load() != nil {
-		return
-	}
-	h.churn.CompareAndSwap(nil, &churnMap{bits: make([]atomic.Uint64, (h.nLines+63)/64)})
-}
-
-// ChurnEnabled reports whether churn tracking is on.
-func (h *Heap) ChurnEnabled() bool { return h.churn.Load() != nil }
-
-// SwapChurn atomically replaces the churn window with a fresh zeroed one and
-// returns the harvested bitmap (1 bit per line, line i at word i/64 bit
-// i%64), or nil when tracking is disabled. Write-backs racing the swap mark
-// the new window, so a harvested bitmap plus all later windows always cover
-// every durable-image mutation since tracking was enabled or last swapped.
-func (h *Heap) SwapChurn() []uint64 {
-	if h.churn.Load() == nil {
-		return nil
-	}
-	old := h.churn.Swap(&churnMap{bits: make([]atomic.Uint64, (h.nLines+63)/64)})
-	out := make([]uint64, len(old.bits))
-	for i := range old.bits {
-		out[i] = old.bits[i].Load()
-	}
-	return out
-}
+// Which lines an incremental snapshot must carry is the snapshot engine's
+// business: it observes the heap's write-backs (Observe, EvWriteBack).
 
 // ImageSize returns the persistent image size in bytes (equal to Size).
 func (h *Heap) ImageSize() int64 { return int64(h.nWords) * WordSize }

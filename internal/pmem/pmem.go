@@ -143,20 +143,11 @@ type Heap struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// tracer, when non-nil, observes every ordering-relevant event (line
-	// write-back, fence, annotation). Nil on every hot path costs one
-	// atomic pointer load. See trace.go.
-	tracer atomic.Pointer[traceState]
-
-	// churn, when non-nil, is the per-line churn window incremental
-	// snapshots harvest (see image.go). Nil when tracking is off; the only
-	// hot-path cost is one atomic pointer load per line write-back.
-	churn atomic.Pointer[churnMap]
-
-	// san, when non-nil, is the attached persistency sanitizer (see
-	// sanitize.go and internal/psan). Nil on every hot path costs one
-	// atomic pointer load per store/queue/write-back.
-	san atomic.Pointer[sanState]
+	// obs is the attached observers' fan-out (see trace.go); nil while
+	// nothing observes the heap, so every event source costs one atomic
+	// pointer load. obsMu serialises its replacement.
+	obs   atomic.Pointer[fanout]
+	obsMu sync.Mutex
 }
 
 //respct:linefit
@@ -273,12 +264,13 @@ func (h *Heap) Store64(a Addr, v uint64) {
 	line := i / WordsPerLine
 	if h.cfg.Chaos {
 		h.storeChaos(i, line, v)
-		h.sanStore(a)
-		return
+	} else {
+		atomic.StoreUint64(&h.volatile[i], v)
+		h.markLine(line)
 	}
-	atomic.StoreUint64(&h.volatile[i], v)
-	h.markLine(line)
-	h.sanStore(a)
+	if f := h.obs.Load(); f != nil {
+		f.emit(TraceEvent{Kind: EvStore, Line: line, Addr: a})
+	}
 }
 
 // markLine sets the line's dirty hint. Hot lines are stored over and over
@@ -309,25 +301,25 @@ func (h *Heap) CAS64(a Addr, old, new uint64) bool {
 	}
 	i := h.wordIndex(a)
 	line := i / WordsPerLine
+	var ok bool
 	if h.cfg.Chaos {
 		mu := h.lockLine(line)
 		mu.Lock()
-		ok := atomic.CompareAndSwapUint64(&h.volatile[i], old, new)
+		ok = atomic.CompareAndSwapUint64(&h.volatile[i], old, new)
 		if ok {
 			atomic.StoreUint32(&h.dirty[line], 1)
 		}
 		mu.Unlock()
-		if ok {
-			h.sanStore(a)
-		}
-		return ok
-	}
-	ok := atomic.CompareAndSwapUint64(&h.volatile[i], old, new)
-	if ok {
+	} else if ok = atomic.CompareAndSwapUint64(&h.volatile[i], old, new); ok {
 		h.markLine(line)
-		h.sanStore(a)
 	}
-	return ok
+	if !ok {
+		return false
+	}
+	if f := h.obs.Load(); f != nil {
+		f.emit(TraceEvent{Kind: EvStore, Line: line, Addr: a})
+	}
+	return true
 }
 
 // Add64 atomically adds delta to the word at a and returns the new value.
@@ -337,18 +329,20 @@ func (h *Heap) Add64(a Addr, delta uint64) uint64 {
 	}
 	i := h.wordIndex(a)
 	line := i / WordsPerLine
+	var v uint64
 	if h.cfg.Chaos {
 		mu := h.lockLine(line)
 		mu.Lock()
-		v := atomic.AddUint64(&h.volatile[i], delta)
+		v = atomic.AddUint64(&h.volatile[i], delta)
 		atomic.StoreUint32(&h.dirty[line], 1)
 		mu.Unlock()
-		h.sanStore(a)
-		return v
+	} else {
+		v = atomic.AddUint64(&h.volatile[i], delta)
+		h.markLine(line)
 	}
-	v := atomic.AddUint64(&h.volatile[i], delta)
-	h.markLine(line)
-	h.sanStore(a)
+	if f := h.obs.Load(); f != nil {
+		f.emit(TraceEvent{Kind: EvStore, Line: line, Addr: a})
+	}
 	return v
 }
 
@@ -462,51 +456,50 @@ func (h *Heap) LoadPersistentBytes(a Addr, n int) []byte {
 // writeBackLine copies one line from the volatile image to the persistent
 // image. In Chaos mode it holds the line's lock so the copy is atomic with
 // respect to concurrent stores, which is what makes PCSO's same-line
-// ordering hold exactly. cause is reported to an attached tracer, after the
-// lock is dropped, along with whether the copy changed the persistent image
-// (only computed when a tracer is attached).
+// ordering hold exactly. The write-back is reported to the observers after
+// the lock is dropped, so by the time a crash trigger fires from an
+// observer, this line is in the persistent image and later write-backs are
+// not; whether the copy changed the image is computed only for a
+// ChangeObserver.
 func (h *Heap) writeBackLine(line int, cause WBCause) {
 	if h.crashed.Load() {
 		return // the machine is down; nothing reaches the media anymore
 	}
-	traced := h.tracer.Load() != nil
-	changed := false
-	base := line * WordsPerLine
-	copyLine := func() {
-		if traced {
-			for i := 0; i < WordsPerLine; i++ {
-				v := atomic.LoadUint64(&h.volatile[base+i])
-				if atomic.LoadUint64(&h.persist[base+i]) != v {
-					changed = true
-					atomic.StoreUint64(&h.persist[base+i], v)
-				}
-			}
-			return
-		}
-		for i := 0; i < WordsPerLine; i++ {
-			atomic.StoreUint64(&h.persist[base+i], atomic.LoadUint64(&h.volatile[base+i]))
-		}
-	}
+	f := h.obs.Load()
+	compare := f != nil && f.changed
+	var changed bool
 	if h.cfg.Chaos {
 		mu := h.lockLine(line)
 		mu.Lock()
-		copyLine()
-		atomic.StoreUint32(&h.dirty[line], 0)
+		changed = h.copyLine(line, compare)
 		mu.Unlock()
 	} else {
-		copyLine()
-		atomic.StoreUint32(&h.dirty[line], 0)
+		changed = h.copyLine(line, compare)
 	}
-	if c := h.churn.Load(); c != nil {
-		// Conservative: marked whether or not the copy changed the image, so
-		// a delta snapshot may carry an identical line but never misses a
-		// changed one.
-		c.mark(line)
+	if f != nil {
+		f.emit(TraceEvent{Kind: EvWriteBack, Line: line, Cause: cause, Changed: changed})
 	}
-	h.sanWriteBack(line, cause)
-	if traced {
-		h.traceWriteBack(line, cause, changed)
+}
+
+// copyLine copies line to the persistent image and clears its dirty hint;
+// with compare it also reports whether any persistent word changed.
+func (h *Heap) copyLine(line int, compare bool) (changed bool) {
+	base := line * WordsPerLine
+	if compare {
+		for i := base; i < base+WordsPerLine; i++ {
+			v := atomic.LoadUint64(&h.volatile[i])
+			if atomic.LoadUint64(&h.persist[i]) != v {
+				changed = true
+				atomic.StoreUint64(&h.persist[i], v)
+			}
+		}
+	} else {
+		for i := base; i < base+WordsPerLine; i++ {
+			atomic.StoreUint64(&h.persist[i], atomic.LoadUint64(&h.volatile[i]))
+		}
 	}
+	atomic.StoreUint32(&h.dirty[line], 0)
+	return changed
 }
 
 // EvictLine simulates a hardware cache eviction of the given line: if it is
@@ -565,8 +558,8 @@ func (h *Heap) EvictAll() int {
 // may keep calling Load64/Store64 (a real crash would have stopped them
 // mid-instruction); their effects are confined to the discarded volatile
 // image. On an EADR heap the battery flushes the caches instead: every
-// dirty line is written back before the lights go out. Call Reopen to boot
-// again.
+// dirty line is written back before the lights go out. Observers then see
+// EvCrash. Call Reopen to boot again.
 func (h *Heap) Crash() {
 	if h.cfg.EADR {
 		// The battery-backed flush of the whole cache hierarchy.
@@ -578,6 +571,9 @@ func (h *Heap) Crash() {
 	}
 	h.crashed.Store(true)
 	h.crashes.Add(1)
+	if f := h.obs.Load(); f != nil {
+		f.emit(TraceEvent{Kind: EvCrash, Line: -1})
+	}
 }
 
 // Crashed reports whether the heap is between Crash and Reopen.

@@ -1,6 +1,8 @@
 package pmem
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -335,5 +337,44 @@ func TestChaosCAS(t *testing.T) {
 	}
 	if h.CAS64(a, 1, 3) {
 		t.Fatal("chaos CAS succeeded with stale expected value")
+	}
+}
+
+// countObs counts the events it receives.
+type countObs struct{ n atomic.Int64 }
+
+func (c *countObs) Event(TraceEvent) { c.n.Add(1) }
+
+// TestObserveFanOut: an observer sees exactly the kinds it asked for, from
+// every goroutine, while other observers attach and detach under the
+// stores; once detached it sees nothing more.
+func TestObserveFanOut(t *testing.T) {
+	h := testHeap(t, Config{})
+	stores, queues := &countObs{}, &countObs{}
+	detach := h.Observe(stores, EvStore)
+	h.Observe(queues, EvQueue)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(a Addr) {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				h.Store64(a, uint64(i))
+			}
+		}(h.DataStart() + Addr(g*LineSize))
+	}
+	for i := 0; i < 100; i++ {
+		h.Observe(&countObs{}, EvStore, EvWriteBack)()
+	}
+	wg.Wait()
+	if got := stores.n.Load(); got != 4000 {
+		t.Fatalf("store observer saw %d events, want 4000", got)
+	}
+	detach()
+	detach()
+	h.Store64(h.DataStart(), 1)
+	h.NewFlusher().Persist(h.DataStart())
+	if s, q := stores.n.Load(), queues.n.Load(); s != 4000 || q != 1 {
+		t.Fatalf("after detach: %d stores, %d queues observed, want 4000 and 1", s, q)
 	}
 }

@@ -2,23 +2,31 @@ package pmem
 
 import (
 	"hash/fnv"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// This file is the observation side of the simulated persistency model: a
-// pluggable write-back Schedule (when do dirty lines spontaneously reach the
-// media), a Tracer hook that sees every ordering-relevant event, and a
-// Recorder that turns a run's persistence schedule into a replayable trace
-// with stable event IDs. internal/crashexplore builds its deterministic
-// crash-point enumeration on top of these.
+// This file is the observation side of the simulated persistency model. The
+// paper's system model (§2.1) has three persistence events — a store reaches
+// the cache, a line is written back, a fence completes — and the heap reports
+// each of them, together with a Flusher queueing a line, higher-layer
+// annotations and the crash itself, as a TraceEvent to the Observers attached
+// through Heap.Observe. Every consumer is such an observer: the Recorder,
+// which turns a run's persistence schedule into a replayable trace with
+// stable event IDs (internal/crashexplore enumerates crash points on it), the
+// persistency sanitizer (internal/psan) and the snapshot engine's churn
+// window (internal/frame). The file also holds the pluggable write-back
+// Schedule: when dirty lines spontaneously reach the media.
 
-// EventKind classifies an ordering-relevant persistence event.
+// EventKind classifies a persistence event.
 type EventKind uint8
 
-// The event kinds a Tracer observes. Only EvWriteBack mutates the
-// persistent image; EvFence orders prior write-backs and EvAnnotation is a
-// semantic marker emitted by higher layers (core) at protocol points.
+// The event kinds. Only EvWriteBack mutates the persistent image; EvFence
+// orders prior write-backs and EvAnnotation is a semantic marker emitted by
+// higher layers (core) at protocol points. These three are the
+// ordering-relevant events a Recorder traces; the kinds after them serve
+// observers that shadow the volatile image or the machine's lifetime.
 const (
 	// EvWriteBack is one cache line reaching the persistent image, by
 	// flush, eviction or the eADR battery.
@@ -30,6 +38,18 @@ const (
 	// Heap.Annotate): epoch commits, collision-log appends, and the like.
 	// Annotations never change the persistent image.
 	EvAnnotation
+	// EvStore is a completed word store to the volatile image (Store64, a
+	// successful CAS64, Add64, and every word of StoreBytes/StoreString).
+	EvStore
+	// EvQueue is a line entering a Flusher's pending set (CLWB or
+	// PersistRange): its write-back is initiated, not yet durable.
+	EvQueue
+	// EvCrash is Crash: the machine is down. An eADR heap's battery flush
+	// precedes it as write-backs. Observers stay attached across Crash and
+	// Reopen; one whose state dies with the machine detaches itself here.
+	EvCrash
+
+	numKinds
 )
 
 // String returns the kind's short name.
@@ -41,6 +61,12 @@ func (k EventKind) String() string {
 		return "fence"
 	case EvAnnotation:
 		return "annotation"
+	case EvStore:
+		return "store"
+	case EvQueue:
+		return "queue"
+	case EvCrash:
+		return "crash"
 	}
 	return "unknown"
 }
@@ -75,84 +101,138 @@ func (c WBCause) String() string {
 	return "unknown"
 }
 
-// TraceEvent is one ordering-relevant event of a run's persistence
-// schedule. Seq is assigned by the Recorder and is the event's stable ID: a
-// deterministic workload replayed under the same schedule produces the same
-// event at the same Seq, which is what makes "crash after event k" a
-// well-defined, replayable crash point.
+// TraceEvent is one persistence event. In a Recorder's trace, Seq is the
+// event's stable ID: a deterministic workload replayed under the same
+// schedule produces the same event at the same Seq, which is what makes
+// "crash after event k" a well-defined, replayable crash point.
 type TraceEvent struct {
-	Seq  uint64    // stable position in the run's ordering-event sequence
-	Kind EventKind // writeback, fence or annotation
+	Seq  uint64    // stable position in a Recorder's trace
+	Kind EventKind // which event this is
 	Heap int       // recorder-assigned heap ID (multi-heap workloads)
 
-	// Write-back fields (EvWriteBack only).
-	Line    int     // cache line written back
-	Cause   WBCause // flush, evict or eadr
-	Changed bool    // the write-back altered at least one persistent word
+	// Line is the cache line written back, queued or stored to (-1 for a
+	// fence); Cause and Changed describe a write-back.
+	Line  int
+	Cause WBCause // flush, evict or eadr
+	// Changed reports that the write-back altered at least one persistent
+	// word. It is computed only while a ChangeObserver observes
+	// write-backs, and false otherwise.
+	Changed bool
 
-	// Annotation fields (EvAnnotation only).
+	// Annotation fields (EvAnnotation; a fence carries its line count in
+	// Arg).
 	Tag string // semantic marker, e.g. "epoch-commit"
 	Arg uint64 // marker argument, e.g. the epoch number
+
+	Addr Addr // the word stored (EvStore only)
 }
 
-// Tracer observes ordering-relevant persistence events. The heap invokes it
-// synchronously at each event, on the goroutine that caused the event, after
-// the event has taken effect (a write-back's event fires once the line is in
-// the persistent image). A Tracer attached to a heap used by concurrent
-// goroutines must be safe for concurrent use; event order is only
-// byte-for-byte reproducible when all persistence activity is serial (one
-// goroutine at a time), which is the regime internal/crashexplore runs in.
-type Tracer interface {
-	// Event delivers one event. The Seq field is zero at this point when
-	// the tracer is not a Recorder; Recorder assigns it on append.
+// Observer receives a heap's persistence events. The heap invokes it
+// synchronously, on the goroutine that caused the event, after the event has
+// taken effect (a store is visible, a write-back's line is in the persistent
+// image) and outside the chaos-mode line locks. An Observer attached to a
+// heap used by concurrent goroutines must be safe for concurrent use; event
+// order is only byte-for-byte reproducible when all persistence activity is
+// serial (one goroutine at a time), which is the regime internal/crashexplore
+// runs in. An Observer may attach and detach observers, including itself,
+// from inside Event.
+type Observer interface {
+	// Event delivers one event. Seq is zero and Heap is zero: the heap
+	// knows neither; a Recorder stamps both.
 	Event(e TraceEvent)
 }
 
-// traceState couples a tracer with the heap ID it knows this heap by, so
-// both swap atomically.
-type traceState struct {
-	t  Tracer
-	id int
+// ChangeObserver is an Observer whose write-back events must carry Changed.
+// Computing it compares every word of the line with the persistent image
+// before the copy, so the heap does it only while a ChangeObserver observes
+// write-backs.
+type ChangeObserver interface {
+	Observer
+	// ObservesChanges marks the observer; it is never called.
+	ObservesChanges()
 }
 
-// SetTracer attaches t to the heap; every subsequent ordering-relevant
-// event is delivered to it stamped with heap ID id. Pass nil to detach.
-// Attach tracers before the traced activity starts: the swap is atomic but
-// events already in flight on other goroutines may be missed.
-func (h *Heap) SetTracer(t Tracer, id int) {
-	if t == nil {
-		h.tracer.Store(nil)
-		return
+// subscription is one Observe call: the observer and the kinds it asked for.
+// Detaching removes exactly this subscription, even when the same observer
+// is attached twice.
+type subscription struct {
+	o     Observer
+	kinds []EventKind
+}
+
+// fanout is an immutable snapshot of a heap's subscriptions, indexed by
+// kind. Observe and detach replace it whole, so emitting an event is one
+// atomic pointer load — and nothing else when no observer is attached (the
+// heap's pointer is nil) — and delivering it allocates nothing.
+type fanout struct {
+	subs    []*subscription
+	byKind  [numKinds][]Observer
+	changed bool // a ChangeObserver observes EvWriteBack
+}
+
+func newFanout(subs []*subscription) *fanout {
+	if len(subs) == 0 {
+		return nil
 	}
-	h.tracer.Store(&traceState{t: t, id: id})
+	f := &fanout{subs: subs}
+	for _, s := range subs {
+		for _, k := range s.kinds {
+			f.byKind[k] = append(f.byKind[k], s.o)
+			if _, ok := s.o.(ChangeObserver); ok && k == EvWriteBack {
+				f.changed = true
+			}
+		}
+	}
+	return f
+}
+
+// emit delivers e to the observers of its kind, in attach order. It is the
+// one place every event is dispatched from; callers load the heap's fan-out
+// once and build e only when it is non-nil.
+func (f *fanout) emit(e TraceEvent) {
+	for _, o := range f.byKind[e.Kind] {
+		o.Event(e)
+	}
+}
+
+// Observe attaches o to the heap for the given event kinds and returns the
+// function that detaches it again (idempotent). Attach observers before the
+// observed activity starts: the swap is atomic, but events already in flight
+// on other goroutines may be missed, and may still arrive shortly after
+// detach returns.
+func (h *Heap) Observe(o Observer, kinds ...EventKind) (detach func()) {
+	sub := &subscription{o: o, kinds: slices.Clone(kinds)}
+	h.resubscribe(func(subs []*subscription) []*subscription { return append(subs, sub) })
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			h.resubscribe(func(subs []*subscription) []*subscription {
+				return slices.DeleteFunc(subs, func(s *subscription) bool { return s == sub })
+			})
+		})
+	}
+}
+
+// resubscribe publishes a fan-out built from edit applied to a copy of the
+// current subscriptions.
+func (h *Heap) resubscribe(edit func([]*subscription) []*subscription) {
+	h.obsMu.Lock()
+	defer h.obsMu.Unlock()
+	var subs []*subscription
+	if f := h.obs.Load(); f != nil {
+		subs = slices.Clone(f.subs)
+	}
+	h.obs.Store(newFanout(edit(subs)))
 }
 
 // Annotate emits an EvAnnotation event carrying a semantic marker from a
 // higher layer — "epoch-commit", "collision-append" and the like — so a
 // trace can be read (and crash points prioritised) in protocol terms, not
-// just line numbers. It never changes the persistent image and is free when
-// no tracer is attached.
+// just line numbers. It never changes the persistent image and costs one
+// atomic load when nothing observes the heap.
 func (h *Heap) Annotate(tag string, arg uint64) {
-	if ts := h.tracer.Load(); ts != nil {
-		ts.t.Event(TraceEvent{Kind: EvAnnotation, Heap: ts.id, Tag: tag, Arg: arg})
-	}
-}
-
-// traceWriteBack reports one completed line write-back to the tracer, if
-// any. Called after the copy (and after the line lock is released), so by
-// the time a crash trigger fires from the callback, event k's line is in the
-// persistent image and later write-backs are not.
-func (h *Heap) traceWriteBack(line int, cause WBCause, changed bool) {
-	if ts := h.tracer.Load(); ts != nil {
-		ts.t.Event(TraceEvent{Kind: EvWriteBack, Heap: ts.id, Line: line, Cause: cause, Changed: changed})
-	}
-}
-
-// traceFence reports one completed SFence. lines is the number of
-// write-backs the fence completed.
-func (h *Heap) traceFence(lines int) {
-	if ts := h.tracer.Load(); ts != nil {
-		ts.t.Event(TraceEvent{Kind: EvFence, Heap: ts.id, Line: -1, Arg: uint64(lines)})
+	if f := h.obs.Load(); f != nil {
+		f.emit(TraceEvent{Kind: EvAnnotation, Tag: tag, Arg: arg})
 	}
 }
 
@@ -207,17 +287,18 @@ type Action struct {
 	Line     int    `json:"line"`      // line index to evict; -1 evicts every dirty line
 }
 
-// Recorder is a Tracer that appends every event with a stable, strictly
-// increasing sequence ID, tracks the heaps attached to it, and runs
-// registered callbacks at exact sequence positions (crash triggers,
-// scripted evictions). It is safe for concurrent use; sequence assignment
-// is serialised, so in a serial workload the IDs are reproducible
-// run-to-run.
+// Recorder observes the ordering-relevant events (write-backs, fences,
+// annotations) of the heaps attached to it, appends each with a stable,
+// strictly increasing sequence ID, and runs registered callbacks at exact
+// sequence positions (crash triggers, scripted evictions). It is safe for
+// concurrent use; sequence assignment is serialised, so in a serial workload
+// the IDs are reproducible run-to-run.
 type Recorder struct {
 	mu     sync.Mutex
 	events []TraceEvent
 	after  map[uint64][]func()
 	heaps  []*Heap
+	detach []func()
 }
 
 // NewRecorder returns an empty Recorder.
@@ -225,15 +306,41 @@ func NewRecorder() *Recorder {
 	return &Recorder{after: map[uint64][]func(){}}
 }
 
-// Attach registers h with the recorder under the next heap ID and installs
-// the recorder as h's tracer. Returns the assigned heap ID.
+// heapTap is a Recorder's observer on one heap: it stamps the heap's events
+// with the ID the recorder knows it by.
+type heapTap struct {
+	r  *Recorder
+	id int
+}
+
+func (t heapTap) Event(e TraceEvent) {
+	e.Heap = t.id
+	t.r.record(e)
+}
+
+func (heapTap) ObservesChanges() {}
+
+// Attach registers h with the recorder under the next heap ID and starts
+// recording its write-backs, fences and annotations. Returns the assigned
+// heap ID.
 func (r *Recorder) Attach(h *Heap) int {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	id := len(r.heaps)
 	r.heaps = append(r.heaps, h)
-	r.mu.Unlock()
-	h.SetTracer(r, id)
+	r.detach = append(r.detach, h.Observe(heapTap{r: r, id: id}, EvWriteBack, EvFence, EvAnnotation))
 	return id
+}
+
+// Detach stops recording every attached heap; the heaps stay registered.
+func (r *Recorder) Detach() {
+	r.mu.Lock()
+	ds := r.detach
+	r.detach = nil
+	r.mu.Unlock()
+	for _, d := range ds {
+		d()
+	}
 }
 
 // Heaps returns the heaps attached so far, in attachment (ID) order.
@@ -243,11 +350,11 @@ func (r *Recorder) Heaps() []*Heap {
 	return append([]*Heap(nil), r.heaps...)
 }
 
-// Event implements Tracer: assign the next sequence ID, append, then run
-// any callbacks registered for that ID. Callbacks run outside the lock so
-// they may re-enter the recorder (a scripted eviction's write-back emits its
-// own event).
-func (r *Recorder) Event(e TraceEvent) {
+// record assigns the next sequence ID, appends, then runs any callbacks
+// registered for that ID. Callbacks run outside the lock so they may
+// re-enter the recorder (a scripted eviction's write-back emits its own
+// event).
+func (r *Recorder) record(e TraceEvent) {
 	r.mu.Lock()
 	e.Seq = uint64(len(r.events))
 	r.events = append(r.events, e)
@@ -327,9 +434,9 @@ func (r *Recorder) Script(actions []Action) {
 }
 
 // TraceHash returns an FNV-1a hash over the (Kind, Heap, Line, Cause,
-// Changed, Tag, Arg) fields of events, position-sensitively. Replays use it
-// to assert that a re-execution followed the reference schedule
-// byte-for-byte up to the crash point.
+// Changed, Tag, Arg) fields of events, position-sensitively; Seq and Addr do
+// not take part. Replays use it to assert that a re-execution followed the
+// reference schedule byte-for-byte up to the crash point.
 func TraceHash(events []TraceEvent) uint64 {
 	f := fnv.New64a()
 	var b [8]byte

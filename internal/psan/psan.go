@@ -11,8 +11,9 @@
 // whether a drain really flushed its claim — where a static proof would have
 // to model the whole epoch machine.
 //
-// Each line advances through a tiny state machine driven by the pmem hooks
-// (see pmem.LineSanitizer): a store marks it dirty and stamps the current
+// Each line advances through a tiny state machine driven by the heap's events
+// (the Sanitizer is a pmem.Observer of EvStore, EvQueue, EvWriteBack and
+// EvCrash): a store marks it dirty and stamps the current
 // epoch plus the store's call stack; a flush-caused write-back (clwb made
 // durable by sfence) returns it to clean. Evictions and the eADR battery
 // flush deliberately do NOT clean the shadow state: a line that is durable
@@ -40,7 +41,9 @@
 // All rules are Run-phase only; the runtime attaches the sanitizer after
 // format or recovery and then switches the phase on, so construction-time
 // stores never count. Every event is ignored once the heap has crashed:
-// post-crash execution is confined to the discarded volatile image.
+// post-crash execution is confined to the discarded volatile image. At the
+// crash event the sanitizer detaches itself, so the runtime recovered on that
+// heap starts with only its own sanitizer, if any, observing.
 package psan
 
 import (
@@ -139,14 +142,16 @@ type cursor struct {
 	first, last int // payload line range, inclusive
 }
 
-// Sanitizer implements pmem.LineSanitizer. One global mutex serialises every
-// event: the sanitizer trades throughput for exactness, which is the right
-// trade for a checker that is off in production runs.
+// Sanitizer observes one heap's stores, queued lines and write-backs. One
+// global mutex serialises every event: the sanitizer trades throughput for
+// exactness, which is the right trade for a checker that is off in
+// production runs.
 type Sanitizer struct {
 	h    *pmem.Heap
 	mode Mode
 
 	mu         sync.Mutex
+	detach     func() // ends the observation; called at the heap's crash
 	phase      Phase
 	epoch      uint64
 	lines      []lineState
@@ -155,10 +160,15 @@ type Sanitizer struct {
 	violations []Violation
 }
 
-// New builds a sanitizer for h. Attach it with h.SetSanitizer(s); until then
-// it observes nothing.
+// New builds a sanitizer for h and attaches it: from this call until h
+// crashes it observes every store, queued line and write-back of h. Its rules
+// stay disarmed until SetPhase(PhaseRun).
 func New(h *pmem.Heap, mode Mode) *Sanitizer {
-	return &Sanitizer{h: h, mode: mode, lines: make([]lineState, h.Lines())}
+	s := &Sanitizer{h: h, mode: mode, lines: make([]lineState, h.Lines())}
+	s.mu.Lock()
+	s.detach = h.Observe(s, pmem.EvStore, pmem.EvQueue, pmem.EvWriteBack, pmem.EvCrash)
+	s.mu.Unlock()
+	return s
 }
 
 // SetPhase switches the rule gate. The runtime calls SetPhase(PhaseRun) once
@@ -294,13 +304,40 @@ func (s *Sanitizer) ReportStoreOutsideWindow(a pmem.Addr) {
 	})
 }
 
-// SanStore implements pmem.LineSanitizer: bookkeeping plus rule R3.
-func (s *Sanitizer) SanStore(a pmem.Addr) {
+// Event implements pmem.Observer: it advances the shadow state of the
+// event's line and checks the rules the event can break.
+func (s *Sanitizer) Event(e pmem.TraceEvent) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if e.Kind == pmem.EvCrash {
+		s.detach()
+		return
+	}
 	if s.h.Crashed() {
 		return
 	}
+	switch e.Kind {
+	case pmem.EvStore:
+		s.store(e.Addr)
+	case pmem.EvQueue:
+		if s.phase == PhaseRun {
+			s.queue(e.Line)
+		}
+	case pmem.EvWriteBack:
+		// Only a flush-caused write-back (clwb completed by sfence) cleans
+		// the shadow state; evictions and the eADR battery flush are
+		// durability by accident, not by protocol.
+		if st := &s.lines[e.Line]; e.Cause == pmem.CauseFlush && st.dirty {
+			st.dirty = false
+			s.ndirty--
+			st.npc = 0
+		}
+	}
+}
+
+// store is a completed word store: bookkeeping plus rule R3. Caller holds
+// s.mu.
+func (s *Sanitizer) store(a pmem.Addr) {
 	if s.phase == PhaseRun {
 		for i := range s.cursors {
 			c := &s.cursors[i]
@@ -331,17 +368,14 @@ func (s *Sanitizer) SanStore(a pmem.Addr) {
 		st.dirty = true
 		s.ndirty++
 		st.storeEpoch = s.epoch
-		st.npc = uint8(runtime.Callers(2, st.pcs[:]))
+		// Skip Callers, store and Event: the stack starts in pmem, at the
+		// dispatch of the store.
+		st.npc = uint8(runtime.Callers(3, st.pcs[:]))
 	}
 }
 
-// SanQueue implements pmem.LineSanitizer: rule R2.
-func (s *Sanitizer) SanQueue(line int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.phase != PhaseRun || s.h.Crashed() {
-		return
-	}
+// queue is a line entering a flusher queue: rule R2. Caller holds s.mu.
+func (s *Sanitizer) queue(line int) {
 	st := &s.lines[line]
 	// Only lines the tracking layer has NEVER registered count: a line with
 	// any tracking history may legitimately be dirty from a racing store of
@@ -361,23 +395,6 @@ func (s *Sanitizer) SanQueue(line int) {
 		Msg: fmt.Sprintf("line %d flushed while dirty from a store the tracking layer never registered",
 			line),
 	})
-}
-
-// SanWriteBack implements pmem.LineSanitizer. Only a flush-caused write-back
-// (clwb completed by sfence) cleans the shadow state; evictions and the eADR
-// battery flush are durability by accident, not by protocol.
-func (s *Sanitizer) SanWriteBack(line int, cause pmem.WBCause) {
-	if cause != pmem.CauseFlush {
-		return
-	}
-	s.mu.Lock()
-	st := &s.lines[line]
-	if st.dirty {
-		st.dirty = false
-		s.ndirty--
-		st.npc = 0
-	}
-	s.mu.Unlock()
 }
 
 // report appends or panics per the mode. Caller holds s.mu.
@@ -419,11 +436,12 @@ var skipPrefixes = []string{
 	"/internal/core.",
 }
 
-// captureSite resolves the current call stack (outside psan/pmem/core) to
-// file:line.
+// captureSite resolves its caller's caller's call stack (outside
+// psan/pmem/core) to file:line. Skipping the psan method that checks the rule
+// keeps the fixed-depth capture for the frames that may name the site.
 func captureSite() string {
 	var pcs [pcDepth]uintptr
-	n := runtime.Callers(2, pcs[:])
+	n := runtime.Callers(3, pcs[:])
 	return resolveSite(pcs[:n])
 }
 

@@ -2,11 +2,15 @@ package psan_test
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/respct/respct/internal/core"
+	"github.com/respct/respct/internal/frame"
 	"github.com/respct/respct/internal/pmem"
 	"github.com/respct/respct/internal/psan"
 )
@@ -23,7 +27,6 @@ func newSanitizedHeap(t *testing.T) (*pmem.Heap, *psan.Sanitizer) {
 	t.Helper()
 	h := pmem.New(pmem.Config{Size: 1 << 20})
 	s := psan.New(h, psan.ModeCollect)
-	h.SetSanitizer(s)
 	s.SetPhase(psan.PhaseRun)
 	return h, s
 }
@@ -183,5 +186,178 @@ func TestStoreOutsideWindowThroughRuntime(t *testing.T) {
 	th.StoreTracked(a, 2)
 	if got := len(rt.Sanitizer().Violations()); got != 1 {
 		t.Fatalf("violations after in-window store = %d, want still 1", got)
+	}
+}
+
+// observed is what each of the three heap observers saw of one run: the
+// recorder's trace, the sanitizer's findings and the frame store's delta.
+type observed struct {
+	events   int
+	trace    uint64
+	findings []string
+	delta    *frame.SetInfo
+}
+
+// observeRun drives one fixed sequence of heap events — flushes, a
+// write-back that changes nothing, an eviction, an annotation, CAS/Add
+// stores, a crash and a post-reboot flush — with the chosen observers
+// attached, and returns what each of them saw. The sanitizer's bookkeeping
+// calls never touch the heap, so every configuration sees the same events.
+func observeRun(t *testing.T, withRec, withSan, withWin bool) observed {
+	t.Helper()
+	h := pmem.New(pmem.Config{Size: 1 << 20})
+	var st *frame.Store
+	if withWin {
+		var err error
+		if st, err = frame.NewStore(frame.NewMemFS(), frame.Params{FrameBytes: 1 << 14}, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Snapshot(h, 1, nil); err != nil { // the full set opens the window
+			t.Fatal(err)
+		}
+	}
+	var s *psan.Sanitizer
+	if withSan {
+		s = psan.New(h, psan.ModeCollect)
+		s.SetPhase(psan.PhaseRun)
+		s.AdvanceEpoch(2)
+	}
+	var rec *pmem.Recorder
+	if withRec {
+		rec = pmem.NewRecorder()
+		rec.Attach(h)
+	}
+	tracked := func(a pmem.Addr) {
+		if s != nil {
+			s.NoteTracked(a)
+		}
+	}
+
+	line := func(i int) pmem.Addr { return h.DataStart() + pmem.Addr(i*pmem.LineSize) }
+	f := h.NewFlusher()
+	h.Store64(line(0), 1) // tracked, flushed and fenced: clean
+	tracked(line(0))
+	f.Persist(line(0))
+	h.Store64(line(1), 2) // never tracked, flushed by hand: R2
+	f.Persist(line(1))
+	h.Store64(line(0), 1) // the same word again: a write-back that changes nothing
+	f.Persist(line(0))
+	h.Store64(line(2), 3) // tracked but only evicted: R1 at the commit check
+	tracked(line(2))
+	h.EvictLine(pmem.LineOf(line(2)))
+	h.Annotate("observe", 7)
+	if s != nil {
+		s.RegisterCursor(line(3), line(4), pmem.LineSize)
+	}
+	h.Store64(line(4), 4) // payload still dirty when its cursor is published: R3
+	h.Store64(line(3), 1)
+	h.CAS64(line(5), 0, 5)
+	h.Add64(line(5), 1)
+	tracked(line(4))
+	tracked(line(5))
+	f.PersistRange(line(4), 2*pmem.LineSize)
+	if s != nil {
+		s.CheckCommit(2)
+	}
+	h.Crash()
+	h.Reopen()
+	h.Store64(line(6), 6) // after the reboot: the window still marks it
+	f.Persist(line(6))
+
+	var o observed
+	if rec != nil {
+		ev := rec.Events()
+		o.events, o.trace = len(ev), pmem.TraceHash(ev)
+	}
+	if s != nil {
+		o.findings = s.Findings()
+	}
+	if st != nil {
+		res, err := st.Snapshot(h, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.delta = res.Info
+	}
+	return o
+}
+
+// TestObserversCompose attaches a recorder, a sanitizer and a frame store's
+// churn window to one heap: each must see exactly what it sees attached
+// alone — the same trace, the same findings, the same next delta.
+func TestObserversCompose(t *testing.T) {
+	all := observeRun(t, true, true, true)
+	rec := observeRun(t, true, false, false)
+	san := observeRun(t, false, true, false)
+	win := observeRun(t, false, false, true)
+
+	if rec.events == 0 || all.events != rec.events || all.trace != rec.trace {
+		t.Errorf("trace composed %d events %#x, alone %d events %#x", all.events, all.trace, rec.events, rec.trace)
+	}
+	rules := map[string]bool{}
+	for _, v := range san.findings {
+		for _, r := range []psan.Rule{psan.RuleCommitUnflushed, psan.RuleUntrackedFlush, psan.RulePublishBeforePayload} {
+			if strings.Contains(v, r.String()) {
+				rules[r.String()] = true
+			}
+		}
+	}
+	if len(rules) != 3 {
+		t.Errorf("sanitizer alone found %v, want R1, R2 and R3", san.findings)
+	}
+	if !slices.Equal(all.findings, san.findings) {
+		t.Errorf("findings composed %v, alone %v", all.findings, san.findings)
+	}
+	// Lines 0, 1, 2, 4, 5 and, after the reboot, 6 were written back.
+	if win.delta.Kind != frame.KindDelta || win.delta.Lines != 6 {
+		t.Errorf("window alone: delta %+v, want a delta of 6 lines", *win.delta)
+	}
+	if all.delta.Kind != win.delta.Kind || all.delta.Lines != win.delta.Lines || all.delta.Digest != win.delta.Digest {
+		t.Errorf("delta composed %+v, alone %+v", *all.delta, *win.delta)
+	}
+}
+
+// TestRecoveredRuntimeOwnsTheSanitizer pins the crash rule: a sanitizer
+// detaches itself at its heap's crash, so after Recover only the recovered
+// runtime's sanitizer observes the heap — or none, when it is unsanitized.
+func TestRecoveredRuntimeOwnsTheSanitizer(t *testing.T) {
+	if os.Getenv("RESPCT_SANITIZE") != "" {
+		t.Skip("RESPCT_SANITIZE sanitizes every runtime; the unsanitized recovery cannot be built")
+	}
+	for _, sanitize := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sanitize=%v", sanitize), func(t *testing.T) {
+			h := pmem.New(pmem.Config{Size: 8 << 20})
+			rt, err := core.NewRuntime(h, core.Config{Threads: 1, Sanitize: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			crashed := rt.Sanitizer()
+			h.Crash()
+			rt2, _, err := core.Recover(h, core.Config{Threads: 1, Sanitize: sanitize}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := len(crashed.Violations())
+
+			// A line the tracking layer never saw, flushed by hand: rule R2
+			// for any sanitizer that observes it.
+			a := pmem.LineAddr(h.Lines() - 1)
+			h.Store64(a, 1)
+			h.NewFlusher().Persist(a)
+
+			if got := crashed.Violations(); len(got) != before {
+				t.Fatalf("the crashed runtime's sanitizer still observes the heap: %v", got[before:])
+			}
+			s := rt2.Sanitizer()
+			if !sanitize {
+				if s != nil {
+					t.Fatal("unsanitized recovery carries a sanitizer")
+				}
+				return
+			}
+			if vs := s.Violations(); len(vs) != 1 || vs[0].Rule != psan.RuleUntrackedFlush {
+				t.Fatalf("recovered runtime's sanitizer found %v, want one untracked-flush", vs)
+			}
+		})
 	}
 }

@@ -61,7 +61,8 @@ type Config struct {
 	// sets it so each shard's write-back order is reproducible run-to-run.
 	SerialFlush bool
 
-	// Seed seeds per-shard chaos heaps.
+	// Seed seeds per-shard chaos heaps: shard i's heap gets Seed + i*101,
+	// which is also the seed of every pmem.Evictor on that heap.
 	Seed int64
 
 	// Sanitize attaches the runtime persistency sanitizer (collect mode,

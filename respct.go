@@ -74,8 +74,9 @@ func OpenSnapshot(r io.Reader, cfg HeapConfig) (*Heap, error) {
 	return sink.Heap()
 }
 
-// NewEvictor creates a chaos evictor for crash testing.
-func NewEvictor(h *Heap, rate int, seed int64) *Evictor { return pmem.NewEvictor(h, rate, seed) }
+// NewEvictor creates a chaos evictor for crash testing. It draws lines from
+// the heap's RNG, seeded by HeapConfig.Seed.
+func NewEvictor(h *Heap, rate int) *Evictor { return pmem.NewEvictor(h, rate) }
 
 // ---------------------------------------------------------------------------
 // The ResPCT runtime (internal/core)
