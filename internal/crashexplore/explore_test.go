@@ -9,17 +9,76 @@ import (
 	"github.com/respct/respct/internal/pmem"
 )
 
-// The map-tiny workload is the enumeration fixture: small enough to explore
-// exhaustively in well under a second, and its trace geometry is pinned
-// exactly. If a deliberate change to the runtime's flush schedule, the map
-// layout, or the trace instrumentation moves these numbers, re-derive them
-// with `go test -run TestMapTinyExhaustiveEnumeration -v` and update —
-// an *unexplained* shift means the persistence schedule changed by
-// accident, which is exactly what this test exists to catch.
-const (
-	mapTinyEvents         = 22
-	mapTinyOrderingPoints = 12
-)
+// pinnedTraces pins every registered workload's reference trace: its event
+// count, its ordering points (image-changing write-backs, the crash-point
+// candidates) and pmem.TraceHash over the whole trace. If a deliberate
+// change to the runtime's flush schedule, a structure's layout, a workload's
+// op stream or the trace instrumentation moves these numbers, re-derive them
+// with `go test -run TestReferenceTracesPinned -v` and update — an
+// *unexplained* shift means the persistence schedule changed by accident,
+// which is exactly what this table exists to catch.
+var pinnedTraces = map[string]struct {
+	events, points int
+	hash           uint64
+}{
+	"kv-async":           {153, 90, 0xd0a5bb4e628ab852},
+	"kv-batch-async":     {152, 79, 0x7e402ea44a51064b},
+	"kv-batch-sync":      {63, 48, 0xdc093bcf0b0ebc64},
+	"kv-frames":          {92, 72, 0xc26be35c70013caf},
+	"kv-log":             {53, 38, 0x45f9576f040b386},
+	"kv-multi":           {97, 82, 0xbdbf2b708de0ad2},
+	"kv-queue":           {74, 59, 0xe996d2c5056d348f},
+	"kv-scan":            {115, 100, 0x165e33b8057cf4cd},
+	"kv-sync":            {76, 61, 0xd77c7bdb96572d77},
+	"kv-ttl":             {86, 71, 0x66770fdac4ceeb1e},
+	"map-async":          {117, 58, 0x5b1d5d6ab553e265},
+	"map-sync":           {62, 42, 0xe85c6bf88cc82196},
+	"map-sync-badcommit": {25, 15, 0xe828d7805eeaa411},
+	"map-tiny":           {22, 12, 0xe36e0fe795bb7641},
+	"shard-2-staggered":  {92, 72, 0x267cf43a1fb437d4},
+}
+
+// map-tiny is the enumeration fixture: small enough to explore exhaustively
+// in well under a second.
+var mapTiny = pinnedTraces["map-tiny"]
+
+// TestReferenceTracesPinned runs each registered workload once, without
+// crashing or exploring, and compares its reference trace against the pin.
+func TestReferenceTracesPinned(t *testing.T) {
+	for _, name := range Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			pin, ok := pinnedTraces[name]
+			if !ok {
+				t.Fatalf("workload %q has no pinned trace", name)
+			}
+			w, err := Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, _, err := runOnce(w, nil, -1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := rec.Events()
+			points := 0
+			for _, e := range events {
+				if e.Kind == pmem.EvWriteBack && e.Changed {
+					points++
+				}
+			}
+			got := pmem.TraceHash(events)
+			if len(events) != pin.events || points != pin.points || got != pin.hash {
+				t.Errorf("%s: reference trace = {%d, %d, %#x}, pinned {%d, %d, %#x}",
+					name, len(events), points, got, pin.events, pin.points, pin.hash)
+			}
+		})
+	}
+	if len(pinnedTraces) != len(Names()) {
+		t.Errorf("%d pinned traces for %d registered workloads", len(pinnedTraces), len(Names()))
+	}
+}
 
 func TestMapTinyExhaustiveEnumeration(t *testing.T) {
 	w, err := Lookup("map-tiny")
@@ -30,11 +89,11 @@ func TestMapTinyExhaustiveEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Events != mapTinyEvents {
-		t.Errorf("reference trace has %d events, want %d", rep.Events, mapTinyEvents)
+	if rep.Events != mapTiny.events {
+		t.Errorf("reference trace has %d events, want %d", rep.Events, mapTiny.events)
 	}
-	if rep.OrderingPoints != mapTinyOrderingPoints {
-		t.Errorf("enumerated %d ordering points, want %d", rep.OrderingPoints, mapTinyOrderingPoints)
+	if rep.OrderingPoints != mapTiny.points {
+		t.Errorf("enumerated %d ordering points, want %d", rep.OrderingPoints, mapTiny.points)
 	}
 	if rep.Explored != rep.OrderingPoints {
 		t.Errorf("exhaustive run explored %d of %d points", rep.Explored, rep.OrderingPoints)
@@ -176,9 +235,9 @@ func TestScriptedEvictionsStillDurable(t *testing.T) {
 	// image "changed" exactly once whoever writes it back — but they do
 	// lengthen the trace: the eviction events themselves, plus the later
 	// flushes of those lines degrading to changed=false write-backs.
-	if rep.Events <= mapTinyEvents {
+	if rep.Events <= mapTiny.events {
 		t.Errorf("evictions should lengthen the trace: got %d events, unperturbed trace has %d",
-			rep.Events, mapTinyEvents)
+			rep.Events, mapTiny.events)
 	}
 	for _, f := range rep.Failures {
 		t.Errorf("crash point %d: %s", f.Seq, f.Err)
