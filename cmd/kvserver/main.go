@@ -5,9 +5,10 @@
 //
 // With -shards N the key space is partitioned across N independent
 // heap+runtime shards (see internal/shard): checkpoints are staggered
-// round-robin so at most one shard stalls at a time, or synchronized with
-// -sync. Checkpoint gating is per operation and per shard, owned by the
-// store (DESIGN.md §3f).
+// round-robin so at most one shard stalls at a time, and each shard's
+// recovery point is at most N intervals old (pass -interval/N for one
+// interval per shard). Checkpoint gating is per operation and per shard,
+// owned by the store (DESIGN.md §3f).
 //
 // On SIGINT/SIGTERM it runs one final coordinated checkpoint and snapshots
 // each shard's persistent image into that shard's frame store (internal/frame,
@@ -22,7 +23,7 @@
 //
 // Usage (defaults shown; kvserver -h describes each flag):
 //
-//	kvserver [-addr 127.0.0.1:11222] [-workers 4] [-shards 1] [-sync] [-async]
+//	kvserver [-addr 127.0.0.1:11222] [-workers 4] [-shards 1] [-async]
 //	         [-buckets 1048576] [-interval 64ms] [-heap 2147483648]
 //	         [-snapshot ""] [-metrics ""] [-structures=true] [-transient]
 //
@@ -76,7 +77,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:11222", "listen address")
 	workers := flag.Int("workers", 4, "store threads: requests executing at once; further connections queue for one")
 	shards := flag.Int("shards", 1, "key-space partitions, each with its own heap and runtime")
-	sync := flag.Bool("sync", false, "checkpoint all shards together instead of staggering them")
 	async := flag.Bool("async", false, "asynchronous checkpoints: workers pause only for the cut, flush and durable commit run in the background (staleness bound doubles)")
 	buckets := flag.Int("buckets", 1<<20, "hash-table buckets (total across shards)")
 	interval := flag.Duration("interval", 64*time.Millisecond, "checkpoint period")
@@ -125,7 +125,6 @@ func main() {
 		Buckets:    max(*buckets / *shards, 1<<8),
 		HeapBytes:  *heapBytes / int64(*shards),
 		Interval:   *interval,
-		Sync:       *sync,
 		Async:      *async,
 		Structures: *structures,
 		Metrics:    reg,
@@ -180,9 +179,6 @@ func main() {
 	}
 	msrv := serveMetrics(reg, *metricsAddr)
 	schedule := "staggered"
-	if *sync {
-		schedule = "synchronized"
-	}
 	if *async {
 		schedule += " async"
 	}

@@ -27,7 +27,7 @@
 // Usage:
 //
 //	respct-crash [-seeds n] [-threads n] [-interval d] [-evict n] [-structure map|queue|both]
-//	respct-crash -war                             # §3.3.2 WAR-without-logging hazard demo
+//	respct-crash -war                             # §3.3.2 WAR-without-logging hazard demo (deterministic)
 //	respct-crash -explore map-sync -budget 200    # deterministic crash-point exploration
 //	respct-crash -explore map-sync -sanitize      # + runtime persistency sanitizer
 //	respct-crash -replay repro.json               # replay a minimized explorer repro
@@ -118,7 +118,7 @@ func main() {
 	interval := flag.Duration("interval", 4*time.Millisecond, "checkpoint period")
 	evict := flag.Int("evict", 64, "chaos evictor probe rate")
 	structure := flag.String("structure", "both", "map, queue or both")
-	war := flag.Bool("war", false, "run the WAR-violation demonstration instead")
+	war := flag.Bool("war", false, "run the deterministic WAR-violation demonstration instead (exit 1 if it is not observed)")
 	childTimeout := flag.Duration("child-timeout", 2*time.Minute, "per-soak subprocess deadline")
 	inProcess := flag.Bool("in-process", false, "run soaks in this process instead of subprocesses")
 
@@ -146,46 +146,43 @@ func main() {
 	}
 }
 
+// runWAR runs the deterministic WAR-hazard demonstration. The violation
+// must show every time: a run that misses it means the demonstration (or the
+// checker) lost its teeth, which is a failure.
 func runWAR() int {
-	detected, err := crash.WARViolationDetected(time.Now().UnixNano() % 1000)
+	detected, err := crash.WARViolationDetected()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		return exitSoakFailure
 	}
-	if detected {
-		fmt.Println("WAR violation demonstrated: a counter updated with plain stores (no InCLL)")
-		fmt.Println("recovered to a value that never existed at any checkpoint. Rule (ii) of")
-		fmt.Println("paper §3.3.2 — log everything with a write-after-read dependency — is load-bearing.")
-	} else {
-		fmt.Println("the torn update happened not to persist this run; try again")
+	if !detected {
+		fmt.Println("WAR violation NOT observed: the counter updated with plain stores recovered")
+		fmt.Println("to its checkpointed value, so the demonstration no longer shows the hazard")
+		return exitSoakFailure
 	}
+	fmt.Println("WAR violation demonstrated: a counter updated with plain stores (no InCLL)")
+	fmt.Println("recovered to a value that never existed at any checkpoint. Rule (ii) of")
+	fmt.Println("paper §3.3.2 — log everything with a write-after-read dependency — is load-bearing.")
 	return exitOK
-}
-
-// soakConfig builds the common soak configuration for one seed.
-func soakConfig(seed int64, threads int, interval time.Duration, evict int) crash.MapSoakConfig {
-	return crash.MapSoakConfig{
-		Threads:      threads,
-		Buckets:      1024,
-		KeySpace:     4096,
-		OpsPerThread: 1 << 30,
-		EvictRate:    evict,
-		Interval:     interval,
-		HeapBytes:    256 << 20,
-		Seed:         seed,
-	}
 }
 
 // runOneSoak is the -subprocess body: exactly one (structure, seed) soak.
 func runOneSoak(kind string, seed int64, threads int, interval time.Duration, evict int) int {
-	cfg := soakConfig(seed, threads, interval, evict)
+	cfg := crash.MapSoakConfig{
+		Threads:   threads,
+		Buckets:   1024,
+		KeySpace:  4096,
+		EvictRate: evict,
+		Interval:  interval,
+		HeapBytes: 256 << 20,
+	}
 	var rep *crash.SoakReport
 	var err error
 	switch kind {
 	case "map":
-		rep, err = crash.MapSoak(cfg)
+		rep, err = crash.MapSoak(cfg).Run(seed)
 	case "queue":
-		rep, err = crash.QueueSoak(cfg)
+		rep, err = crash.QueueSoak(cfg).Run(seed)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown structure %q for -subprocess\n", kind)
 		return exitUsage

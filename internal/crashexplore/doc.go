@@ -5,12 +5,13 @@
 //
 // The pipeline has three stages:
 //
-//  1. Record. The workload runs once with a pmem.Recorder attached to its
-//     heaps. Every ordering-relevant persistence event — line write-back
-//     (with its cause), fence, epoch commit, collision-log append — is
-//     logged with a stable sequence number. Workloads are written so this
-//     trace is byte-for-byte reproducible: one driving goroutine, serial
-//     flushers, no background evictor, fixed RNG seeds.
+//  1. Record. The workload — a row pairing an internal/crash subject with a
+//     crash.Script — runs once with a pmem.Recorder attached to its heaps.
+//     Every ordering-relevant persistence event — line write-back (with its
+//     cause), fence, epoch commit, collision-log append — is logged with a
+//     stable sequence number. Workloads are written so this trace is
+//     byte-for-byte reproducible: one driving goroutine, serial flushers, no
+//     background evictor, fixed RNG seeds.
 //
 //  2. Explore. Each trace position whose write-back changed the persistent
 //     image is a candidate crash point (events that cannot change the image
@@ -26,7 +27,8 @@
 //  3. Check. After each crash the workload's heaps are recovered and the
 //     recovered logical state is compared against the model snapshot
 //     certified at checkpoint boundary failedEpoch-1 — the last completed
-//     checkpoint before the crash. Any divergence (or recovery error) is a
+//     checkpoint before the crash — by the same crash.Checker every chaos
+//     soak uses. Any divergence (or recovery error) is a
 //     durability-contract violation; the earliest failing point is written
 //     out as a minimized, replayable repro that `respct-crash -replay` and
 //     Replay consume.

@@ -3,7 +3,6 @@ package crashexplore
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/respct/respct/internal/pmem"
@@ -86,7 +85,7 @@ type Report struct {
 // durable linearizability after each crash. It returns an error only when
 // exploration itself cannot proceed (setup failure, nondeterministic
 // workload); durability violations are reported in Report.Failures.
-func Explore(w Workload, opt Options) (*Report, error) {
+func Explore(w *Workload, opt Options) (*Report, error) {
 	start := time.Now()
 	ref, refRun, err := runOnce(w, opt.Actions, -1, opt.Sanitize)
 	if err != nil {
@@ -161,7 +160,7 @@ func Explore(w Workload, opt Options) (*Report, error) {
 // heap crashed immediately after trace event crashSeq. The recorder is
 // detached before returning so recovery runs untraced. sanitize arms the
 // persistency sanitizer on the workload's runtimes.
-func runOnce(w Workload, actions []pmem.Action, crashSeq int64, sanitize bool) (*pmem.Recorder, Run, error) {
+func runOnce(w *Workload, actions []pmem.Action, crashSeq int64, sanitize bool) (*pmem.Recorder, *Run, error) {
 	rec := pmem.NewRecorder()
 	if crashSeq >= 0 {
 		// Registered before the script so the crash fires first when both
@@ -181,58 +180,20 @@ func runOnce(w Workload, actions []pmem.Action, crashSeq int64, sanitize bool) (
 	return rec, run, nil
 }
 
-// checkCrashPoint recovers run's heaps and verifies each recovered state
-// equals the snapshot certified at that heap's failed epoch minus one — the
-// last checkpoint that completed before the crash. A missing snapshot means
-// the empty state (no checkpoint with net changes completed yet). The
-// per-heap failed epochs are returned alongside any violation.
-func checkCrashPoint(run Run, seq uint64) ([]uint64, *Failure) {
-	recs, err := run.Recover()
+// checkCrashPoint recovers run's heaps and checks each against the state
+// certified at its failed epoch minus one (crash.Checker.Check). The
+// per-heap failed epochs are returned alongside any violation; they are nil
+// when recovery itself failed.
+func checkCrashPoint(run *Run, seq uint64) ([]uint64, *Failure) {
+	recs, err := run.Check()
+	var epochs []uint64
+	for _, rv := range recs {
+		epochs = append(epochs, rv.FailedEpoch)
+	}
 	if err != nil {
-		return nil, &Failure{Seq: seq, Err: "recovery failed: " + err.Error()}
-	}
-	epochs := make([]uint64, len(recs))
-	for i, rv := range recs {
-		epochs[i] = rv.FailedEpoch
-	}
-	for i, rv := range recs {
-		want := run.Certified(i)[rv.FailedEpoch-1]
-		if d := diffStates(want, rv.State); d != "" {
-			return epochs, &Failure{
-				Seq: seq,
-				Err: fmt.Sprintf("heap %d recovered to epoch boundary C%d but state diverges: %s",
-					i, rv.FailedEpoch-1, d),
-				FailedEpochs: epochs,
-			}
-		}
+		return epochs, &Failure{Seq: seq, Err: err.Error(), FailedEpochs: epochs}
 	}
 	return epochs, nil
-}
-
-// diffStates returns "" when got matches want (nil want == empty state),
-// otherwise a short description of the first few divergent keys.
-func diffStates(want, got State) string {
-	var diffs []string
-	for k, wv := range want {
-		if gv, ok := got[k]; !ok {
-			diffs = append(diffs, fmt.Sprintf("missing %q=%q", k, wv))
-		} else if gv != wv {
-			diffs = append(diffs, fmt.Sprintf("%q=%q want %q", k, gv, wv))
-		}
-	}
-	for k, gv := range got {
-		if _, ok := want[k]; !ok {
-			diffs = append(diffs, fmt.Sprintf("extra %q=%q", k, gv))
-		}
-	}
-	if len(diffs) == 0 {
-		return ""
-	}
-	sort.Strings(diffs)
-	if len(diffs) > 4 {
-		diffs = append(diffs[:4], fmt.Sprintf("(+%d more)", len(diffs)-4))
-	}
-	return strings.Join(diffs, ", ")
 }
 
 // imageHash combines every heap's persistent-image hash into one value.

@@ -2,6 +2,8 @@ package crashexplore
 
 import (
 	"testing"
+
+	"github.com/respct/respct/internal/crash"
 )
 
 // TestKVFramesFallsBackToPreviousChain pins the kv-frames premise without
@@ -18,18 +20,18 @@ func TestKVFramesFallsBackToPreviousChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr := run.(*kvFramesRun)
-	if !fr.crash.Crashed() {
+	fr := run.subject.(*crash.FramedKV)
+	if !fr.FS.Crashed() {
 		t.Fatal("final snapshot's write budget never fired")
 	}
-	recs, err := run.Recover()
+	finalDurable := fr.RT.DurableEpoch()
+	recs, err := run.Check()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 1 {
 		t.Fatalf("%d recovered heaps", len(recs))
 	}
-	finalDurable := fr.rt.DurableEpoch()
 	// The chain tip is the snapshot before the aborted one, so the restored
 	// image's failed epoch must trail the heap's own post-run epoch by
 	// exactly one checkpoint.
@@ -37,11 +39,7 @@ func TestKVFramesFallsBackToPreviousChain(t *testing.T) {
 		t.Fatalf("restored failed epoch %d, heap's final durable epoch %d — fallback should trail by one checkpoint",
 			recs[0].FailedEpoch, finalDurable)
 	}
-	want := fr.certified[recs[0].FailedEpoch-1]
-	if want == nil {
+	if run.Certified(0)[recs[0].FailedEpoch-1] == nil {
 		t.Fatalf("no certified state for epoch %d", recs[0].FailedEpoch-1)
-	}
-	if d := diffStates(want, recs[0].State); d != "" {
-		t.Fatalf("fallback state diverges from certified C%d: %s", recs[0].FailedEpoch-1, d)
 	}
 }

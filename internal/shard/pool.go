@@ -32,19 +32,14 @@ type Config struct {
 	// HeapBytes is the per-shard simulated NVMM size.
 	HeapBytes int64
 
-	// Interval is the per-shard checkpoint period. Zero disables the
-	// checkpoint driver (callers may drive CheckpointAll themselves).
+	// Interval is the checkpoint driver's tick: shards checkpoint
+	// staggered, round-robin, one shard per tick. A stall only ever covers
+	// one shard, and each shard's flush coalesces Shards intervals of
+	// updates (hot lines are written back once instead of Shards times), but
+	// a shard's recovery point can be up to Shards*Interval old. Each shard
+	// commits its own epoch, so the store is never atomic across shards.
+	// Zero disables the driver (callers may drive CheckpointAll themselves).
 	Interval time.Duration
-
-	// Sync makes all shards checkpoint simultaneously each interval, so the
-	// whole store's recovery point is never older than Interval — at the
-	// price of a whole-store stall every interval, exactly like a single
-	// unsharded runtime. The default (false) staggers shards round-robin,
-	// one shard per interval: a stall only ever covers one shard, and each
-	// shard's flush coalesces Shards intervals of updates (hot lines are
-	// written back once instead of Shards times), but a shard's recovery
-	// point can be up to Shards*Interval old.
-	Sync bool
 
 	// Async enables asynchronous checkpointing (core.Config.AsyncFlush) on
 	// every shard runtime: a checkpoint only parks a shard's workers for
@@ -327,11 +322,10 @@ func (p *Pool) Shard(i int) *Shard { return p.shards[i] }
 // Config returns the pool's configuration (after defaulting).
 func (p *Pool) Config() Config { return p.cfg }
 
-// Start launches the checkpoint driver: one tick every Interval. With Sync
-// unset, each tick checkpoints the next shard round-robin (so at most one
-// shard pauses at a time and each shard's period is Shards*Interval); with
-// Sync set, every tick checkpoints all shards together. A zero Interval
-// makes Start a no-op.
+// Start launches the checkpoint driver: each tick, one every Interval,
+// checkpoints the next shard round-robin (so at most one shard pauses at a
+// time and each shard's period is Shards*Interval). A zero Interval makes
+// Start a no-op.
 func (p *Pool) Start() {
 	if p.cfg.Interval <= 0 || !p.started.CompareAndSwap(false, true) {
 		return
@@ -349,12 +343,8 @@ func (p *Pool) Start() {
 				return
 			case <-timer.C:
 			}
-			if p.cfg.Sync {
-				p.CheckpointAll()
-			} else {
-				p.checkpointShard(next)
-				next = (next + 1) % len(p.shards)
-			}
+			p.checkpointShard(next)
+			next = (next + 1) % len(p.shards)
 			timer.Reset(tick)
 		}
 	}()
@@ -392,8 +382,8 @@ func (p *Pool) checkpointShard(i int) {
 }
 
 // CheckpointAll runs one checkpoint on every live shard in parallel and
-// returns when all complete. Used by the Sync schedule, by snapshotting, and
-// by callers that drive checkpoints themselves.
+// returns when all complete. Used by snapshotting and by callers that drive
+// checkpoints themselves.
 func (p *Pool) CheckpointAll() {
 	eachShard(len(p.shards), func(i int) error {
 		p.checkpointShard(i)
