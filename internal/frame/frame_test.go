@@ -2,6 +2,7 @@ package frame
 
 import (
 	"bytes"
+	"hash/crc64"
 	"math/rand"
 	"testing"
 
@@ -114,6 +115,57 @@ func TestFullDeterminismMatrix(t *testing.T) {
 			}
 			if refInfo.Bytes >= int64(len(img)) {
 				t.Fatalf("flate container (%d bytes) did not shrink a half-zero image (%d bytes)", refInfo.Bytes, len(img))
+			}
+		}
+	}
+}
+
+// pinnedImage is a fixed heap image for TestFullSetBytesPinned: a formatted
+// 256 KiB heap with 500 seeded words persisted across its first half and one
+// 16 KiB frame of seeded words in its second, so under flate some frames
+// compress and one stays raw.
+func pinnedImage(t *testing.T) *pmem.Heap {
+	t.Helper()
+	h := pmem.New(pmem.Config{Size: 1 << 18})
+	f := h.NewFlusher()
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 500; i++ {
+		a := h.DataStart() + pmem.Addr(rng.Intn(1<<14)*pmem.WordSize)
+		h.Store64(a, rng.Uint64())
+		f.Persist(a)
+	}
+	for a := pmem.Addr(3 << 16); a < 3<<16+1<<14; a += pmem.WordSize {
+		h.Store64(a, rng.Uint64())
+		f.Persist(a)
+	}
+	return h
+}
+
+// TestFullSetBytesPinned pins the bytes of a full frame set: for one fixed
+// image, the container's length, its set digest and a CRC-64 over the whole
+// container, at 1 and 4 workers, raw and deflated. Every store written
+// before must still restore, so these constants never change with the code.
+func TestFullSetBytesPinned(t *testing.T) {
+	h := pinnedImage(t)
+	for _, tc := range []struct {
+		comp   Compression
+		bytes  int64
+		digest uint64
+		crc    uint64
+	}{
+		{CompressNone, 263008, 0x64fb34f2e31c6392, 0x363d8a701b098b13},
+		{CompressFlate, 24130, 0x64fb34f2e31c6392, 0xa8085608eff2d194},
+	} {
+		for _, w := range []int{1, 4} {
+			var buf bytes.Buffer
+			info, err := WriteFull(&buf, HeapSource{h}, Params{FrameBytes: 1 << 14, Workers: w, Compression: tc.comp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			crc := crc64.Checksum(buf.Bytes(), crcTab)
+			if int64(buf.Len()) != tc.bytes || info.Bytes != tc.bytes || info.Digest != tc.digest || crc != tc.crc {
+				t.Errorf("%v at %d workers: %d bytes (info %d), digest %#x, crc %#x; pinned %d bytes, digest %#x, crc %#x",
+					tc.comp, w, buf.Len(), info.Bytes, info.Digest, crc, tc.bytes, tc.digest, tc.crc)
 			}
 		}
 	}
