@@ -14,8 +14,8 @@
 // each shard's persistent image into that shard's frame store (internal/frame,
 // the one on-disk format, docs/SNAPSHOT-FORMAT.md) under
 // ShardFrameDir(-snapshot, i) ("kv.img" → "kv-0.fset", "kv-1.fset", …). Each
-// store's manifest is rewritten atomically, so a crash mid-write leaves the
-// previous certified chain recoverable. A later start with the same -snapshot
+// store's manifest is rewritten atomically to name the new full set, so a
+// crash mid-write leaves the previous certified set recoverable. A later start with the same -snapshot
 // and -shards boots every shard's heap straight from its frames and recovers
 // them in parallel — a full crash/recovery cycle across OS processes. A base
 // that holds only a whole-image file from before frame stores is refused:
@@ -197,7 +197,7 @@ func main() {
 	if *snapshot != "" {
 		// One final coordinated checkpoint, then every shard's frame set in
 		// parallel; each shard's manifest update is atomic, so a crash
-		// mid-write leaves the previous certified chain recoverable.
+		// mid-write leaves the previous certified set recoverable.
 		res, err := pool.SnapshotFrames(*snapshot, frame.Params{Compression: frame.CompressFlate})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "snapshot:", err)
@@ -207,8 +207,8 @@ func main() {
 		for _, r := range res {
 			bytes += r.Info.Bytes
 		}
-		fmt.Printf("%d shard frame set(s) (%s, %d bytes total) written under %s\n",
-			*shards, res[0].Info.Kind, bytes, *snapshot)
+		fmt.Printf("%d shard frame set(s) (full, %d bytes total) written under %s\n",
+			*shards, bytes, *snapshot)
 	}
 }
 

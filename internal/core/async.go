@@ -284,27 +284,6 @@ func (rt *Runtime) clearPending(a pmem.Addr) bool {
 	return claimBits(&rt.pendingBits[1-rt.activeBits.Load()][line/64], mask) != 0
 }
 
-// DirtyLineBits exports the union of the double-buffered pending-line
-// bitmaps as a per-line bitmap (line i at word i/64, bit i%64): every heap
-// line that was modified in the current epoch or is still owed to NVMM by an
-// in-flight drain. Incremental snapshot engines union it into a delta of a
-// *live* async pool — such lines may reach the persistent image after the
-// snapshot store's churn window was harvested but before the image was read,
-// and the union keeps the delta a conservative superset either way. Returns
-// nil for synchronous runtimes, which maintain no bitmaps (their flush lists
-// are drained under the parked world, so the churn window alone is exact at
-// any quiesced point).
-func (rt *Runtime) DirtyLineBits() []uint64 {
-	if !rt.asyncOn {
-		return nil
-	}
-	out := make([]uint64, len(rt.pendingBits[0]))
-	for i := range out {
-		out[i] = rt.pendingBits[0][i].Load() | rt.pendingBits[1][i].Load()
-	}
-	return out
-}
-
 // guardLine is the flush-on-collision rule for plain tracked data: if an
 // in-flight drain still owes a's line to NVMM, flush it now, before the
 // caller's overwrite can destroy the cut image. The check reads the thread's

@@ -18,7 +18,7 @@ func checkFlightPrefix(t *testing.T, evs []telemetry.FlightEvent) {
 		if i > 0 && e.Seq != evs[i-1].Seq+1 {
 			t.Fatalf("flight window not contiguous: event %d has seq %d after %d", i, e.Seq, evs[i-1].Seq)
 		}
-		if e.Kind < telemetry.FlightFormat || e.Kind > telemetry.FlightCompaction {
+		if e.Kind < telemetry.FlightFormat || e.Kind > telemetry.FlightFrameSnap {
 			t.Fatalf("event %d has invalid kind %d", i, e.Kind)
 		}
 	}

@@ -278,15 +278,15 @@ func (s *KV) open(rt *core.Runtime) (State, error) {
 	return st.SnapshotLogical(), nil
 }
 
-// FramedKV is a KV store whose durability lives in a frame-snapshot chain
+// FramedKV is a KV store whose durability lives in a frame store
 // (internal/frame) on an in-memory file system that a driver can kill
 // mid-write. It recovers like a reboot onto the snapshot store: the heap is
-// restored from the latest certified chain and the crashed heap is never
+// restored from the certified frame set and the crashed heap is never
 // touched.
 type FramedKV struct {
 	*KV
 	FS     *frame.CrashFS // the frame store's file system, armable to die mid-write
-	Frames *frame.Store   // the snapshot chain recovery restores from
+	Frames *frame.Store   // the frame store recovery restores from
 }
 
 // NewFramedKV builds a plain store and an empty frame store.
@@ -296,7 +296,7 @@ func NewFramedKV(env Env, buckets int, p frame.Params) (*FramedKV, error) {
 		return nil, err
 	}
 	fs := frame.NewCrashFS(frame.NewMemFS(), 1<<62)
-	frames, err := frame.NewStore(fs, p, nil)
+	frames, err := frame.NewStore(fs, p)
 	return &FramedKV{s, fs, frames}, err
 }
 

@@ -32,7 +32,7 @@ func TestKVFramesFallsBackToPreviousChain(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("%d recovered heaps", len(recs))
 	}
-	// The chain tip is the snapshot before the aborted one, so the restored
+	// The certified set is the snapshot before the aborted one, so the restored
 	// image's failed epoch must trail the heap's own post-run epoch by
 	// exactly one checkpoint.
 	if recs[0].FailedEpoch != finalDurable-1 {

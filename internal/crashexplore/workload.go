@@ -241,17 +241,17 @@ func shardRow(name string, batches, ops, keys int) *Workload {
 }
 
 // framesRow snapshots the persistent image into a frame store after every
-// checkpoint — a full set first, then deltas — and kills the final snapshot
+// checkpoint, each full set replacing the last, and kills the final snapshot
 // mid-container-write through a CrashFS byte budget, so its manifest update
 // never happens. At every crash point this checks that frame round-trips are
 // exact (the restored image recovers to a certified boundary, whatever the
 // heap's own crash left behind; snapshots after the heap's crash capture its
 // frozen persistent image) and that an aborted snapshot falls back to the
-// previous certified chain. Snapshot writes touch no heap lines, so the
+// previous certified set. Snapshot writes touch no heap lines, so the
 // crash-point space is a plain kv workload's.
 func framesRow(name string, batches, ops, keys int, budget int64) *Workload {
 	// 4 KiB frames over the 8 MiB heap, two workers (container bytes are
-	// worker-count invariant), no compaction pressure within the run.
+	// worker-count invariant).
 	params := frame.Params{FrameBytes: 4 << 10, Workers: 2}
 	return row(name, func(san bool) (*crash.FramedKV, error) {
 		return crash.NewFramedKV(explorerEnv(false, san), 128, params)
@@ -263,13 +263,13 @@ func framesRow(name string, batches, ops, keys int, budget int64) *Workload {
 		Cut: func(s *crash.FramedKV, b int) error {
 			crash.Inline(s.RT)
 			if b < batches-1 {
-				if _, err := s.Frames.Snapshot(s.RT.Heap(), s.RT.DurableEpoch(), nil); err != nil {
+				if _, err := s.Frames.Snapshot(s.RT.Heap(), s.RT.DurableEpoch()); err != nil {
 					return fmt.Errorf("kv-frames: snapshot after batch %d: %w", b, err)
 				}
 				return nil
 			}
 			s.FS.Arm(budget)
-			if _, err := s.Frames.Snapshot(s.RT.Heap(), s.RT.DurableEpoch(), nil); !errors.Is(err, frame.ErrCrashed) {
+			if _, err := s.Frames.Snapshot(s.RT.Heap(), s.RT.DurableEpoch()); !errors.Is(err, frame.ErrCrashed) {
 				return fmt.Errorf("kv-frames: final snapshot survived a %d-byte write budget (err=%v)", budget, err)
 			}
 			return nil

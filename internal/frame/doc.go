@@ -9,16 +9,14 @@
 //
 // # Containers
 //
-// A container (one file, or one in-memory blob) holds either a full frame
-// set — every frame of the image — or a delta: for each frame touched since
-// the previous set in the chain, a line bitmap plus only the churned 64-byte
-// lines. Every frame carries a CRC-64 digest over its uncompressed content,
-// and the container trailer folds the per-frame digests (in frame order)
-// into a set digest, so two containers with equal digests decode to the same
-// image bytes no matter how many workers produced them or whether their
-// payloads were compressed. Frames may individually be deflate-compressed;
-// the digest is computed pre-compression, so compression changes the bytes
-// on disk but never the digest.
+// A container (one file, or one in-memory blob) holds a full frame set:
+// every frame of the image. Every frame carries a CRC-64 digest over its
+// uncompressed content, and the container trailer folds the per-frame
+// digests (in frame order) into a set digest, so two containers with equal
+// digests decode to the same image bytes no matter how many workers produced
+// them or whether their payloads were compressed. Frames may individually be
+// deflate-compressed; the digest is computed pre-compression, so compression
+// changes the bytes on disk but never the digest.
 //
 // Containers are written front-to-back (streamable to any io.Writer) and
 // finish with a frame index plus a fixed-size trailer, so a reader with
@@ -28,21 +26,14 @@
 // mirror of the writer's ImageSource: HeapSink boots a pmem.Heap straight
 // from the frames, BytesSink materialises the image in memory.
 //
-// # Chains, manifests and fallback
+// # Stores, manifests and fallback
 //
-// A Store keeps a chain of containers — one full set plus following deltas —
-// in a directory-like FS (a real directory, or an in-memory MemFS for tests
-// and crash exploration). The chain is certified by a manifest that is
-// rewritten atomically (temp + rename) only after every container it names
-// is durably in place: the manifest update is the commit point. A crash in
-// the middle of a snapshot write leaves orphan container files but the
-// previous manifest intact, so recovery falls back to the previous certified
-// frame set and a later snapshot garbage-collects the orphans.
-//
-// Deltas carry the Store's churn window: from each full set on, the Store
-// observes its heap's write-backs (pmem.Heap.Observe) and marks their lines
-// in a bitmap, and each delta harvests the lines written back to the
-// persistent image since the previous snapshot. The store compacts the chain
-// back to a single full set when it grows too long or too large
-// (Params.CompactEvery / CompactFactor).
+// A Store keeps one certified full set in a directory-like FS (a real
+// directory, or an in-memory MemFS for tests and crash exploration). Each
+// snapshot writes a new set and then rewrites the manifest atomically (temp
+// + rename) to name only that set: the manifest update is the commit point,
+// after which the replaced set is garbage-collected. A crash in the middle of
+// a snapshot write leaves an orphan container but the previous manifest
+// intact, so recovery falls back to the previous certified set and a later
+// snapshot garbage-collects the orphan.
 package frame

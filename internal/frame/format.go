@@ -8,28 +8,6 @@ import (
 	"github.com/respct/respct/internal/pmem"
 )
 
-// Kind discriminates full frame sets from deltas.
-type Kind uint8
-
-const (
-	// KindFull marks a container holding every frame of the image.
-	KindFull Kind = 1
-	// KindDelta marks a container holding, per touched frame, a line bitmap
-	// plus only the churned lines.
-	KindDelta Kind = 2
-)
-
-// String renders the kind for logs and manifests.
-func (k Kind) String() string {
-	switch k {
-	case KindFull:
-		return "full"
-	case KindDelta:
-		return "delta"
-	}
-	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
 // Compression selects the per-frame payload encoding.
 type Compression uint8
 
@@ -51,7 +29,7 @@ func (c Compression) String() string {
 	return "none"
 }
 
-// Params configures the engine and the Store policy.
+// Params configures the engine.
 type Params struct {
 	// FrameBytes is the image span one frame covers. Must be a multiple of
 	// pmem.LineSize; default 1 MiB. Smaller frames parallelise and dedup
@@ -64,17 +42,6 @@ type Params struct {
 
 	// Compression is the per-frame payload encoding.
 	Compression Compression
-
-	// CompactEvery bounds the delta chain length: the CompactEvery'th
-	// snapshot after a full set is written as a new full set. Default 8;
-	// negative disables count-based compaction.
-	CompactEvery int
-
-	// CompactFactor bounds the chain size: when the chain's delta bytes
-	// exceed CompactFactor × the base full set's bytes, the next snapshot
-	// compacts. Default 0.5; zero or negative disables size-based
-	// compaction.
-	CompactFactor float64
 }
 
 func (p *Params) defaults() error {
@@ -87,28 +54,19 @@ func (p *Params) defaults() error {
 	if p.Workers <= 0 {
 		p.Workers = defaultWorkers()
 	}
-	if p.CompactEvery == 0 {
-		p.CompactEvery = 8
-	}
-	if p.CompactFactor == 0 {
-		p.CompactFactor = 0.5
-	}
 	return nil
 }
 
 // SetInfo describes one written or decoded container.
 type SetInfo struct {
-	// Kind is the container kind (full or delta).
-	Kind Kind
 	// FrameBytes is the frame span the container was written with.
 	FrameBytes int
-	// ImageBytes is the size of the image the container (chain) restores.
+	// ImageBytes is the size of the image the container restores.
 	ImageBytes int64
-	// Frames is the number of frame records in the container (for deltas,
-	// only touched frames carry a record).
+	// Frames is the number of frame records in the container.
 	Frames int
-	// Lines is the number of 64-byte lines the container carries — the
-	// whole image for a full set, the churned lines for a delta.
+	// Lines is the number of 64-byte lines the container carries: the whole
+	// image.
 	Lines int
 	// Bytes is the encoded container size.
 	Bytes int64
@@ -125,6 +83,9 @@ const (
 	trailerSize    = 40
 
 	formatVersion = 1
+	// fullKind is the header's kind byte: every container is a full set.
+	// Readers refuse any other, kind 2 included (an incremental delta).
+	fullKind = 1
 
 	frameMagic = 0x454D5246 // "FRME"
 	indexMagic = 0x58444E49 // "INDX"
@@ -140,7 +101,6 @@ var (
 
 // header is the fixed container preamble.
 type header struct {
-	kind        Kind
 	compression Compression
 	frameBytes  int
 	imageBytes  int64
@@ -150,7 +110,7 @@ func (h header) encode() []byte {
 	b := make([]byte, headerSize)
 	copy(b, containerMagic[:])
 	binary.LittleEndian.PutUint32(b[8:], formatVersion)
-	b[12] = byte(h.kind)
+	b[12] = fullKind
 	b[13] = byte(h.compression)
 	binary.LittleEndian.PutUint64(b[16:], uint64(h.frameBytes))
 	binary.LittleEndian.PutUint64(b[24:], uint64(h.imageBytes))
@@ -168,9 +128,8 @@ func decodeHeader(b []byte) (header, error) {
 	if v := binary.LittleEndian.Uint32(b[8:]); v != formatVersion {
 		return h, fmt.Errorf("frame: unsupported container version %d", v)
 	}
-	h.kind = Kind(b[12])
-	if h.kind != KindFull && h.kind != KindDelta {
-		return h, fmt.Errorf("frame: bad container kind %d", b[12])
+	if b[12] != fullKind {
+		return h, fmt.Errorf("frame: container kind %d unsupported: only full sets (kind %d) are read", b[12], fullKind)
 	}
 	h.compression = Compression(b[13])
 	if h.compression != CompressNone && h.compression != CompressFlate {
@@ -189,18 +148,18 @@ func decodeHeader(b []byte) (header, error) {
 
 // frameHdr is the per-record preamble. enc records the encoding actually
 // used for this frame's body (flate containers fall back to raw per frame
-// when compression does not shrink).
+// when compression does not shrink). Bytes 20..23 hold a delta record's
+// line-bitmap length: written zero, and a record with any other is refused.
 type frameHdr struct {
-	index     int
-	enc       Compression
-	rawLen    int // body bytes before compression
-	compLen   int // body bytes as stored
-	bitmapLen int // line-bitmap bytes (0 for full frames)
-	digest    uint64
+	index   int
+	enc     Compression
+	rawLen  int // body bytes before compression
+	compLen int // body bytes as stored
+	digest  uint64
 }
 
-// recordLen is the whole record's size: preamble, bitmap, stored body.
-func (f frameHdr) recordLen() int { return frameHdrSize + f.bitmapLen + f.compLen }
+// recordLen is the whole record's size: preamble and stored body.
+func (f frameHdr) recordLen() int { return frameHdrSize + f.compLen }
 
 func (f frameHdr) encode() []byte {
 	b := make([]byte, frameHdrSize)
@@ -209,7 +168,6 @@ func (f frameHdr) encode() []byte {
 	binary.LittleEndian.PutUint32(b[8:], uint32(f.enc))
 	binary.LittleEndian.PutUint32(b[12:], uint32(f.rawLen))
 	binary.LittleEndian.PutUint32(b[16:], uint32(f.compLen))
-	binary.LittleEndian.PutUint32(b[20:], uint32(f.bitmapLen))
 	binary.LittleEndian.PutUint64(b[24:], f.digest)
 	return b
 }
@@ -226,25 +184,26 @@ func decodeFrameHdr(b []byte) (frameHdr, error) {
 	f.enc = Compression(binary.LittleEndian.Uint32(b[8:]))
 	f.rawLen = int(binary.LittleEndian.Uint32(b[12:]))
 	f.compLen = int(binary.LittleEndian.Uint32(b[16:]))
-	f.bitmapLen = int(binary.LittleEndian.Uint32(b[20:]))
 	f.digest = binary.LittleEndian.Uint64(b[24:])
 	if f.enc != CompressNone && f.enc != CompressFlate {
 		return f, fmt.Errorf("frame %d: bad body encoding %d", f.index, f.enc)
 	}
-	if f.rawLen < 0 || f.compLen < 0 || f.bitmapLen < 0 || f.rawLen%pmem.LineSize != 0 {
-		return f, fmt.Errorf("frame %d: corrupt lengths raw=%d comp=%d bitmap=%d", f.index, f.rawLen, f.compLen, f.bitmapLen)
+	if n := binary.LittleEndian.Uint32(b[20:]); n != 0 {
+		return f, fmt.Errorf("frame %d: %d-byte line bitmap: delta records are not read", f.index, n)
+	}
+	if f.rawLen < 0 || f.compLen < 0 || f.rawLen%pmem.LineSize != 0 {
+		return f, fmt.Errorf("frame %d: corrupt lengths raw=%d comp=%d", f.index, f.rawLen, f.compLen)
 	}
 	return f, nil
 }
 
-// frameDigest is the per-frame content digest: the frame index, the line
-// bitmap and the uncompressed body. Computed pre-compression so it is
-// invariant under the compression mode.
-func frameDigest(index int, bitmap, raw []byte) uint64 {
+// frameDigest is the per-frame content digest: the frame index and the
+// uncompressed body. Computed pre-compression so it is invariant under the
+// compression mode.
+func frameDigest(index int, raw []byte) uint64 {
 	var ib [4]byte
 	binary.LittleEndian.PutUint32(ib[:], uint32(index))
 	d := crc64.Update(0, crcTab, ib[:])
-	d = crc64.Update(d, crcTab, bitmap)
 	return crc64.Update(d, crcTab, raw)
 }
 
@@ -254,7 +213,7 @@ type digestFold uint64
 
 func newDigestFold(h header) digestFold {
 	d := digestFold(1469598103934665603)
-	d = d.word(uint64(h.kind))
+	d = d.word(fullKind)
 	d = d.word(uint64(h.frameBytes))
 	d = d.word(uint64(h.imageBytes))
 	return d

@@ -204,97 +204,6 @@ func TestStreamRestoreMatchesRandomAccess(t *testing.T) {
 	}
 }
 
-// TestDeltaCarriesOnlyChurn writes a delta for a sparse churn set and checks
-// (a) only churned lines ride, so delta bytes scale with churn, not heap
-// size; (b) applying the delta onto the base reproduces the new image;
-// (c) delta bytes are deterministic across worker counts.
-func TestDeltaCarriesOnlyChurn(t *testing.T) {
-	const size = 1 << 21
-	base := testImage(t, size, 11)
-	next := append([]byte(nil), base...)
-	totalLines := size / pmem.LineSize
-	churn := make([]uint64, (totalLines+63)/64)
-	rng := rand.New(rand.NewSource(13))
-	churned := map[int]bool{}
-	for len(churned) < 100 {
-		line := rng.Intn(totalLines)
-		if churned[line] {
-			continue
-		}
-		churned[line] = true
-		churn[line/64] |= 1 << (line % 64)
-		rng.Read(next[line*pmem.LineSize : (line+1)*pmem.LineSize])
-	}
-	// One extra bit over an UNchanged line: conservative churn may re-carry
-	// identical content and must stay harmless.
-	for line := 0; ; line++ {
-		if !churned[line] {
-			churn[line/64] |= 1 << (line % 64)
-			churned[line] = true
-			break
-		}
-	}
-
-	var ref []byte
-	var info *SetInfo
-	for _, w := range workerMatrix {
-		var buf bytes.Buffer
-		wi, err := WriteDelta(&buf, BytesSource(next), churn, Params{FrameBytes: 1 << 16, Workers: w})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if ref == nil {
-			ref, info = buf.Bytes(), wi
-		} else if !bytes.Equal(buf.Bytes(), ref) {
-			t.Fatalf("delta bytes differ between 1 and %d workers", w)
-		}
-	}
-	if info.Lines != len(churned) {
-		t.Fatalf("delta carries %d lines, churn set %d", info.Lines, len(churned))
-	}
-	if info.Kind != KindDelta {
-		t.Fatalf("kind %v", info.Kind)
-	}
-	// 101 churned lines ≈ 6.5 KB of payload; the container must be far
-	// smaller than the 2 MB image.
-	if info.Bytes > int64(len(churned)*pmem.LineSize*4) {
-		t.Fatalf("delta is %d bytes for %d churned lines", info.Bytes, len(churned))
-	}
-
-	got := BytesSink(append([]byte(nil), base...))
-	if _, err := RestoreInto(&got, bytes.NewReader(ref), int64(len(ref)), 4); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, next) {
-		t.Fatal("base+delta != next image")
-	}
-	// Stream path applies the same delta.
-	sgot := BytesSink(append([]byte(nil), base...))
-	if _, err := RestoreStream(&sgot, bytes.NewReader(ref)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(sgot, next) {
-		t.Fatal("stream base+delta != next image")
-	}
-}
-
-// TestDeltaNeedsBase ensures a delta cannot be restored without its base.
-func TestDeltaNeedsBase(t *testing.T) {
-	img := testImage(t, 1<<16, 3)
-	churn := make([]uint64, (len(img)/pmem.LineSize+63)/64)
-	churn[0] = 1
-	var buf bytes.Buffer
-	if _, err := WriteDelta(&buf, BytesSource(img), churn, Params{FrameBytes: 1 << 14}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RestoreInto(new(BytesSink), bytes.NewReader(buf.Bytes()), int64(buf.Len()), 1); err == nil {
-		t.Fatal("delta restored without a base image")
-	}
-	if _, err := RestoreStream(new(HeapSink), bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("delta streamed into a heap without a base image")
-	}
-}
-
 // TestCorruptionDetected flips one payload byte and expects the frame digest
 // check to refuse the container.
 func TestCorruptionDetected(t *testing.T) {
@@ -399,6 +308,7 @@ func FuzzRestoreStream(f *testing.F) {
 	f.Add(flipped(3))                             // container magic
 	f.Add(flipped(12))                            // kind
 	f.Add(flipped(headerSize + 12))               // first frame's raw length
+	f.Add(flipped(headerSize + 20))               // first frame's bitmap length
 	f.Add(flipped(len(valid) - trailerSize - 20)) // an index entry
 	f.Add(flipped(len(valid) - trailerSize + 16)) // set digest
 	f.Add(flipped(len(valid) - 1))                // trailer magic

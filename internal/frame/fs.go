@@ -32,7 +32,7 @@ type Blob interface {
 	Close() error // release the handle
 }
 
-// FS is the directory a Store keeps its chain in. Implementations must make
+// FS is the directory a Store keeps its frame set in. Implementations must make
 // Commit atomic with respect to Open and List: a name either resolves to the
 // complete container or does not exist.
 type FS interface {
@@ -61,7 +61,7 @@ func readFile(fs FS, name string) ([]byte, error) {
 // DirFS stores containers as files in one directory, publishing each by
 // writing a temp file, syncing it and renaming it into place.
 type DirFS struct {
-	Dir string // the directory holding the chain; created on first write
+	Dir string // the directory holding the store; created on first write
 }
 
 // tempInfix marks unpublished files; List reports them so the Store can GC

@@ -6,21 +6,19 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/bits"
 	"sync"
 
 	"github.com/respct/respct/internal/pmem"
 )
 
-// Info reads a container's identity — kind, sizes, digest — from its header
-// and trailer without touching the frames.
+// Info reads a container's identity (sizes, digest) from its header and
+// trailer without touching the frames.
 func Info(r io.ReaderAt, size int64) (*SetInfo, error) {
 	h, t, _, err := readShape(r, size)
 	if err != nil {
 		return nil, err
 	}
 	return &SetInfo{
-		Kind:       h.kind,
 		FrameBytes: h.frameBytes,
 		ImageBytes: h.imageBytes,
 		Frames:     t.frameCount,
@@ -34,12 +32,8 @@ func Info(r io.ReaderAt, size int64) (*SetInfo, error) {
 // materialises the image in memory.
 type ImageSink interface {
 	// Format makes the sink an all-zero image of size bytes, dropping what it
-	// held. A full container formats its sink before its first frame lands;
-	// a delta container never does.
+	// held. A restore formats its sink before the first frame lands.
 	Format(size int64) error
-	// ImageBytes is the size of the image the sink holds, 0 while it holds
-	// none.
-	ImageBytes() int64
 	// WriteImageAt stores p into the image at off. The engine issues only
 	// line-aligned writes, concurrently on disjoint ranges, and relies on the
 	// sink to refuse a range outside the image.
@@ -65,14 +59,6 @@ func (s *HeapSink) Format(size int64) error {
 	return nil
 }
 
-// ImageBytes returns the heap's image size.
-func (s *HeapSink) ImageBytes() int64 {
-	if s.h == nil {
-		return 0
-	}
-	return s.h.ImageSize()
-}
-
 // WriteImageAt fills the persistent and the volatile image alike: the view
 // after a reboot onto the restored image.
 func (s *HeapSink) WriteImageAt(p []byte, off int64) error { return s.h.FillImageAt(p, off) }
@@ -81,7 +67,7 @@ func (s *HeapSink) WriteImageAt(p []byte, off int64) error { return s.h.FillImag
 // it only after the restore returned without error.
 func (s *HeapSink) Heap() (*pmem.Heap, error) {
 	if s.h == nil {
-		return nil, fmt.Errorf("frame: no full container was restored")
+		return nil, fmt.Errorf("frame: no container was restored")
 	}
 	if err := s.h.CheckMagic(); err != nil {
 		return nil, err
@@ -98,9 +84,6 @@ func (s *BytesSink) Format(size int64) error {
 	return nil
 }
 
-// ImageBytes returns the buffer length.
-func (s *BytesSink) ImageBytes() int64 { return int64(len(*s)) }
-
 // WriteImageAt copies into the buffer.
 func (s *BytesSink) WriteImageAt(p []byte, off int64) error {
 	if off < 0 || off+int64(len(p)) > int64(len(*s)) {
@@ -110,31 +93,16 @@ func (s *BytesSink) WriteImageAt(p []byte, off int64) error {
 	return nil
 }
 
-// begin readies dst for a container with header h: a full container formats
-// it, a delta needs the base image it chains onto already there.
-func begin(dst ImageSink, h header) error {
-	if h.kind == KindFull {
-		return dst.Format(h.imageBytes)
-	}
-	if dst.ImageBytes() == 0 {
-		return fmt.Errorf("frame: delta container needs a base image")
-	}
-	if dst.ImageBytes() != h.imageBytes {
-		return fmt.Errorf("frame: image is %d bytes, container restores %d", dst.ImageBytes(), h.imageBytes)
-	}
-	return nil
-}
-
-// RestoreInto applies one container to dst, decoding frames in parallel with
-// the given worker count (0 means GOMAXPROCS). A full container formats dst;
-// a delta needs dst to hold the base image it chains onto. Every frame digest
-// and the set digest are verified; on any error dst holds garbage.
+// RestoreInto formats dst and restores one container into it, decoding
+// frames in parallel with the given worker count (0 means GOMAXPROCS). Every
+// frame digest and the set digest are verified; on any error dst holds
+// garbage.
 func RestoreInto(dst ImageSink, r io.ReaderAt, size int64, workers int) (*SetInfo, error) {
 	h, t, entries, err := readShape(r, size)
 	if err != nil {
 		return nil, err
 	}
-	if err := begin(dst, h); err != nil {
+	if err := dst.Format(h.imageBytes); err != nil {
 		return nil, err
 	}
 	if workers <= 0 {
@@ -189,8 +157,8 @@ func RestoreInto(dst ImageSink, r io.ReaderAt, size int64, workers int) (*SetInf
 }
 
 // RestoreStream decodes a container sequentially from a plain reader — the
-// same bytes RestoreInto reads, without needing io.ReaderAt. dst follows the
-// same rules as RestoreInto's.
+// same bytes RestoreInto reads, without needing io.ReaderAt. Like
+// RestoreInto it formats dst first.
 func RestoreStream(dst ImageSink, r io.Reader) (*SetInfo, error) {
 	hb := make([]byte, headerSize)
 	if _, err := io.ReadFull(r, hb); err != nil {
@@ -200,7 +168,7 @@ func RestoreStream(dst ImageSink, r io.Reader) (*SetInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := begin(dst, h); err != nil {
+	if err := dst.Format(h.imageBytes); err != nil {
 		return nil, err
 	}
 	d := decoder{hdr: h, dst: dst}
@@ -332,14 +300,13 @@ func (d *decoder) header(rec []byte) (frameHdr, error) {
 	if err != nil {
 		return fh, err
 	}
-	frameLines := d.hdr.frameBytes / pmem.LineSize
-	if fh.rawLen > d.hdr.frameBytes || fh.compLen > fh.rawLen || fh.bitmapLen > (frameLines+7)/8 {
-		return fh, fmt.Errorf("frame %d: lengths raw=%d comp=%d bitmap=%d exceed a %d-byte frame", fh.index, fh.rawLen, fh.compLen, fh.bitmapLen, d.hdr.frameBytes)
+	if fh.rawLen > d.hdr.frameBytes || fh.compLen > fh.rawLen {
+		return fh, fmt.Errorf("frame %d: lengths raw=%d comp=%d exceed a %d-byte frame", fh.index, fh.rawLen, fh.compLen, d.hdr.frameBytes)
 	}
 	return fh, nil
 }
 
-// apply decodes one frame record, verifies its digest and writes its lines
+// apply decodes one frame record, verifies its digest and writes its span
 // into the sink — the one decode path behind random-access, stream and heap
 // restore. Frames cover disjoint image ranges, so concurrent decoders need no
 // locking.
@@ -351,8 +318,7 @@ func (d *decoder) apply(rec []byte) (frameHdr, error) {
 	if len(rec) != fh.recordLen() {
 		return fh, fmt.Errorf("frame %d: record is %d bytes, header claims %d", fh.index, len(rec), fh.recordLen())
 	}
-	bitmap := rec[frameHdrSize : frameHdrSize+fh.bitmapLen]
-	body := rec[frameHdrSize+fh.bitmapLen:]
+	body := rec[frameHdrSize:]
 	raw := body
 	switch fh.enc {
 	case CompressNone:
@@ -379,36 +345,15 @@ func (d *decoder) apply(rec []byte) (frameHdr, error) {
 			return fh, fmt.Errorf("frame %d: inflated body longer than %d", fh.index, fh.rawLen)
 		}
 	}
-	if got := frameDigest(fh.index, bitmap, raw); got != fh.digest {
+	if got := frameDigest(fh.index, raw); got != fh.digest {
 		return fh, fmt.Errorf("frame %d: digest %#x, record claims %#x", fh.index, got, fh.digest)
 	}
 	off := int64(fh.index) * int64(d.hdr.frameBytes)
 	if off/int64(d.hdr.frameBytes) != int64(fh.index) || off >= d.hdr.imageBytes {
 		return fh, fmt.Errorf("frame %d: outside %d-byte image", fh.index, d.hdr.imageBytes)
 	}
-	if fh.bitmapLen == 0 {
-		// Full frame: contiguous span.
-		if err := d.dst.WriteImageAt(raw, off); err != nil {
-			return fh, fmt.Errorf("frame %d: %w", fh.index, err)
-		}
-		return fh, nil
-	}
-	// Delta frame: scatter churned lines per the bitmap.
-	set := 0
-	for _, b := range bitmap {
-		set += bits.OnesCount8(b)
-	}
-	if set*pmem.LineSize != fh.rawLen {
-		return fh, fmt.Errorf("frame %d: bitmap sets %d lines, body carries %d", fh.index, set, fh.rawLen/pmem.LineSize)
-	}
-	for rel := 0; rel < fh.bitmapLen*8; rel++ {
-		if bitmap[rel/8]&(1<<(rel%8)) == 0 {
-			continue
-		}
-		if err := d.dst.WriteImageAt(raw[:pmem.LineSize], off+int64(rel)*pmem.LineSize); err != nil {
-			return fh, fmt.Errorf("frame %d: line %d: %w", fh.index, rel, err)
-		}
-		raw = raw[pmem.LineSize:]
+	if err := d.dst.WriteImageAt(raw, off); err != nil {
+		return fh, fmt.Errorf("frame %d: %w", fh.index, err)
 	}
 	return fh, nil
 }
@@ -429,7 +374,6 @@ func finishRestore(h header, t trailer, size int64, digests []uint64, rawLens []
 		return nil, fmt.Errorf("frame: set digest %#x, trailer claims %#x", uint64(fold), t.setDigest)
 	}
 	return &SetInfo{
-		Kind:       h.kind,
 		FrameBytes: h.frameBytes,
 		ImageBytes: h.imageBytes,
 		Frames:     t.frameCount,

@@ -32,9 +32,8 @@
 // write-back, a completed fence, a higher-layer annotation and the crash — is
 // reported as a TraceEvent to the Observers attached through Heap.Observe
 // (trace.go). That one hook serves every consumer: the crash explorer's
-// Recorder, the persistency sanitizer (internal/psan) and the snapshot
-// engine's churn window (internal/frame). With nothing attached an event
-// costs one atomic pointer load.
+// Recorder and the persistency sanitizer (internal/psan). With nothing
+// attached an event costs one atomic pointer load.
 //
 // pmem knows no file format: the snapshot engine reads the persistent image
 // through ReadPersistentAt and boots a heap from a restored one through

@@ -18,9 +18,6 @@ import (
 //   - FillImageAt is its inverse for a heap nobody shares yet: it stores a
 //     byte range into the persistent and the volatile image alike, the view
 //     a machine has after rebooting onto that image.
-//
-// Which lines an incremental snapshot must carry is the snapshot engine's
-// business: it observes the heap's write-backs (Observe, EvWriteBack).
 
 // ImageSize returns the persistent image size in bytes (equal to Size).
 func (h *Heap) ImageSize() int64 { return int64(h.nWords) * WordSize }

@@ -14,10 +14,10 @@ import (
 // annotations and the crash itself, as a TraceEvent to the Observers attached
 // through Heap.Observe. Every consumer is such an observer: the Recorder,
 // which turns a run's persistence schedule into a replayable trace with
-// stable event IDs (internal/crashexplore enumerates crash points on it), the
-// persistency sanitizer (internal/psan) and the snapshot engine's churn
-// window (internal/frame). The file also holds the pluggable write-back
-// Schedule: when dirty lines spontaneously reach the media.
+// stable event IDs (internal/crashexplore enumerates crash points on it), and
+// the persistency sanitizer (internal/psan). The file also holds the
+// pluggable write-back Schedule: when dirty lines spontaneously reach the
+// media.
 
 // EventKind classifies a persistence event.
 type EventKind uint8

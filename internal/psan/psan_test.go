@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"github.com/respct/respct/internal/core"
-	"github.com/respct/respct/internal/frame"
 	"github.com/respct/respct/internal/pmem"
 	"github.com/respct/respct/internal/psan"
 )
@@ -189,13 +188,12 @@ func TestStoreOutsideWindowThroughRuntime(t *testing.T) {
 	}
 }
 
-// observed is what each of the three heap observers saw of one run: the
-// recorder's trace, the sanitizer's findings and the frame store's delta.
+// observed is what each of the two heap observers saw of one run: the
+// recorder's trace and the sanitizer's findings.
 type observed struct {
 	events   int
 	trace    uint64
 	findings []string
-	delta    *frame.SetInfo
 }
 
 // observeRun drives one fixed sequence of heap events — flushes, a
@@ -203,19 +201,9 @@ type observed struct {
 // stores, a crash and a post-reboot flush — with the chosen observers
 // attached, and returns what each of them saw. The sanitizer's bookkeeping
 // calls never touch the heap, so every configuration sees the same events.
-func observeRun(t *testing.T, withRec, withSan, withWin bool) observed {
+func observeRun(t *testing.T, withRec, withSan bool) observed {
 	t.Helper()
 	h := pmem.New(pmem.Config{Size: 1 << 20})
-	var st *frame.Store
-	if withWin {
-		var err error
-		if st, err = frame.NewStore(frame.NewMemFS(), frame.Params{FrameBytes: 1 << 14}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := st.Snapshot(h, 1, nil); err != nil { // the full set opens the window
-			t.Fatal(err)
-		}
-	}
 	var s *psan.Sanitizer
 	if withSan {
 		s = psan.New(h, psan.ModeCollect)
@@ -261,7 +249,7 @@ func observeRun(t *testing.T, withRec, withSan, withWin bool) observed {
 	}
 	h.Crash()
 	h.Reopen()
-	h.Store64(line(6), 6) // after the reboot: the window still marks it
+	h.Store64(line(6), 6) // after the reboot: the recorder still sees it
 	f.Persist(line(6))
 
 	var o observed
@@ -272,24 +260,16 @@ func observeRun(t *testing.T, withRec, withSan, withWin bool) observed {
 	if s != nil {
 		o.findings = s.Findings()
 	}
-	if st != nil {
-		res, err := st.Snapshot(h, 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.delta = res.Info
-	}
 	return o
 }
 
-// TestObserversCompose attaches a recorder, a sanitizer and a frame store's
-// churn window to one heap: each must see exactly what it sees attached
-// alone — the same trace, the same findings, the same next delta.
+// TestObserversCompose attaches a recorder and a sanitizer to one heap: each
+// must see exactly what it sees attached alone — the same trace, the same
+// findings.
 func TestObserversCompose(t *testing.T) {
-	all := observeRun(t, true, true, true)
-	rec := observeRun(t, true, false, false)
-	san := observeRun(t, false, true, false)
-	win := observeRun(t, false, false, true)
+	all := observeRun(t, true, true)
+	rec := observeRun(t, true, false)
+	san := observeRun(t, false, true)
 
 	if rec.events == 0 || all.events != rec.events || all.trace != rec.trace {
 		t.Errorf("trace composed %d events %#x, alone %d events %#x", all.events, all.trace, rec.events, rec.trace)
@@ -307,13 +287,6 @@ func TestObserversCompose(t *testing.T) {
 	}
 	if !slices.Equal(all.findings, san.findings) {
 		t.Errorf("findings composed %v, alone %v", all.findings, san.findings)
-	}
-	// Lines 0, 1, 2, 4, 5 and, after the reboot, 6 were written back.
-	if win.delta.Kind != frame.KindDelta || win.delta.Lines != 6 {
-		t.Errorf("window alone: delta %+v, want a delta of 6 lines", *win.delta)
-	}
-	if all.delta.Kind != win.delta.Kind || all.delta.Lines != win.delta.Lines || all.delta.Digest != win.delta.Digest {
-		t.Errorf("delta composed %+v, alone %+v", *all.delta, *win.delta)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/respct/respct/internal/core"
-	"github.com/respct/respct/internal/frame"
 	"github.com/respct/respct/internal/kv"
 	"github.com/respct/respct/internal/pmem"
 	"github.com/respct/respct/internal/telemetry"
@@ -161,11 +160,9 @@ type Pool struct {
 	// registry was configured, and Store checks that once per operation.
 	ops []*telemetry.Counter
 
-	// frames caches per-base frame stores (see SnapshotFrames): delta
-	// snapshots depend on the store tracking a heap's churn window
-	// continuously, so stores must survive across calls.
-	framesMu sync.Mutex
-	frames   map[string][]*frame.Store
+	// snapMu serializes SnapshotFrames calls, so two snapshots of one base
+	// never interleave their manifest writes.
+	snapMu sync.Mutex
 }
 
 // rtThreads is the per-shard runtime thread count: one slot per worker,

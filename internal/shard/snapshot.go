@@ -18,70 +18,36 @@ func ShardFrameDir(base string, i int) string {
 	return fmt.Sprintf("%s-%d.fset", strings.TrimSuffix(base, filepath.Ext(base)), i)
 }
 
-// SnapshotFrames checkpoints every shard, then snapshots each shard's
-// persistent image into the frame store under ShardFrameDir(base, i) — all
-// shards in parallel, and each shard's frames in parallel per params. The
-// first snapshot of a shard writes a full frame set; later calls on the same
-// pool write incremental deltas carrying only the lines churned since the
-// previous call, compacting per params. Failed shards keep their previous
-// certified chain.
+// SnapshotFrames checkpoints every shard, then writes each shard's
+// persistent image as a full frame set into the frame store under
+// ShardFrameDir(base, i), where it replaces the certified set: all shards in
+// parallel, and each shard's frames in parallel per params. Failed shards
+// keep their previous certified set.
 func (p *Pool) SnapshotFrames(base string, params frame.Params) ([]*frame.SnapshotResult, error) {
+	p.snapMu.Lock()
+	defer p.snapMu.Unlock()
 	p.CheckpointAll()
 	p.WaitDrains()
-	stores, err := p.frameStores(base, params)
-	if err != nil {
-		return nil, err
-	}
 	results := make([]*frame.SnapshotResult, len(p.shards))
-	err = eachShard(len(p.shards), func(i int) error {
+	err := eachShard(len(p.shards), func(i int) error {
 		sh := p.shards[i]
-		// The async runtime's pending maps cover lines an in-flight drain
-		// still owes; union them in so a delta never under-covers.
-		res, err := stores[i].Snapshot(sh.Heap, sh.RT.DurableEpoch(), sh.RT.DirtyLineBits())
+		st, err := frame.NewStore(frame.DirFS{Dir: ShardFrameDir(base, i)}, params)
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		res, err := st.Snapshot(sh.Heap, sh.RT.DurableEpoch())
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		results[i] = res
 		sh.RT.Flight().Record(telemetry.FlightFrameSnap, sh.RT.DurableEpoch(),
-			uint64(res.Info.Kind), uint64(res.Info.Bytes))
-		if res.Compacted > 0 {
-			sh.RT.Flight().Record(telemetry.FlightCompaction, sh.RT.DurableEpoch(),
-				uint64(res.Compacted), uint64(res.Info.Bytes))
-		}
+			uint64(res.Info.Lines), uint64(res.Info.Bytes))
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return results, nil
-}
-
-// frameStores returns the pool's per-shard frame stores for base, creating
-// and caching them on first use. Caching matters: a Store only writes deltas
-// for a heap whose churn window it has been tracking continuously.
-func (p *Pool) frameStores(base string, params frame.Params) ([]*frame.Store, error) {
-	p.framesMu.Lock()
-	defer p.framesMu.Unlock()
-	if p.frames == nil {
-		p.frames = make(map[string][]*frame.Store)
-	}
-	if stores, ok := p.frames[base]; ok {
-		return stores, nil
-	}
-	var metrics *frame.Metrics
-	if p.cfg.Metrics != nil {
-		metrics = frame.NewMetrics(p.cfg.Metrics)
-	}
-	stores := make([]*frame.Store, len(p.shards))
-	for i := range p.shards {
-		st, err := frame.NewStore(frame.DirFS{Dir: ShardFrameDir(base, i)}, params, metrics)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		stores[i] = st
-	}
-	p.frames[base] = stores
-	return stores, nil
 }
 
 // LegacyImageError reports a base whose shard 0 exists only as a whole-image
@@ -120,7 +86,7 @@ func SnapshotFileCount(base string) (int, error) {
 	return n, nil
 }
 
-// OpenPoolFiles restores every shard's heap from its certified frame chain
+// OpenPoolFiles restores every shard's heap from its certified frame set
 // under base and recovers the pool from them (all shards in parallel). The
 // shard count of cfg must match the count the snapshots were written with.
 func OpenPoolFiles(cfg Config, base string) (*Pool, *RecoveryReport, error) {
@@ -140,9 +106,9 @@ func OpenPoolFiles(cfg Config, base string) (*Pool, *RecoveryReport, error) {
 	return Recover(cfg, heaps)
 }
 
-// openShardHeap boots one shard's heap straight from its frame chain.
+// openShardHeap boots one shard's heap straight from its frame set.
 func openShardHeap(base string, i int) (*pmem.Heap, error) {
-	st, err := frame.NewStore(frame.DirFS{Dir: ShardFrameDir(base, i)}, frame.Params{}, nil)
+	st, err := frame.NewStore(frame.DirFS{Dir: ShardFrameDir(base, i)}, frame.Params{})
 	if err != nil {
 		return nil, err
 	}

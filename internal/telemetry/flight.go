@@ -45,8 +45,7 @@ const (
 	FlightDrainCommit                       // async drain made its epoch durable (aux = lag ns, aux2 = lines)
 	FlightRecovery                          // recovery pass completed (aux = cells rolled back, aux2 = drain interrupted)
 	FlightSnapshot                          // whole-image snapshot written: no writer remains, the value stays so persisted rings keep their numbering
-	FlightFrameSnap                         // frame-format snapshot written (aux = set kind 1 full / 2 delta, aux2 = bytes)
-	FlightCompaction                        // frame delta chain compacted back to a full set (aux = chain length folded, aux2 = bytes)
+	FlightFrameSnap                         // frame set written (aux = lines, aux2 = bytes)
 )
 
 // String renders the kind for reports.
@@ -66,13 +65,11 @@ func (k FlightKind) String() string {
 		return "snapshot"
 	case FlightFrameSnap:
 		return "frame-snapshot"
-	case FlightCompaction:
-		return "frame-compaction"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-func (k FlightKind) valid() bool { return k >= FlightFormat && k <= FlightCompaction }
+func (k FlightKind) valid() bool { return k >= FlightFormat && k <= FlightFrameSnap }
 
 // FlightEvent is one recovered or live event.
 type FlightEvent struct {
@@ -96,6 +93,8 @@ func (e FlightEvent) String() string {
 		return fmt.Sprintf("#%d %s %s epoch=%d lag=%v lines=%d", e.Seq, t, e.Kind, e.Epoch, time.Duration(e.Aux), e.Aux2)
 	case FlightRecovery:
 		return fmt.Sprintf("#%d %s %s failed-epoch=%d rolled-back=%d drain-interrupted=%v", e.Seq, t, e.Kind, e.Epoch, e.Aux, e.Aux2 != 0)
+	case FlightFrameSnap:
+		return fmt.Sprintf("#%d %s %s epoch=%d lines=%d bytes=%d", e.Seq, t, e.Kind, e.Epoch, e.Aux, e.Aux2)
 	}
 	return fmt.Sprintf("#%d %s %s epoch=%d aux=%d", e.Seq, t, e.Kind, e.Epoch, e.Aux)
 }
