@@ -185,41 +185,6 @@ func BenchmarkAblationFlusherPool(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTracking compares InCLL-based modification tracking with
-// naive append-per-update tracking (DESIGN.md ablation; the paper's claim is
-// that the epoch tag makes tracking nearly free).
-func BenchmarkAblationTracking(b *testing.B) {
-	for _, naive := range []bool{false, true} {
-		name := "incll-tracking"
-		if naive {
-			name = "naive-tracking"
-		}
-		b.Run(name, func(b *testing.B) {
-			rt, err := core.NewRuntime(pmem.New(pmem.NVMMConfig(128<<20)),
-				core.Config{Threads: 1, DisableTracking: naive})
-			if err != nil {
-				b.Fatal(err)
-			}
-			t := rt.Thread(0)
-			p := rt.Arena().AllocCells(t, 64)
-			cells := make([]core.InCLL, 64)
-			for i := range cells {
-				cells[i] = core.Cell(p, i)
-				t.Init(cells[i], 0)
-			}
-			ck := rt.StartCheckpointer(8 * time.Millisecond)
-			defer ck.Stop()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t.Update(cells[i%64], uint64(i))
-				t.RP(1)
-			}
-			b.StopTimer()
-			t.CheckpointAllow()
-		})
-	}
-}
-
 // BenchmarkExtensionEADR measures the paper's §6 discussion point as an
 // implemented extension: on an eADR platform (caches inside the persistence
 // domain) ResPCT runs with SkipFlush — checkpoints only advance the epoch —

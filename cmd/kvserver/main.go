@@ -25,10 +25,7 @@
 //
 //	kvserver [-addr 127.0.0.1:11222] [-workers 4] [-shards 1] [-async]
 //	         [-buckets 1048576] [-interval 64ms] [-heap 2147483648]
-//	         [-snapshot ""] [-metrics ""] [-structures=true] [-transient]
-//
-// -transient serves the non-fault-tolerant store instead (no shards, no
-// checkpoints, no snapshots — the paper's unmodified-Memcached baseline).
+//	         [-snapshot ""] [-metrics ""] [-structures=true]
 //
 // -structures (on by default) enables the persistent structures surface —
 // ordered SCAN, queues (QPUSH/QPOP), logs (LAPPEND/LRANGE), per-key TTLs
@@ -68,7 +65,6 @@ import (
 
 	"github.com/respct/respct/internal/frame"
 	"github.com/respct/respct/internal/kv"
-	"github.com/respct/respct/internal/pmem"
 	"github.com/respct/respct/internal/shard"
 	"github.com/respct/respct/internal/telemetry"
 )
@@ -84,35 +80,12 @@ func main() {
 	snapshot := flag.String("snapshot", "", "snapshot base path: every shard's frame store is recovered from at start if present, written on shutdown")
 	metricsAddr := flag.String("metrics", "", "serve telemetry on this address (/metrics, /metrics.json, /debug/pprof/); empty disables instrumentation")
 	structures := flag.Bool("structures", true, "enable the persistent structures surface (SCAN/QPUSH/QPOP/LAPPEND/LRANGE/EXPIRE/TTL/MULTI, see docs/COMMANDS.md); disabling reclaims the per-shard sweeper thread and two-cell records")
-	transient := flag.Bool("transient", false, "run the non-fault-tolerant store instead")
 	flag.Parse()
 
 	var reg *telemetry.Registry
 	if *metricsAddr != "" {
 		reg = telemetry.NewRegistry()
 		telemetry.RegisterGoRuntime(reg)
-	}
-	newServer := func(store kv.Store) (*kv.Server, error) {
-		return kv.NewServerOpts(store, kv.Options{
-			Workers: *workers,
-			Addr:    *addr,
-			Metrics: reg,
-		})
-	}
-
-	if *transient {
-		h := pmem.New(pmem.NVMMConfig(*heapBytes))
-		srv, err := newServer(kv.NewTransientStore(h))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "kvserver:", err)
-			os.Exit(1)
-		}
-		msrv := serveMetrics(reg, *metricsAddr)
-		fmt.Println("transient kvserver listening on", srv.Addr())
-		waitForSignal()
-		srv.Close()
-		stopMetrics(msrv, reg)
-		return
 	}
 
 	if *shards < 1 {
@@ -172,7 +145,7 @@ func main() {
 	}
 
 	pool.Start()
-	srv, err := newServer(pool.Store())
+	srv, err := kv.NewServerOpts(pool.Store(), kv.Options{Workers: *workers, Addr: *addr, Metrics: reg})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kvserver:", err)
 		os.Exit(1)

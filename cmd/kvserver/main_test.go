@@ -161,8 +161,8 @@ func TestProcessLifecycle(t *testing.T) {
 	bin := build(t)
 	// A new flag is a new configuration every test and benchmark has to cover.
 	usage, _ := exec.Command(bin, "-h").CombinedOutput()
-	if n := len(regexp.MustCompile(`(?m)^  -`).FindAll(usage, -1)); n != 11 {
-		t.Fatalf("kvserver -h lists %d flags, want 11:\n%s", n, usage)
+	if n := len(regexp.MustCompile(`(?m)^  -`).FindAll(usage, -1)); n != 10 {
+		t.Fatalf("kvserver -h lists %d flags, want 10:\n%s", n, usage)
 	}
 
 	dir := t.TempDir()
@@ -243,14 +243,11 @@ func TestProcessLifecycle(t *testing.T) {
 }
 
 // TestEmptyPoolRefused: with no store thread to lease every request would
-// wait forever, so -workers 0 exits 1 before listening, with or without
-// -transient (which builds no shard pool to refuse it first).
+// wait forever, so -workers 0 exits 1 before listening.
 func TestEmptyPoolRefused(t *testing.T) {
 	bin := build(t)
-	for _, mode := range [][]string{{"-transient"}, {}} {
-		args := append([]string{"-addr", "127.0.0.1:0", "-workers", "0", "-heap", strconv.Itoa(16 << 20), "-buckets", "4096"}, mode...)
-		if out := refused(t, bin, args...); !strings.Contains(out, "0 workers") && !strings.Contains(out, "worker count 0") {
-			t.Fatalf("kvserver %v: refusal does not name the worker count: %q", args, out)
-		}
+	args := []string{"-addr", "127.0.0.1:0", "-workers", "0", "-heap", strconv.Itoa(16 << 20), "-buckets", "4096"}
+	if out := refused(t, bin, args...); !strings.Contains(out, "0 workers") && !strings.Contains(out, "worker count 0") {
+		t.Fatalf("kvserver %v: refusal does not name the worker count: %q", args, out)
 	}
 }

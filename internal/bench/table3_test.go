@@ -15,10 +15,10 @@ var apiCallRe = regexp.MustCompile(`\.(Update|Init|InitFloat|InitInt|InitAddr|Up
 // published counts cannot silently drift.
 func TestTable3CountsFresh(t *testing.T) {
 	root := "../.." // package dir is internal/bench
-	for rel, want := range table3Files() {
-		f, err := os.Open(filepath.Join(root, rel))
+	for _, r := range table3Rows {
+		f, err := os.Open(filepath.Join(root, r.file))
 		if err != nil {
-			t.Fatalf("%s: %v", rel, err)
+			t.Fatalf("%s: %v", r.file, err)
 		}
 		loc, calls := 0, 0
 		sc := bufio.NewScanner(f)
@@ -36,9 +36,9 @@ func TestTable3CountsFresh(t *testing.T) {
 		if err := sc.Err(); err != nil {
 			t.Fatal(err)
 		}
-		if loc != want[0] || calls != want[1] {
+		if loc != r.loc || calls != r.apiCalls {
 			t.Errorf("%s: measured %d LoC / %d API calls, table says %d / %d — update table3.go",
-				rel, loc, calls, want[0], want[1])
+				r.file, loc, calls, r.loc, r.apiCalls)
 		}
 	}
 }

@@ -176,29 +176,6 @@ func TestSkipFlushLeavesDataVolatile(t *testing.T) {
 	}
 }
 
-func TestDisableTrackingAppendsDuplicates(t *testing.T) {
-	h := pmem.New(pmem.Config{Size: 8 << 20})
-	rt, err := NewRuntime(h, Config{Threads: 1, DisableTracking: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := rt.Thread(0)
-	p := rt.Arena().AllocCells(th, 1)
-	v := Cell(p, 0)
-	th.Init(v, 0)
-	before := len(th.toFlush)
-	for i := 0; i < 10; i++ {
-		th.Update(v, uint64(i))
-	}
-	if got := len(th.toFlush) - before; got != 10 {
-		t.Fatalf("naive tracking appended %d entries, want 10", got)
-	}
-	mustCheckpointSolo(t, rt)
-	if h.LoadPersistent64(v.Addr()) != 9 {
-		t.Fatal("value lost with naive tracking")
-	}
-}
-
 func TestTypedViews(t *testing.T) {
 	rt := newTestRuntime(t, 1, 0)
 	th := rt.Thread(0)

@@ -92,10 +92,6 @@ func (t *Thread) Update(v InCLL, val uint64) {
 		h.Store64(v.addr+cellBackupOff, h.Load64(v.addr+cellRecordOff))
 		h.Store64(v.addr+cellEpochOff, epoch)
 		t.AddModified(v.addr)
-	} else if t.rt.cfg.DisableTracking {
-		// Ablation mode: behave like a tracker without the InCLL epoch
-		// optimisation — every update appends, duplicates and all.
-		t.AddModified(v.addr)
 	}
 	h.Store64(v.addr+cellRecordOff, val)
 }

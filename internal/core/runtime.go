@@ -45,12 +45,6 @@ type Config struct {
 	// paper's overhead analysis, Fig. 10). Recovery is unsound with it.
 	SkipFlush bool
 
-	// DisableTracking makes AddModified append unconditionally even for
-	// repeat updates (ablation of the InCLL-based tracking optimisation).
-	// It changes nothing semantically — the flush coalesces duplicates —
-	// but shows the cost of naive tracking.
-	DisableTracking bool
-
 	// Sanitize attaches the runtime persistency sanitizer (internal/psan):
 	// a shadow heap that checks the durability state machine at every
 	// store, flush and commit and reports protocol violations at the
@@ -230,7 +224,6 @@ type Thread struct {
 	// Write-combining line cache (track.go): registrations of a line already
 	// seen at the current generation are dropped. The generation bumps
 	// whenever toFlush is cleared or stolen (resetTracking).
-	dedup     bool // !DisableTracking, frozen at construction
 	trackGen  uint64
 	lineCache []lineSlot
 

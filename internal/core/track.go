@@ -59,7 +59,6 @@ func newThread(rt *Runtime, id int) *Thread {
 	return &Thread{
 		rt:        rt,
 		id:        id,
-		dedup:     !rt.cfg.DisableTracking,
 		trackGen:  1,
 		lineCache: make([]lineSlot, lineCacheSlots),
 	}
@@ -97,7 +96,7 @@ func (t *Thread) AddModified(a pmem.Addr) {
 		// registration, combined away or not.
 		t.sanTrack(s, a)
 	}
-	if t.dedup && t.seenLine(uint64(a)/pmem.LineSize) {
+	if t.seenLine(uint64(a) / pmem.LineSize) {
 		return
 	}
 	t.toFlush = append(t.toFlush, a)
@@ -136,7 +135,7 @@ func (t *Thread) AddModifiedRange(a pmem.Addr, n int) {
 		if async {
 			t.guardLine(la)
 		}
-		if t.dedup && t.seenLine(uint64(line)) {
+		if t.seenLine(uint64(line)) {
 			continue
 		}
 		if async {

@@ -19,12 +19,12 @@
 // changes the bytes on disk but never the digest.
 //
 // Containers are written front-to-back (streamable to any io.Writer) and
-// finish with a frame index plus a fixed-size trailer, so a reader with
-// io.ReaderAt restores frames in parallel after one trailer read, while a
-// plain stream reader can decode the same container sequentially. Both hand
-// every record to one decode routine, which writes into an ImageSink — the
-// mirror of the writer's ImageSource: HeapSink boots a pmem.Heap straight
-// from the frames, BytesSink materialises the image in memory.
+// finish with a frame index plus a fixed-size trailer, so the one reader,
+// RestoreInto, restores frames in parallel from an io.ReaderAt after one
+// trailer read. Every record goes through one decode routine, which writes
+// into an ImageSink — the mirror of the writer's ImageSource: HeapSink boots
+// a pmem.Heap straight from the frames, BytesSink materialises the image in
+// memory.
 //
 // # Stores, manifests and fallback
 //

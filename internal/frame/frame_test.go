@@ -171,39 +171,6 @@ func TestFullSetBytesPinned(t *testing.T) {
 	}
 }
 
-// TestStreamRestoreMatchesRandomAccess decodes the same container via the
-// sequential reader and compares.
-func TestStreamRestoreMatchesRandomAccess(t *testing.T) {
-	img := testImage(t, 1<<19, 9)
-	var buf bytes.Buffer
-	info, err := WriteFull(&buf, BytesSource(img), Params{FrameBytes: 1 << 16, Compression: CompressFlate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got BytesSink
-	sinfo, err := RestoreStream(&got, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, img) {
-		t.Fatal("stream-restored image differs")
-	}
-	rinfo, err := RestoreInto(new(BytesSink), bytes.NewReader(buf.Bytes()), int64(buf.Len()), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *sinfo != *rinfo || sinfo.Digest != info.Digest || sinfo.Frames != info.Frames || sinfo.Lines != info.Lines {
-		t.Fatalf("stream info %+v, random-access info %+v, write info %+v", sinfo, rinfo, info)
-	}
-	var heap HeapSink
-	if _, err := RestoreStream(&heap, bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bootedImage(t, &heap), img) {
-		t.Fatal("stream-restored heap differs")
-	}
-}
-
 // TestCorruptionDetected flips one payload byte and expects the frame digest
 // check to refuse the container.
 func TestCorruptionDetected(t *testing.T) {
@@ -268,28 +235,22 @@ func TestHeapSinkJudgesTheImage(t *testing.T) {
 	if _, err := WriteFull(&buf, BytesSource(img), Params{FrameBytes: 1 << 14, Compression: CompressFlate}); err != nil {
 		t.Fatal(err)
 	}
-	for name, restore := range map[string]func(ImageSink) (*SetInfo, error){
-		"random access": func(dst ImageSink) (*SetInfo, error) {
-			return RestoreInto(dst, bytes.NewReader(buf.Bytes()), int64(buf.Len()), 2)
-		},
-		"stream": func(dst ImageSink) (*SetInfo, error) { return RestoreStream(dst, bytes.NewReader(buf.Bytes())) },
-	} {
-		var sink HeapSink
-		if _, err := restore(&sink); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if h, err := sink.Heap(); err == nil {
-			t.Fatalf("%s: image without a magic word booted as a %d-byte heap", name, h.Size())
-		}
+	var sink HeapSink
+	if _, err := RestoreInto(&sink, bytes.NewReader(buf.Bytes()), int64(buf.Len()), 2); err != nil {
+		t.Fatal(err)
+	}
+	if h, err := sink.Heap(); err == nil {
+		t.Fatalf("image without a magic word booted as a %d-byte heap", h.Size())
 	}
 	if _, err := new(HeapSink).Heap(); err == nil {
 		t.Fatal("a sink nothing was restored into handed out a heap")
 	}
 }
 
-// FuzzRestoreStream asserts the stream reader never panics on arbitrary
-// input, and that whatever it accepts and CheckMagic passes is a usable heap.
-func FuzzRestoreStream(f *testing.F) {
+// FuzzRestore asserts the restore path — readShape, the index decode and the
+// frame decoder — never panics on arbitrary input, and that whatever it
+// accepts and CheckMagic passes is a usable heap.
+func FuzzRestore(f *testing.F) {
 	h := pmem.New(pmem.Config{Size: 1 << 16})
 	h.Store64(h.DataStart(), 42)
 	h.NewFlusher().Persist(h.DataStart())
@@ -324,7 +285,7 @@ func FuzzRestoreStream(f *testing.F) {
 			}
 		}
 		var sink HeapSink
-		if _, err := RestoreStream(&sink, bytes.NewReader(data)); err != nil {
+		if _, err := RestoreInto(&sink, bytes.NewReader(data), int64(len(data)), 1); err != nil {
 			return // rejected: fine
 		}
 		h, err := sink.Heap()

@@ -3,29 +3,12 @@ package frame
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
 
 	"github.com/respct/respct/internal/pmem"
 )
-
-// Info reads a container's identity (sizes, digest) from its header and
-// trailer without touching the frames.
-func Info(r io.ReaderAt, size int64) (*SetInfo, error) {
-	h, t, _, err := readShape(r, size)
-	if err != nil {
-		return nil, err
-	}
-	return &SetInfo{
-		FrameBytes: h.frameBytes,
-		ImageBytes: h.imageBytes,
-		Frames:     t.frameCount,
-		Bytes:      size,
-		Digest:     t.setDigest,
-	}, nil
-}
 
 // ImageSink is the writer side of an image being restored, the mirror of
 // ImageSource: HeapSink boots a pmem.Heap straight from the frames, BytesSink
@@ -156,76 +139,6 @@ func RestoreInto(dst ImageSink, r io.ReaderAt, size int64, workers int) (*SetInf
 	return finishRestore(h, t, size, digests, rawLens)
 }
 
-// RestoreStream decodes a container sequentially from a plain reader — the
-// same bytes RestoreInto reads, without needing io.ReaderAt. Like
-// RestoreInto it formats dst first.
-func RestoreStream(dst ImageSink, r io.Reader) (*SetInfo, error) {
-	hb := make([]byte, headerSize)
-	if _, err := io.ReadFull(r, hb); err != nil {
-		return nil, err
-	}
-	h, err := decodeHeader(hb)
-	if err != nil {
-		return nil, err
-	}
-	if err := dst.Format(h.imageBytes); err != nil {
-		return nil, err
-	}
-	d := decoder{hdr: h, dst: dst}
-	size := int64(headerSize)
-	var digests []uint64
-	var rawLens []int
-	for {
-		// Every record and the index open with a 4-byte magic.
-		var pre [frameHdrSize]byte
-		if _, err := io.ReadFull(r, pre[:4]); err != nil {
-			return nil, err
-		}
-		if binary.LittleEndian.Uint32(pre[:]) == indexMagic {
-			size += 4
-			break
-		}
-		if _, err := io.ReadFull(r, pre[4:]); err != nil {
-			return nil, err
-		}
-		fh, err := d.header(pre[:])
-		if err != nil {
-			return nil, err
-		}
-		rec := d.record(fh.recordLen())
-		copy(rec, pre[:])
-		if _, err := io.ReadFull(r, rec[frameHdrSize:]); err != nil {
-			return nil, err
-		}
-		if _, err := d.apply(rec); err != nil {
-			return nil, err
-		}
-		digests = append(digests, fh.digest)
-		rawLens = append(rawLens, fh.rawLen)
-		size += int64(len(rec))
-	}
-	// The index magic is consumed; read count, entries, trailer, and verify
-	// the frame count and set digest against what we streamed.
-	var cb [4]byte
-	if _, err := io.ReadFull(r, cb[:]); err != nil {
-		return nil, err
-	}
-	n := int(binary.LittleEndian.Uint32(cb[:]))
-	if n != len(digests) {
-		return nil, fmt.Errorf("frame: index lists %d frames, stream carried %d", n, len(digests))
-	}
-	rest := make([]byte, n*indexEntrySize+trailerSize)
-	if _, err := io.ReadFull(r, rest); err != nil {
-		return nil, err
-	}
-	size += 4 + int64(len(rest))
-	t, err := decodeTrailer(rest[n*indexEntrySize:])
-	if err != nil {
-		return nil, err
-	}
-	return finishRestore(h, t, size, digests, rawLens)
-}
-
 // readShape reads header, trailer and index of a random-access container.
 func readShape(r io.ReaderAt, size int64) (header, trailer, []indexEntry, error) {
 	var h header
@@ -293,27 +206,17 @@ func (d *decoder) record(n int) []byte {
 	return d.rec[:n]
 }
 
-// header decodes a record's preamble and refuses lengths no frame of this
-// container can have, before anything is sized by them.
-func (d *decoder) header(rec []byte) (frameHdr, error) {
+// apply decodes one frame record, verifies its digest and writes its span
+// into the sink — the one decode path behind every restore. Lengths no frame
+// of this container can have are refused before anything is sized by them.
+// Frames cover disjoint image ranges, so concurrent decoders need no locking.
+func (d *decoder) apply(rec []byte) (frameHdr, error) {
 	fh, err := decodeFrameHdr(rec)
 	if err != nil {
 		return fh, err
 	}
 	if fh.rawLen > d.hdr.frameBytes || fh.compLen > fh.rawLen {
 		return fh, fmt.Errorf("frame %d: lengths raw=%d comp=%d exceed a %d-byte frame", fh.index, fh.rawLen, fh.compLen, d.hdr.frameBytes)
-	}
-	return fh, nil
-}
-
-// apply decodes one frame record, verifies its digest and writes its span
-// into the sink — the one decode path behind random-access, stream and heap
-// restore. Frames cover disjoint image ranges, so concurrent decoders need no
-// locking.
-func (d *decoder) apply(rec []byte) (frameHdr, error) {
-	fh, err := d.header(rec)
-	if err != nil {
-		return fh, err
 	}
 	if len(rec) != fh.recordLen() {
 		return fh, fmt.Errorf("frame %d: record is %d bytes, header claims %d", fh.index, len(rec), fh.recordLen())
@@ -358,8 +261,8 @@ func (d *decoder) apply(rec []byte) (frameHdr, error) {
 	return fh, nil
 }
 
-// finishRestore folds the streamed/decoded frame digests and checks them
-// against the trailer.
+// finishRestore folds the decoded frame digests and checks them against the
+// trailer.
 func finishRestore(h header, t trailer, size int64, digests []uint64, rawLens []int) (*SetInfo, error) {
 	if len(digests) != t.frameCount {
 		return nil, fmt.Errorf("frame: decoded %d frames, trailer says %d", len(digests), t.frameCount)

@@ -272,7 +272,7 @@ func TestServerSnapshotRecoveryRoundTrip(t *testing.T) {
 
 	// "Second process": open the image, recover, reattach, serve.
 	sink := &frame.HeapSink{Config: pmem.NVMMConfig(0)}
-	if _, err := frame.RestoreStream(sink, &img); err != nil {
+	if _, err := frame.RestoreInto(sink, bytes.NewReader(img.Bytes()), int64(img.Len()), 0); err != nil {
 		t.Fatal(err)
 	}
 	h2, err := sink.Heap()

@@ -1,7 +1,7 @@
 package structures
 
 import (
-	"fmt"
+	"encoding/binary"
 	"sync"
 
 	"github.com/respct/respct/internal/core"
@@ -36,9 +36,9 @@ const (
 	rpSkipOp uint64 = 0x536b69704f70 // "SkipOp"
 )
 
-// skipLevel derives a deterministic tower height from the key, so the
-// structure's shape is reproducible across runs and across the transient
-// and persistent variants (expected height distribution ~ geometric(1/2)).
+// skipLevel derives a deterministic tower height from a key hash, so a
+// structure's shape is reproducible across runs (expected height
+// distribution ~ geometric(1/2)).
 func skipLevel(key uint64) int {
 	h := hashMix(key * 0x9E3779B97F4A7C15)
 	lvl := 1
@@ -49,93 +49,40 @@ func skipLevel(key uint64) int {
 	return lvl
 }
 
-// RespctSkipList is a persistent sorted map built on ResPCT: a skiplist
-// whose forward pointers and values are InCLL cells. A single mutex guards
-// mutations (the paper's lock-based programming model; scans and gets take
-// it too for strict consistency). All pointer updates of an insertion or
-// removal are individually undo-logged, so a crashed epoch rolls the whole
-// structural change back as one — no partial-link states can survive
-// recovery.
-//
-// Node payload: cells [next_0 .. next_{level-1}, value], raw words
-// [key, level].
+// RespctSkipList is the persistent sorted map over uint64 keys: a view of
+// RespctStrSkipList whose keys are the 8 big-endian bytes of each uint64, so
+// byte order is numeric order. The list is the server's ordered index; this
+// view adds nothing but the key encoding, so every property of the list —
+// one mutex, undo-logged links, whole insertions and removals rolled back
+// with their epoch — holds here unchanged.
 type RespctSkipList struct {
-	rt   *core.Runtime
-	desc pmem.Addr // head tower: skipMaxLevel next cells
-	mu   sync.Mutex
+	l *RespctStrSkipList
 }
 
 // NewRespctSkipList creates an empty persistent sorted map published under
 // heap root slot rootIdx.
 func NewRespctSkipList(rt *core.Runtime, rootIdx int) (*RespctSkipList, error) {
-	sys := rt.Sys()
-	desc := rt.Arena().AllocCells(sys, skipMaxLevel)
-	if desc == pmem.NilAddr {
-		return nil, fmt.Errorf("structures: heap exhausted allocating skiplist head")
+	l, err := NewRespctStrSkipList(rt, rootIdx)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < skipMaxLevel; i++ {
-		sys.Init(core.Cell(desc, i), 0)
-	}
-	sys.Update(rt.RootInCLL(rootIdx), uint64(desc))
-	return &RespctSkipList{rt: rt, desc: desc}, nil
+	return &RespctSkipList{l}, nil
 }
 
 // OpenRespctSkipList reattaches after recovery.
 func OpenRespctSkipList(rt *core.Runtime, rootIdx int) (*RespctSkipList, error) {
-	desc := rt.ReadAddr(rt.RootInCLL(rootIdx))
-	if desc == pmem.NilAddr {
-		return nil, fmt.Errorf("structures: no skiplist registered under root %d", rootIdx)
+	l, err := OpenRespctStrSkipList(rt, rootIdx)
+	if err != nil {
+		return nil, err
 	}
-	return &RespctSkipList{rt: rt, desc: desc}, nil
+	return &RespctSkipList{l}, nil
 }
 
-func (s *RespctSkipList) headNext(lvl int) core.InCLL { return core.Cell(s.desc, lvl) }
-
-// Every node reserves the full skipMaxLevel+1 cells — cell 0 is the value,
-// cells 1..skipMaxLevel the forward pointers — so field offsets are fixed
-// regardless of the tower height and the raw trailer [key, level] is always
-// at RawBase(n, skipMaxLevel+1). Towers are short on average; the padding
-// keeps the layout self-describing for the recovery scan.
-func (s *RespctSkipList) nodeValue(n pmem.Addr) core.InCLL { return core.Cell(n, 0) }
-
-func (s *RespctSkipList) nodeKey(n pmem.Addr) uint64 {
-	return s.rt.Heap().Load64(core.RawBase(n, skipMaxLevel+1))
-}
-
-func (s *RespctSkipList) nodeLvl(n pmem.Addr) int {
-	return int(s.rt.Heap().Load64(core.RawBase(n, skipMaxLevel+1) + 8))
-}
-
-func (s *RespctSkipList) next(n pmem.Addr, lvl int) pmem.Addr {
-	if n == s.desc {
-		return s.rt.ReadAddr(s.headNext(lvl))
-	}
-	return s.rt.ReadAddr(core.Cell(n, 1+lvl))
-}
-
-func (s *RespctSkipList) nextCell(n pmem.Addr, lvl int) core.InCLL {
-	if n == s.desc {
-		return s.headNext(lvl)
-	}
-	return core.Cell(n, 1+lvl)
-}
-
-// findPredecessors fills preds with the rightmost node before key at each
-// level and returns the candidate node at level 0 (which may or may not
-// match key).
-func (s *RespctSkipList) findPredecessors(key uint64, preds *[skipMaxLevel]pmem.Addr) pmem.Addr {
-	cur := s.desc
-	for lvl := skipMaxLevel - 1; lvl >= 0; lvl-- {
-		for {
-			nxt := s.next(cur, lvl)
-			if nxt == pmem.NilAddr || s.nodeKey(nxt) >= key {
-				break
-			}
-			cur = nxt
-		}
-		preds[lvl] = cur
-	}
-	return s.next(cur, 0)
+// u64Key encodes key as the list key that sorts where key does.
+func u64Key(key uint64) string {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], key)
+	return string(b[:])
 }
 
 // Insert implements SortedMap.
@@ -143,101 +90,34 @@ func (s *RespctSkipList) Insert(th int, key, value uint64) bool {
 	if key == 0 {
 		panic("structures: skiplist key 0 is reserved")
 	}
-	t := s.rt.Thread(th)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var preds [skipMaxLevel]pmem.Addr
-	cand := s.findPredecessors(key, &preds)
-	if cand != pmem.NilAddr && s.nodeKey(cand) == key {
-		t.Update(s.nodeValue(cand), value)
-		return false
-	}
-	lvl := skipLevel(key)
-	n := s.rt.Arena().Alloc(t, skipMaxLevel+1, 2)
-	if n == pmem.NilAddr {
-		panic("structures: RespctSkipList out of persistent memory")
-	}
-	t.Init(s.nodeValue(n), value)
-	raw := core.RawBase(n, skipMaxLevel+1)
-	t.StoreTracked(raw, key)
-	t.StoreTracked(raw+8, uint64(lvl))
-	for i := 0; i < lvl; i++ {
-		t.Init(core.Cell(n, 1+i), uint64(s.next(preds[i], i)))
-	}
-	// Link bottom-up; each link is undo-logged, so a crash rolls the whole
-	// insertion back atomically with its epoch.
-	for i := 0; i < lvl; i++ {
-		t.UpdateAddr(s.nextCell(preds[i], i), n)
-	}
-	return true
+	_, fresh := s.l.Insert(th, u64Key(key), value)
+	return fresh
 }
 
 // Remove implements SortedMap.
-func (s *RespctSkipList) Remove(th int, key uint64) bool {
-	t := s.rt.Thread(th)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var preds [skipMaxLevel]pmem.Addr
-	cand := s.findPredecessors(key, &preds)
-	if cand == pmem.NilAddr || s.nodeKey(cand) != key {
-		return false
-	}
-	lvl := s.nodeLvl(cand)
-	for i := 0; i < lvl; i++ {
-		if s.next(preds[i], i) == cand {
-			t.Update(s.nextCell(preds[i], i), uint64(s.next(cand, i)))
-		}
-	}
-	s.rt.Arena().Free(t, cand)
-	return true
-}
+func (s *RespctSkipList) Remove(th int, key uint64) bool { return s.l.Remove(th, u64Key(key)) }
 
 // Get implements SortedMap.
-func (s *RespctSkipList) Get(th int, key uint64) (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var preds [skipMaxLevel]pmem.Addr
-	cand := s.findPredecessors(key, &preds)
-	if cand != pmem.NilAddr && s.nodeKey(cand) == key {
-		return s.rt.Read(s.nodeValue(cand)), true
-	}
-	return 0, false
-}
+func (s *RespctSkipList) Get(th int, key uint64) (uint64, bool) { return s.l.Get(th, u64Key(key)) }
 
-// Scan implements SortedMap.
+// Scan implements SortedMap. The list's bound is inclusive, and the largest
+// key encodes as eight 0xFF bytes, never as the empty (unbounded) string.
 func (s *RespctSkipList) Scan(th int, from, to uint64, fn func(key, value uint64) bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var preds [skipMaxLevel]pmem.Addr
-	n := s.findPredecessors(from, &preds)
-	for n != pmem.NilAddr {
-		k := s.nodeKey(n)
-		if k > to {
-			return
-		}
-		if !fn(k, s.rt.Read(s.nodeValue(n))) {
-			return
-		}
-		n = s.next(n, 0)
-	}
+	s.l.ScanNodes(th, u64Key(from), u64Key(to), func(n pmem.Addr, v uint64) bool {
+		var b [8]byte
+		return fn(binary.BigEndian.Uint64(s.l.AppendKey(b[:0], n)), v)
+	})
 }
 
 // PerOp places the per-operation restart point.
-func (s *RespctSkipList) PerOp(th int) { s.rt.Thread(th).RP(rpSkipOp) }
+func (s *RespctSkipList) PerOp(th int) { s.l.PerOp(th) }
 
 // ThreadExit implements SortedMap.
-func (s *RespctSkipList) ThreadExit(th int) { s.rt.Thread(th).CheckpointAllow() }
+func (s *RespctSkipList) ThreadExit(th int) { s.l.ThreadExit(th) }
 
-// Close implements SortedMap: it releases every runtime thread slot
-// (idempotent CheckpointAllow per thread, consistent with ThreadExit) so a
-// checkpoint can never stall on a closed skiplist's former workers. The
-// persistent state stays intact — OpenRespctSkipList on the same root
-// reattaches to it.
-func (s *RespctSkipList) Close() {
-	for i := 0; i < s.rt.Threads(); i++ {
-		s.rt.Thread(i).CheckpointAllow()
-	}
-}
+// Close implements SortedMap. The persistent state stays intact —
+// OpenRespctSkipList on the same root reattaches to it.
+func (s *RespctSkipList) Close() { s.l.Close() }
 
 // Snapshot returns the contents in ascending key order (test helper).
 func (s *RespctSkipList) Snapshot() ([]uint64, []uint64) {
@@ -250,8 +130,9 @@ func (s *RespctSkipList) Snapshot() ([]uint64, []uint64) {
 	return keys, vals
 }
 
-// TransientSkipList is the same skiplist without fault tolerance, on a
-// simulated heap. Node layout (words): [value, next_0..next_15, key, level].
+// TransientSkipList is the skiplist algorithm without fault tolerance, on a
+// simulated heap, with uint64 keys compared as words (the micro-benchmark
+// baseline). Node layout (words): [value, next_0..next_15, key, level].
 type TransientSkipList struct {
 	noopSync
 	h     *pmem.Heap

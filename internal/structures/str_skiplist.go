@@ -20,12 +20,13 @@ func strHash(s string) uint64 {
 }
 
 // RespctStrSkipList is a persistent ordered map from string keys to 8-byte
-// values — the string-keyed sibling of RespctSkipList that backs the server's
-// SCAN command (keys in lexicographic byte order). The programming model is
-// identical: a single mutex serialises every operation, forward pointers and
-// values are InCLL cells whose updates are individually undo-logged, and key
-// bytes are write-once RAW data, so a crashed epoch rolls a whole insertion
-// or removal back atomically and no partial-link state can survive recovery.
+// values (keys in lexicographic byte order): the server's ordered index behind
+// SCAN, and the one persistent skiplist — RespctSkipList is a view of it over
+// uint64 keys. A single mutex serialises every operation (the paper's
+// lock-based model), forward pointers and values are InCLL cells whose
+// updates are individually undo-logged, and key bytes are write-once RAW
+// data, so a crashed epoch rolls a whole insertion or removal back atomically
+// and no partial-link state can survive recovery.
 //
 // Handles. A node's address never changes while its key is present, so the
 // address Insert returns is a handle to the key: valid from that Insert until

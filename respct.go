@@ -6,6 +6,7 @@ package respct
 // paper's Table 1 show; the internal packages stay free to reorganise.
 
 import (
+	"bytes"
 	"io"
 	"time"
 
@@ -65,10 +66,15 @@ func WriteSnapshot(w io.Writer, h *Heap) error {
 }
 
 // OpenSnapshot reads a container written by WriteSnapshot, returning the
-// post-reboot view of that machine. cfg's Size is the snapshot's.
+// post-reboot view of that machine. cfg's Size is the snapshot's. The
+// container is read into memory whole, then restored in parallel.
 func OpenSnapshot(r io.Reader, cfg HeapConfig) (*Heap, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
 	sink := &frame.HeapSink{Config: cfg}
-	if _, err := frame.RestoreStream(sink, r); err != nil {
+	if _, err := frame.RestoreInto(sink, bytes.NewReader(b), int64(len(b)), 0); err != nil {
 		return nil, err
 	}
 	return sink.Heap()
