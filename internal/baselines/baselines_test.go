@@ -13,12 +13,10 @@ import (
 
 	"github.com/respct/respct/internal/baselines/cow"
 	"github.com/respct/respct/internal/baselines/dali"
+	"github.com/respct/respct/internal/baselines/durable"
 	"github.com/respct/respct/internal/baselines/friedman"
-	"github.com/respct/respct/internal/baselines/inclltm"
-	"github.com/respct/respct/internal/baselines/redolog"
 	"github.com/respct/respct/internal/baselines/shadow"
 	"github.com/respct/respct/internal/baselines/soft"
-	"github.com/respct/respct/internal/baselines/undolog"
 	"github.com/respct/respct/internal/pmem"
 	"github.com/respct/respct/internal/structures"
 )
@@ -29,10 +27,10 @@ func allMaps(t *testing.T, threads int) map[string]structures.Map {
 	t.Helper()
 	mk := func() *pmem.Heap { return pmem.New(pmem.Config{Size: heapSize}) }
 	return map[string]structures.Map{
-		"undolog-full":    undolog.NewMap(mk(), 64, threads, undolog.Full),
-		"undolog-clobber": undolog.NewMap(mk(), 64, threads, undolog.ClobberWAR),
-		"redolog":         redolog.NewMap(mk(), 64, threads),
-		"inclltm":         inclltm.NewMap(mk(), 64, threads),
+		"undolog-full":    durable.NewMap(mk(), 64, threads, durable.UndoLog),
+		"undolog-clobber": durable.NewMap(mk(), 64, threads, durable.Clobber),
+		"redolog":         durable.NewMap(mk(), 64, threads, durable.RedoLog),
+		"inclltm":         durable.NewMap(mk(), 64, threads, durable.InCLL),
 		"shadow":          shadow.NewMap(shadow.NewHeap(mk(), 1<<20, threads, true), 64, 10*time.Millisecond),
 		"cow":             cow.NewMap(mk(), 64, 10*time.Millisecond),
 		"dali":            dali.NewMap(mk(), 64, threads, 10*time.Millisecond),
@@ -44,9 +42,9 @@ func allQueues(t *testing.T, threads int) map[string]structures.Queue {
 	t.Helper()
 	mk := func() *pmem.Heap { return pmem.New(pmem.Config{Size: heapSize}) }
 	return map[string]structures.Queue{
-		"undolog-full":    undolog.NewQueue(mk(), threads, undolog.Full),
-		"undolog-clobber": undolog.NewQueue(mk(), threads, undolog.ClobberWAR),
-		"inclltm":         inclltm.NewQueue(mk(), threads),
+		"undolog-full":    durable.NewQueue(mk(), threads, durable.UndoLog),
+		"undolog-clobber": durable.NewQueue(mk(), threads, durable.Clobber),
+		"inclltm":         durable.NewQueue(mk(), threads, durable.InCLL),
 		"shadow":          shadow.NewQueue(shadow.NewHeap(mk(), 1<<20, threads, true), 10*time.Millisecond),
 		"cow":             cow.NewQueue(mk(), 10*time.Millisecond),
 		"friedman":        friedman.NewQueue(mk(), threads, 0),
@@ -181,7 +179,7 @@ func TestBaselineQueuesConcurrent(t *testing.T) {
 
 func TestUndoLogRecovery(t *testing.T) {
 	h := pmem.New(pmem.Config{Size: heapSize})
-	m := undolog.NewMap(h, 64, 1, undolog.Full)
+	m := durable.NewMap(h, 64, 1, durable.UndoLog)
 	for k := uint64(1); k <= 100; k++ {
 		m.Insert(0, k, k)
 	}
@@ -199,7 +197,7 @@ func TestUndoLogRecovery(t *testing.T) {
 
 func TestRedoLogRecovery(t *testing.T) {
 	h := pmem.New(pmem.Config{Size: heapSize})
-	m := redolog.NewMap(h, 64, 1)
+	m := durable.NewMap(h, 64, 1, durable.RedoLog)
 	for k := uint64(1); k <= 100; k++ {
 		m.Insert(0, k, k+5)
 	}
@@ -406,18 +404,15 @@ func TestFriedmanHeavyRecycling(t *testing.T) {
 }
 
 func TestUndoLogRollsBackTornOp(t *testing.T) {
-	// Simulate a crash mid-operation: log written, data partially evicted,
-	// commit (log truncation) never happened.
+	// A crash after a committed op: the committed key must survive whatever
+	// Recover undoes. Torn ops themselves, crashed at every persistence
+	// event of every op under every policy, are durable's
+	// TestDurableCrashAtEveryPoint.
 	h := pmem.New(pmem.Config{Size: heapSize})
-	m := undolog.NewMap(h, 4, 1, undolog.Full)
+	m := durable.NewMap(h, 4, 1, durable.UndoLog)
 	m.Insert(0, 1, 10)
 	h.EvictAll() // committed op fully durable, log truncated
 
-	// Hand-craft a torn op by driving the internals: start an insert whose
-	// commit we "lose" by crashing right before it. We approximate by
-	// inserting and then restoring the pre-op log state via Recover after a
-	// partial eviction — full undo semantics are covered by the package's
-	// crash soak below.
 	m.Insert(0, 2, 20)
 	h.Crash()
 	h.Reopen()
@@ -430,7 +425,7 @@ func TestUndoLogRollsBackTornOp(t *testing.T) {
 
 func TestIncllTMRecovery(t *testing.T) {
 	h := pmem.New(pmem.Config{Size: heapSize})
-	m := inclltm.NewMap(h, 64, 2)
+	m := durable.NewMap(h, 64, 2, durable.InCLL)
 	for k := uint64(1); k <= 120; k++ {
 		m.Insert(0, k, k*2)
 	}
@@ -459,21 +454,15 @@ func TestIncllTMRecovery(t *testing.T) {
 }
 
 func TestIncllTMRecoveryRollsBackTornOp(t *testing.T) {
-	// Construct a torn operation: data cells written and evicted, commit
-	// marker never persisted. Recovery must undo it.
+	// A committed overwrite, fully evicted, then a crash: recovery must keep
+	// the new value, not roll it back to its backup. Torn ops, crashed at
+	// every persistence event of every op under every policy, with and
+	// without eviction, are durable's TestDurableCrashAtEveryPoint.
 	h := pmem.New(pmem.Config{Size: heapSize})
-	m := inclltm.NewMap(h, 8, 1)
+	m := durable.NewMap(h, 8, 1, durable.InCLL)
 	m.Insert(0, 5, 50)
 	h.EvictAll() // committed op durable
 
-	// A second insert whose commit record we "lose": evict everything
-	// except the thread's commit line by crashing right after data
-	// eviction. The commit marker write happens inside Insert, so emulate
-	// the torn window by overwriting the commit record with the pre-op
-	// value after the fact is not possible from outside; instead rely on
-	// eviction timing: insert, evict data lines only via a fresh heap
-	// image check. The simplest faithful check: after full eviction and
-	// recovery, the committed value is intact.
 	m.Insert(0, 5, 51)
 	h.EvictAll()
 	h.Crash()

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"github.com/respct/respct/internal/pmem"
+	"github.com/respct/respct/internal/structures"
 )
 
 // payload block layout (words): [epoch, seq, key, value, kind]
@@ -216,15 +217,6 @@ func (m *Map) allocVNode(key uint64, payload, next pmem.Addr) pmem.Addr {
 	return n
 }
 
-func hashMix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // NewMap creates a Montage-style map with a periodic checkpoint every
 // interval.
 func NewMap(h *pmem.Heap, nBucket int, interval time.Duration) *Map {
@@ -248,7 +240,7 @@ func NewMap(h *pmem.Heap, nBucket int, interval time.Duration) *Map {
 func (m *Map) Insert(th int, key, value uint64) bool {
 	m.r.gate.RLock()
 	defer m.r.gate.RUnlock()
-	b := hashMix(key) % m.nBucket
+	b := structures.HashMix(key) % m.nBucket
 	m.locks[b].Lock()
 	defer m.locks[b].Unlock()
 	p := m.r.newPayload(kindPut, key, value)
@@ -269,7 +261,7 @@ func (m *Map) Insert(th int, key, value uint64) bool {
 func (m *Map) Remove(th int, key uint64) bool {
 	m.r.gate.RLock()
 	defer m.r.gate.RUnlock()
-	b := hashMix(key) % m.nBucket
+	b := structures.HashMix(key) % m.nBucket
 	m.locks[b].Lock()
 	defer m.locks[b].Unlock()
 	prev := m.buckets + pmem.Addr(b*8)
@@ -296,7 +288,7 @@ func (m *Map) Remove(th int, key uint64) bool {
 func (m *Map) Get(th int, key uint64) (uint64, bool) {
 	m.r.gate.RLock()
 	defer m.r.gate.RUnlock()
-	b := hashMix(key) % m.nBucket
+	b := structures.HashMix(key) % m.nBucket
 	m.locks[b].Lock()
 	defer m.locks[b].Unlock()
 	head := m.buckets + pmem.Addr(b*8)
@@ -357,7 +349,7 @@ func (m *Map) Recover() int {
 		if b.kind != kindPut {
 			continue
 		}
-		bi := hashMix(key) % m.nBucket
+		bi := structures.HashMix(key) % m.nBucket
 		head := m.buckets + pmem.Addr(bi*8)
 		p := m.r.newPayload(kindPut, key, b.val)
 		n := m.allocVNode(key, p, pmem.Addr(m.dram.Load64(head)))

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"github.com/respct/respct/internal/pmem"
+	"github.com/respct/respct/internal/structures"
 )
 
 // record layout (one cache line, words):
@@ -58,15 +59,6 @@ type Map struct {
 	ck       *ticker
 }
 
-func hashMix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // NewMap creates a Dalí-style map for `threads` workers, checkpointing
 // every interval.
 func NewMap(h *pmem.Heap, nBucket, threads int, interval time.Duration) *Map {
@@ -93,7 +85,7 @@ func NewMap(h *pmem.Heap, nBucket, threads int, interval time.Duration) *Map {
 }
 
 func (m *Map) bucket(key uint64) (pmem.Addr, *sync.Mutex, int) {
-	b := hashMix(key) % m.nBucket
+	b := structures.HashMix(key) % m.nBucket
 	return m.buckets + pmem.Addr(b*8), &m.locks[b], int(b)
 }
 

@@ -3,6 +3,8 @@ package shadow
 import (
 	"sync"
 	"time"
+
+	"github.com/respct/respct/internal/structures"
 )
 
 // Map and Queue run the paper's micro-benchmark structures over a shadowed
@@ -18,15 +20,6 @@ const (
 	metaFree  = 3 // node free list
 	metaWords = 8
 )
-
-func hashMix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
 
 // Map is a lock-per-bucket hash map on a shadowed heap.
 // Node layout (words): [next, key, value].
@@ -61,7 +54,7 @@ func (m *Map) allocNode(th int) int {
 }
 
 func (m *Map) bucketIdx(key uint64) (int, *sync.Mutex) {
-	b := hashMix(key) % m.nBucket
+	b := structures.HashMix(key) % m.nBucket
 	return m.bucket0 + int(b), &m.locks[b]
 }
 

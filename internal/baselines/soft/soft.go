@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"github.com/respct/respct/internal/pmem"
+	"github.com/respct/respct/internal/structures"
 )
 
 // persistent node layout (words): [key, value, valid]
@@ -57,15 +58,6 @@ type Map struct {
 	free   []pmem.Addr // recycled persistent nodes
 }
 
-func hashMix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // NewMap creates a SOFT-style map for `threads` workers.
 func NewMap(h *pmem.Heap, nBucket, threads int) *Map {
 	dram := pmem.New(pmem.DRAMConfig(int64(nBucket)*8 + (512 << 20)))
@@ -89,7 +81,7 @@ func NewMap(h *pmem.Heap, nBucket, threads int) *Map {
 }
 
 func (m *Map) bucketHead(key uint64) pmem.Addr {
-	return m.heads + pmem.Addr((hashMix(key)%m.nBucket)*8)
+	return m.heads + pmem.Addr((structures.HashMix(key)%m.nBucket)*8)
 }
 
 func (m *Map) allocPNode() pmem.Addr {
@@ -133,7 +125,7 @@ func (m *Map) writePNode(th int, p pmem.Addr, key, value, valid uint64) {
 // before the volatile index makes it visible (durable linearizability).
 func (m *Map) Insert(th int, key, value uint64) bool {
 	head := m.bucketHead(key)
-	b := hashMix(key) % m.nBucket
+	b := structures.HashMix(key) % m.nBucket
 	m.locks[b].Lock()
 	defer m.locks[b].Unlock()
 	for n := pmem.Addr(m.dram.Load64(head)); n != pmem.NilAddr; n = pmem.Addr(m.dram.Load64(n + vNext)) {
@@ -165,7 +157,7 @@ func (m *Map) Insert(th int, key, value uint64) bool {
 // Remove implements structures.Map.
 func (m *Map) Remove(th int, key uint64) bool {
 	head := m.bucketHead(key)
-	b := hashMix(key) % m.nBucket
+	b := structures.HashMix(key) % m.nBucket
 	m.locks[b].Lock()
 	defer m.locks[b].Unlock()
 	prev := head

@@ -6,12 +6,10 @@ import (
 
 	"github.com/respct/respct/internal/baselines/cow"
 	"github.com/respct/respct/internal/baselines/dali"
+	"github.com/respct/respct/internal/baselines/durable"
 	"github.com/respct/respct/internal/baselines/friedman"
-	"github.com/respct/respct/internal/baselines/inclltm"
-	"github.com/respct/respct/internal/baselines/redolog"
 	"github.com/respct/respct/internal/baselines/shadow"
 	"github.com/respct/respct/internal/baselines/soft"
-	"github.com/respct/respct/internal/baselines/undolog"
 	"github.com/respct/respct/internal/core"
 	"github.com/respct/respct/internal/kv"
 	"github.com/respct/respct/internal/pmem"
@@ -117,11 +115,11 @@ func MapSystems() []MapSystem {
 		}},
 		{Name: "Clobber-NVM*", Consistency: "durable", New: func(p Params) (structures.Map, func()) {
 			h := pmem.New(pmem.NVMMConfig(mapHeapSize(p)))
-			return undolog.NewMap(h, p.Buckets, p.Threads, undolog.ClobberWAR), func() {}
+			return durable.NewMap(h, p.Buckets, p.Threads, durable.Clobber), func() {}
 		}},
 		{Name: "Trinity*", Consistency: "durable", New: func(p Params) (structures.Map, func()) {
 			h := pmem.New(pmem.NVMMConfig(mapHeapSize(p)))
-			return inclltm.NewMap(h, p.Buckets, p.Threads), func() {}
+			return durable.NewMap(h, p.Buckets, p.Threads, durable.InCLL), func() {}
 		}},
 		{Name: "SOFT*", Consistency: "durable", New: func(p Params) (structures.Map, func()) {
 			h := pmem.New(pmem.NVMMConfig(mapHeapSize(p)))
@@ -134,11 +132,11 @@ func MapSystems() []MapSystem {
 		}},
 		{Name: "UndoLog", Consistency: "durable", New: func(p Params) (structures.Map, func()) {
 			h := pmem.New(pmem.NVMMConfig(mapHeapSize(p)))
-			return undolog.NewMap(h, p.Buckets, p.Threads, undolog.Full), func() {}
+			return durable.NewMap(h, p.Buckets, p.Threads, durable.UndoLog), func() {}
 		}},
 		{Name: "RedoLog", Consistency: "durable", New: func(p Params) (structures.Map, func()) {
 			h := pmem.New(pmem.NVMMConfig(mapHeapSize(p)))
-			return redolog.NewMap(h, p.Buckets, p.Threads), func() {}
+			return durable.NewMap(h, p.Buckets, p.Threads, durable.RedoLog), func() {}
 		}},
 	}
 }
@@ -233,11 +231,11 @@ func QueueSystems() []QueueSystem {
 		}},
 		{Name: "Clobber-NVM*", Consistency: "durable", New: func(p Params) (structures.Queue, func()) {
 			h := pmem.New(pmem.NVMMConfig(queueHeapSize(p)))
-			return undolog.NewQueue(h, p.Threads, undolog.ClobberWAR), func() {}
+			return durable.NewQueue(h, p.Threads, durable.Clobber), func() {}
 		}},
 		{Name: "Quadra*", Consistency: "durable", New: func(p Params) (structures.Queue, func()) {
 			h := pmem.New(pmem.NVMMConfig(queueHeapSize(p)))
-			return inclltm.NewQueue(h, p.Threads), func() {}
+			return durable.NewQueue(h, p.Threads, durable.InCLL), func() {}
 		}},
 		{Name: "FriedmanQueue*", Consistency: "durable", New: func(p Params) (structures.Queue, func()) {
 			h := pmem.New(pmem.NVMMConfig(queueHeapSize(p)))
@@ -245,7 +243,7 @@ func QueueSystems() []QueueSystem {
 		}},
 		{Name: "UndoLog", Consistency: "durable", New: func(p Params) (structures.Queue, func()) {
 			h := pmem.New(pmem.NVMMConfig(queueHeapSize(p)))
-			return undolog.NewQueue(h, p.Threads, undolog.Full), func() {}
+			return durable.NewQueue(h, p.Threads, durable.UndoLog), func() {}
 		}},
 	}
 }

@@ -129,7 +129,7 @@ func (m *RespctMap) nodeKey(n pmem.Addr) pmem.Addr    { return core.RawBase(n, m
 func (m *RespctMap) insert(th int, key, value uint64, overwrite bool) (uint64, bool) {
 	t := m.rt.Thread(th)
 	h := m.rt.Heap()
-	b := hashMix(key) % m.nBucket
+	b := HashMix(key) % m.nBucket
 	bkt := m.bucket(b)
 	mu := &m.locks[b]
 	mu.Lock()
@@ -197,7 +197,7 @@ func (m *RespctMap) InsertIfAbsent(th int, key, value uint64) (uint64, bool) {
 func (m *RespctMap) Remove(th int, key uint64) bool {
 	t := m.rt.Thread(th)
 	h := m.rt.Heap()
-	b := hashMix(key) % m.nBucket
+	b := HashMix(key) % m.nBucket
 	bkt := m.bucket(b)
 	mu := &m.locks[b]
 	mu.Lock()
@@ -223,7 +223,7 @@ func (m *RespctMap) Remove(th int, key uint64) bool {
 // Get implements Map.
 func (m *RespctMap) Get(th int, key uint64) (uint64, bool) {
 	h := m.rt.Heap()
-	b := hashMix(key) % m.nBucket
+	b := HashMix(key) % m.nBucket
 	bkt := m.bucket(b)
 	mu := &m.locks[b]
 	mu.Lock()

@@ -40,7 +40,7 @@ const (
 // structure's shape is reproducible across runs (expected height
 // distribution ~ geometric(1/2)).
 func skipLevel(key uint64) int {
-	h := hashMix(key * 0x9E3779B97F4A7C15)
+	h := HashMix(key * 0x9E3779B97F4A7C15)
 	lvl := 1
 	for h&1 == 1 && lvl < skipMaxLevel {
 		lvl++

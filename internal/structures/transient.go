@@ -14,9 +14,9 @@ import (
 // Transient<NVMM> (§5.2's overhead analysis): same code, only the latency
 // model differs.
 
-// hashMix is a 64-bit finaliser (splitmix64) used by every map flavour so
+// HashMix is a 64-bit finaliser (splitmix64) used by every map flavour so
 // the bucket distribution is identical across systems.
-func hashMix(x uint64) uint64 {
+func HashMix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -63,7 +63,7 @@ func NewTransientMap(h *pmem.Heap, nBucket int) *TransientMap {
 }
 
 func (m *TransientMap) bucket(key uint64) (pmem.Addr, *sync.Mutex) {
-	b := hashMix(key) % m.nBucket
+	b := HashMix(key) % m.nBucket
 	return m.buckets + pmem.Addr(b*tbucketWords*8), &m.locks[b]
 }
 
