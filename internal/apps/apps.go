@@ -3,8 +3,8 @@
 // Linear Regression, Parsec Swaptions and Dedup — each in a transient
 // variant and a ResPCT variant with explicit restart points. The ResPCT
 // variants persist their inputs, outputs and progress counters in NVMM and
-// can resume from the last checkpoint after a crash, which the package tests
-// exercise end to end.
+// can resume from the last checkpoint after a crash, which the crash soak
+// rows of internal/crash exercise end to end.
 //
 // Restart-point placement follows the paper's methodology: an RP after each
 // logical block of work. For Linear Regression and Swaptions the block size
@@ -13,13 +13,6 @@
 // and the same experiment is reproduced by the Fig. 13 harness and the
 // ablation benchmarks.
 package apps
-
-import (
-	"math"
-
-	"github.com/respct/respct/internal/core"
-	"github.com/respct/respct/internal/pmem"
-)
 
 // splitRange partitions [0,n) into `parts` near-equal half-open ranges.
 func splitRange(n, parts, i int) (lo, hi int) {
@@ -39,18 +32,4 @@ func xorshift64(x uint64) uint64 {
 	x ^= x >> 7
 	x ^= x << 17
 	return x
-}
-
-// f64FromBits / bitsFromF64 mirror the raw-word storage of floats in NVMM.
-func f64FromBits(b uint64) float64 { return math.Float64frombits(b) }
-func bitsFromF64(f float64) uint64 { return math.Float64bits(f) }
-
-// storeF64 writes a float into a raw persistent word with tracking.
-func storeF64(t *core.Thread, a pmem.Addr, f float64) {
-	t.StoreTracked(a, bitsFromF64(f))
-}
-
-// loadF64 reads a float from a raw persistent word.
-func loadF64(h *pmem.Heap, a pmem.Addr) float64 {
-	return f64FromBits(h.Load64(a))
 }

@@ -2,8 +2,8 @@ package apps
 
 import (
 	"math"
+	"slices"
 	"testing"
-	"time"
 
 	"github.com/respct/respct/internal/core"
 	"github.com/respct/respct/internal/pmem"
@@ -11,9 +11,6 @@ import (
 
 func appRuntime(t testing.TB, threads int, size int64) *core.Runtime {
 	t.Helper()
-	if size == 0 {
-		size = 256 << 20
-	}
 	h := pmem.New(pmem.Config{Size: size})
 	rt, err := core.NewRuntime(h, core.Config{Threads: threads})
 	if err != nil {
@@ -31,214 +28,111 @@ func almostEqual(a, b float64) bool {
 	return diff <= 1e-9*scale
 }
 
-func TestMatMulMatchesTransient(t *testing.T) {
-	const n, threads, seed = 48, 3, 7
-	want := MatMulTransient(n, threads, seed)
-	rt := appRuntime(t, threads, 0)
-	m, err := NewMatMul(rt, 0, n, seed)
+// built is an application built on a fresh runtime.
+type built interface {
+	Done() bool
+	Progress() (done, total int)
+}
+
+// appCases is the table the run-to-completion tests share, one entry per
+// application: start builds it and returns a function that runs it and
+// reports its output, and want computes the transient output. Counts
+// compare exactly, float sums within 1e-9 relative.
+var appCases = map[string]struct {
+	threads int
+	start   func(rt *core.Runtime) (built, func() []float64, error)
+	want    func() []float64
+	exact   bool
+}{
+	"MatMul": {3, func(rt *core.Runtime) (built, func() []float64, error) {
+		m, err := NewMatMul(rt, 0, 48, 7)
+		return m, func() []float64 { m.Run(); return []float64{m.Checksum()} }, err
+	}, func() []float64 { return []float64{MatMulTransient(48, 3, 7)} }, false},
+	"LR": {4, func(rt *core.Runtime) (built, func() []float64, error) {
+		l, err := NewLR(rt, 0, 20000, 1000, 5)
+		return l, func() []float64 { l.Run(); return lrOutput(l.Result()) }, err
+	}, func() []float64 { return lrOutput(LRTransient(20000, 4, 5)) }, false},
+	"Swaptions": {4, func(rt *core.Runtime) (built, func() []float64, error) {
+		s, err := NewSwaptions(rt, 0, 16, 400, 100, 3)
+		return s, func() []float64 { s.Run(); return []float64{s.Checksum()} }, err
+	}, func() []float64 { return []float64{SwaptionsTransient(16, 400, 4, 3)} }, false},
+	"Dedup": {4, func(rt *core.Runtime) (built, func() []float64, error) {
+		d, err := NewDedup(rt, 0, 600, 150, 256, 17)
+		return d, func() []float64 { return dedupOutput(d.Run()) }, err
+	}, func() []float64 { return dedupOutput(DedupTransient(600, 150, 4, 17)) }, true},
+}
+
+// lrOutput is the five sums and the slope.
+func lrOutput(r LRResult) []float64 { return []float64{r.SX, r.SY, r.SXX, r.SYY, r.SXY, r.Slope()} }
+
+func dedupOutput(r DedupResult) []float64 {
+	return []float64{float64(r.Unique), float64(r.TotalOutput)}
+}
+
+// checkApp runs the named application to completion and checks it against
+// its transient twin, then runs it again: the done cell must make the second
+// Run a no-op that leaves the output as it was. It returns the output.
+func checkApp(t *testing.T, name string) []float64 {
+	c := appCases[name]
+	app, run, err := c.start(appRuntime(t, c.threads, 4<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Run()
-	if got := m.Checksum(); !almostEqual(got, want) {
-		t.Fatalf("respct checksum %v, transient %v", got, want)
+	if app.Done() {
+		t.Fatal("done before running")
 	}
-	if !m.Done() {
+	got, want := run(), c.want()
+	for i, w := range want {
+		if !almostEqual(got[i], w) || c.exact && got[i] != w {
+			t.Fatalf("respct output %v, transient %v", got, want)
+		}
+	}
+	if !app.Done() {
 		t.Fatal("not marked done")
 	}
+	if done, total := app.Progress(); done != total {
+		t.Fatalf("%d of %d work units unaccounted", total-done, total)
+	}
+	if again := run(); !slices.Equal(again, got) {
+		t.Fatalf("second Run changed the output: %v vs %v", again, got)
+	}
+	return got
 }
 
-func TestMatMulResumesAfterCrash(t *testing.T) {
-	const n, threads, seed = 40, 2, 9
-	want := MatMulTransient(n, threads, seed)
-
-	rt := appRuntime(t, threads, 0)
-	m, err := NewMatMul(rt, 0, n, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.CheckpointIdle()
-	ck := rt.StartCheckpointer(2 * time.Millisecond)
-	// Run in the background and crash partway through.
-	done := make(chan struct{})
-	go func() { m.Run(); close(done) }()
-	time.Sleep(8 * time.Millisecond)
-	rt.Heap().Crash() // workers keep running into the dead heap; harmless
-	<-done
-	ck.Stop()
-
-	rt2, _, err := core.Recover(rt.Heap(), core.Config{Threads: threads}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := OpenMatMul(rt2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2.Run() // resume from the recovered row counters
-	if got := m2.Checksum(); !almostEqual(got, want) {
-		t.Fatalf("post-crash checksum %v, want %v", got, want)
-	}
-}
+func TestMatMulMatchesTransient(t *testing.T)    { checkApp(t, "MatMul") }
+func TestSwaptionsMatchesTransient(t *testing.T) { checkApp(t, "Swaptions") }
+func TestDedupMatchesTransient(t *testing.T)     { checkApp(t, "Dedup") }
 
 func TestLRMatchesTransient(t *testing.T) {
-	const n, threads, seed = 20000, 4, 5
-	want := LRTransient(n, threads, seed)
-	rt := appRuntime(t, threads, 0)
-	l, err := NewLR(rt, 0, n, 1000, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Run()
-	got := l.Result()
-	if !almostEqual(got.SX, want.SX) || !almostEqual(got.SXY, want.SXY) {
-		t.Fatalf("sums differ: %+v vs %+v", got, want)
-	}
-	if !almostEqual(got.Slope(), want.Slope()) {
-		t.Fatalf("slope %v vs %v", got.Slope(), want.Slope())
-	}
 	// The synthetic data has slope ~3.5.
-	if got.Slope() < 3.0 || got.Slope() > 4.0 {
-		t.Fatalf("implausible slope %v", got.Slope())
+	if slope := checkApp(t, "LR")[5]; slope < 3.0 || slope > 4.0 {
+		t.Fatalf("implausible slope %v", slope)
 	}
 }
 
-func TestLRResumesAfterCrash(t *testing.T) {
-	const n, threads, seed = 50000, 2, 11
-	want := LRTransient(n, threads, seed)
-
-	rt := appRuntime(t, threads, 0)
-	l, err := NewLR(rt, 0, n, 500, seed)
-	if err != nil {
+// Reopening refuses a root with no job and a runtime with fewer threads
+// than the job partitions its work over.
+func TestOpenValidatesDescriptor(t *testing.T) {
+	rt := appRuntime(t, 4, 4<<20)
+	if _, err := OpenLR(rt, 0); err == nil {
+		t.Fatal("opened an empty root")
+	}
+	if _, err := NewLR(rt, 0, 1000, 100, 1); err != nil {
 		t.Fatal(err)
 	}
 	rt.CheckpointIdle()
-	ck := rt.StartCheckpointer(time.Millisecond)
-	done := make(chan struct{})
-	go func() { l.Run(); close(done) }()
-	time.Sleep(5 * time.Millisecond)
 	rt.Heap().Crash()
-	<-done
-	ck.Stop()
-
-	rt2, _, err := core.Recover(rt.Heap(), core.Config{Threads: threads}, 2)
+	rt2, _, err := core.Recover(rt.Heap(), core.Config{Threads: 2}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := OpenLR(rt2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2.Run()
-	got := l2.Result()
-	if !almostEqual(got.SXY, want.SXY) || !almostEqual(got.SYY, want.SYY) {
-		t.Fatalf("post-crash sums differ: %+v vs %+v", got, want)
-	}
-}
-
-func TestSwaptionsMatchesTransient(t *testing.T) {
-	const nSw, trials, threads, seed = 16, 400, 4, 3
-	want := SwaptionsTransient(nSw, trials, threads, seed)
-	rt := appRuntime(t, threads, 0)
-	s, err := NewSwaptions(rt, 0, nSw, trials, 100, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Run()
-	if got := s.Checksum(); !almostEqual(got, want) {
-		t.Fatalf("checksum %v vs %v", got, want)
-	}
-}
-
-func TestSwaptionsResumesAfterCrash(t *testing.T) {
-	const nSw, trials, threads, seed = 8, 3000, 2, 13
-	want := SwaptionsTransient(nSw, trials, threads, seed)
-
-	rt := appRuntime(t, threads, 0)
-	s, err := NewSwaptions(rt, 0, nSw, trials, 200, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.CheckpointIdle()
-	ck := rt.StartCheckpointer(time.Millisecond)
-	done := make(chan struct{})
-	go func() { s.Run(); close(done) }()
-	time.Sleep(5 * time.Millisecond)
-	rt.Heap().Crash()
-	<-done
-	ck.Stop()
-
-	rt2, _, err := core.Recover(rt.Heap(), core.Config{Threads: threads}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenSwaptions(rt2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2.Run()
-	if got := s2.Checksum(); !almostEqual(got, want) {
-		t.Fatalf("post-crash checksum %v vs %v", got, want)
-	}
-}
-
-func TestDedupMatchesTransient(t *testing.T) {
-	const nChunks, unique, threads, seed = 600, 150, 4, 17
-	want := DedupTransient(nChunks, unique, threads, seed)
-	rt := appRuntime(t, threads, 0)
-	d, err := NewDedup(rt, 0, nChunks, unique, 256, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := d.Run()
-	if got.Unique != want.Unique {
-		t.Fatalf("unique %d vs %d", got.Unique, want.Unique)
-	}
-	if got.TotalOutput != want.TotalOutput {
-		t.Fatalf("output %d vs %d", got.TotalOutput, want.TotalOutput)
-	}
-	if d.Remaining() != 0 {
-		t.Fatalf("%d chunks unaccounted", d.Remaining())
-	}
-}
-
-func TestDedupWithCheckpointsAndCrash(t *testing.T) {
-	const nChunks, unique, threads, seed = 1200, 300, 4, 23
-	want := DedupTransient(nChunks, unique, threads, seed)
-
-	rt := appRuntime(t, threads, 0)
-	d, err := NewDedup(rt, 0, nChunks, unique, 512, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt.CheckpointIdle()
-	ck := rt.StartCheckpointer(2 * time.Millisecond)
-	done := make(chan struct{})
-	go func() { d.Run(); close(done) }()
-	time.Sleep(10 * time.Millisecond)
-	rt.Heap().Crash()
-	<-done
-	ck.Stop()
-
-	rt2, _, err := core.Recover(rt.Heap(), core.Config{Threads: threads}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := OpenDedup(rt2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := d2.Run() // replays only the chunks lost in the crash
-	if got.Unique != want.Unique {
-		t.Fatalf("unique %d vs %d", got.Unique, want.Unique)
-	}
-	if got.TotalOutput != want.TotalOutput {
-		t.Fatalf("output %d vs %d", got.TotalOutput, want.TotalOutput)
+	if _, err := OpenLR(rt2, 0); err == nil {
+		t.Fatal("opened a 4-thread job on a 2-thread runtime")
 	}
 }
 
 func TestDedupRequiresThreeThreads(t *testing.T) {
-	rt := appRuntime(t, 2, 0)
+	rt := appRuntime(t, 2, 4<<20)
 	if _, err := NewDedup(rt, 0, 10, 5, 16, 1); err == nil {
 		t.Fatal("accepted 2 threads")
 	}
@@ -267,7 +161,7 @@ func TestLRBatchSizesAgree(t *testing.T) {
 	const n, threads, seed = 5000, 2, 29
 	want := LRTransient(n, threads, seed)
 	for _, batch := range []int{1, 7, 1000} {
-		rt := appRuntime(t, threads, 0)
+		rt := appRuntime(t, threads, 4<<20)
 		l, err := NewLR(rt, 0, n, batch, seed)
 		if err != nil {
 			t.Fatal(err)
@@ -279,60 +173,10 @@ func TestLRBatchSizesAgree(t *testing.T) {
 	}
 }
 
-func TestMatMulRunTwiceIsIdempotent(t *testing.T) {
-	const n, threads, seed = 24, 2, 3
-	rt := appRuntime(t, threads, 0)
-	m, err := NewMatMul(rt, 0, n, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Run()
-	first := m.Checksum()
-	m.Run() // Done flag short-circuits; nothing recomputed or corrupted
-	if got := m.Checksum(); got != first {
-		t.Fatalf("second Run changed the checksum: %v vs %v", got, first)
-	}
-}
-
 func TestLRInterceptPlausible(t *testing.T) {
 	res := LRTransient(50000, 2, 5)
 	// Synthetic data: y = 3.5x + 11 + noise in [-1, 1).
 	if ic := res.Intercept(); ic < 9 || ic > 13 {
 		t.Fatalf("intercept %v implausible", ic)
-	}
-}
-
-func TestSwaptionsDoneAfterRun(t *testing.T) {
-	rt := appRuntime(t, 2, 0)
-	s, err := NewSwaptions(rt, 0, 4, 100, 50, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Done() {
-		t.Fatal("done before running")
-	}
-	s.Run()
-	if !s.Done() {
-		t.Fatal("not done after running")
-	}
-	first := s.Checksum()
-	s.Run()
-	if s.Checksum() != first {
-		t.Fatal("re-run changed the result")
-	}
-}
-
-func TestDedupResumeAfterCompletion(t *testing.T) {
-	const nChunks, unique, threads, seed = 300, 80, 3, 31
-	rt := appRuntime(t, threads, 0)
-	d, err := NewDedup(rt, 0, nChunks, unique, 128, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := d.Run()
-	// A second Run finds nothing to replay and returns the same result.
-	got := d.Run()
-	if got != want {
-		t.Fatalf("re-run diverged: %+v vs %+v", got, want)
 	}
 }

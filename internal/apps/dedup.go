@@ -3,6 +3,7 @@ package apps
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/respct/respct/internal/core"
 	"github.com/respct/respct/internal/pmem"
@@ -21,9 +22,9 @@ import (
 //
 // Chunk i's content class is i % uniqueChunks, so the duplicate ratio is
 // controlled; compression cost is simulated compute. The persistent variant
-// keeps the dedup table (a RespctMap), the per-chunk result array and a done
-// flag in NVMM; recovery re-derives the missing chunks from the result array
-// and replays only those, idempotently.
+// keeps the dedup table (a RespctMap) and its job — the per-chunk result
+// cells and the done flag — in NVMM; recovery re-derives the missing chunks
+// from the result cells and replays only those, idempotently.
 
 // DedupResult summarises a dedup run.
 type DedupResult struct {
@@ -47,73 +48,27 @@ const dupRefSize = 8 // bytes written for a duplicate: a reference
 // dedupCompute simulates the compression cost of a unique chunk.
 func dedupCompute() { pmem.Spin(400) }
 
-// DedupTransient runs the transient pipeline. It uses the same
+// DedupTransient runs the transient pipeline. It uses the same stages and
 // mutex+condition-variable bounded queues as the persistent variant (like
 // the pthread queues of the Parsec original), so the comparison measures
-// persistence cost rather than queue implementation differences.
+// persistence cost rather than pipeline differences.
 func DedupTransient(nChunks, uniqueChunks, threads int, seed uint64) DedupResult {
-	if threads < 3 {
-		threads = 3
-	}
-	chunkQ := newBoundedQueue(64)
-	resultQ := newBoundedQueue(64)
-	seen := make(map[uint64]int)
+	threads = max(threads, 3)
+	seen := make(map[uint64]bool)
 	var seenMu sync.Mutex
-
-	var workers sync.WaitGroup
-	for w := 0; w < threads-2; w++ {
-		workers.Add(1)
-		go func() {
-			defer workers.Done()
-			for {
-				v, ok := chunkQ.pop(nil)
-				if !ok {
-					return
-				}
-				id := int(v - 1)
-				h := chunkHash(seed, id%uniqueChunks)
-				seenMu.Lock()
-				owner, present := seen[h]
-				if !present {
-					seen[h] = id
-					owner = id
-				}
-				seenMu.Unlock()
-				var size uint64
-				if owner == id {
-					dedupCompute()
-					size = compressedSize(h)
-				} else {
-					size = dupRefSize
-				}
-				resultQ.push(nil, uint64(id)<<16|size)
-			}
-		}()
-	}
-	go func() {
-		for i := 0; i < nChunks; i++ {
-			chunkQ.push(nil, uint64(i)+1)
-		}
-		chunkQ.close()
-		workers.Wait()
-		resultQ.close()
-	}()
-	res := DedupResult{Chunks: nChunks}
 	sizes := make([]uint64, nChunks)
-	for {
-		v, ok := resultQ.pop(nil)
-		if !ok {
-			break
-		}
-		sizes[v>>16] = v & 0xFFFF
+	p := newPipeline(nChunks, uniqueChunks, threads, seed)
+	p.claim = func(_ *core.Thread, hash uint64, _ int) bool {
+		seenMu.Lock()
+		defer seenMu.Unlock()
+		first := !seen[hash]
+		seen[hash] = true
+		return first
 	}
-	for _, s := range sizes {
-		res.TotalOutput += s
-		if s != dupRefSize {
-			res.Unique++
-		}
-	}
-	return res
+	p.pending = func(int) bool { return true }
+	p.record = func(_ *core.Thread, id int, size uint64) { sizes[id] = size }
+	fanOut(threads, func(th int) { p.stage(nil, th) })
+	return foldSizes(nChunks, func(i int) uint64 { return sizes[i] })
 }
 
 // boundedQueue is a cond-var ring buffer whose waits follow the paper's
@@ -145,11 +100,7 @@ func (q *boundedQueue) push(t *core.Thread, v uint64) {
 	}
 	q.mu.Lock()
 	for q.count == len(q.buf) {
-		if t != nil {
-			t.CondWait(q.notFull, &q.mu)
-		} else {
-			q.notFull.Wait()
-		}
+		wait(t, q.notFull)
 	}
 	q.buf[(q.head+q.count)%len(q.buf)] = v
 	q.count++
@@ -164,11 +115,7 @@ func (q *boundedQueue) pop(t *core.Thread) (uint64, bool) {
 	}
 	q.mu.Lock()
 	for q.count == 0 && !q.closed {
-		if t != nil {
-			t.CondWait(q.notEmpty, &q.mu)
-		} else {
-			q.notEmpty.Wait()
-		}
+		wait(t, q.notEmpty)
 	}
 	if q.count == 0 {
 		q.mu.Unlock()
@@ -182,6 +129,15 @@ func (q *boundedQueue) pop(t *core.Thread) (uint64, bool) {
 	return v, true
 }
 
+// wait blocks on c, inside an allow window when t is not nil.
+func wait(t *core.Thread, c *sync.Cond) {
+	if t != nil {
+		t.CondWait(c, c.L)
+	} else {
+		c.Wait()
+	}
+}
+
 func (q *boundedQueue) close() {
 	q.mu.Lock()
 	q.closed = true
@@ -191,21 +147,91 @@ func (q *boundedQueue) close() {
 
 const rpDedupChunk uint64 = 0x446475704368756e
 
-// DedupRespct is the persistent pipeline.
+// pipeline is one run of the three stages. Its hooks are where the two
+// variants differ: claim records hash's owner (true when chunk id owns it),
+// pending says whether chunk i still needs a result, and record stores one.
+// t is nil in the transient variant.
+type pipeline struct {
+	nChunks, unique, threads int
+	seed                     uint64
+	chunkQ, resultQ          *boundedQueue
+	workers                  atomic.Int32 // dedup workers still running
+	claim                    func(t *core.Thread, hash uint64, id int) bool
+	pending                  func(i int) bool
+	record                   func(t *core.Thread, id int, size uint64)
+}
+
+func newPipeline(nChunks, unique, threads int, seed uint64) *pipeline {
+	p := &pipeline{nChunks: nChunks, unique: unique, threads: threads, seed: seed,
+		chunkQ: newBoundedQueue(64), resultQ: newBoundedQueue(64)}
+	p.workers.Store(int32(threads - 2))
+	return p
+}
+
+// stage runs thread th's stage: the producer is thread 0, the writer the
+// last thread, and the dedup+compress workers the ones in between.
+func (p *pipeline) stage(t *core.Thread, th int) {
+	rp := func() {
+		if t != nil {
+			t.RP(rpDedupChunk) // after the logical block (paper §5.3)
+		}
+	}
+	switch th {
+	case 0:
+		for i := 0; i < p.nChunks; i++ {
+			if p.pending(i) {
+				p.chunkQ.push(t, uint64(i)+1) // ids shifted: 0 is the close marker
+			}
+		}
+		p.chunkQ.close()
+	case p.threads - 1:
+		for v, ok := p.resultQ.pop(t); ok; v, ok = p.resultQ.pop(t) {
+			p.record(t, int(v>>16), v&0xFFFF)
+			rp()
+		}
+	default:
+		for v, ok := p.chunkQ.pop(t); ok; v, ok = p.chunkQ.pop(t) {
+			id := int(v - 1)
+			hash := chunkHash(p.seed, id%p.unique)
+			size := uint64(dupRefSize)
+			if p.claim(t, hash, id) {
+				dedupCompute()
+				size = compressedSize(hash)
+			}
+			rp()
+			p.resultQ.push(t, uint64(id)<<16|size)
+		}
+		if p.workers.Add(-1) == 0 {
+			p.resultQ.close()
+		}
+	}
+}
+
+// foldSizes sums the per-chunk output sizes (0: chunk not done).
+func foldSizes(nChunks int, size func(i int) uint64) DedupResult {
+	res := DedupResult{Chunks: nChunks}
+	for i := 0; i < nChunks; i++ {
+		s := size(i)
+		res.TotalOutput += s
+		if s != 0 && s != dupRefSize {
+			res.Unique++
+		}
+	}
+	return res
+}
+
+// DedupRespct is the persistent pipeline. Job cell i is chunk i's output
+// size, 0 until the writer records it.
 type DedupRespct struct {
-	rt      *core.Runtime
+	*job
 	table   *structures.RespctMap
 	nChunks int
 	unique  int
 	seed    uint64
-	results pmem.Addr // InCLL cell array: result size per chunk, 0 = not done
-	desc    pmem.Addr
 }
 
-func (d *DedupRespct) resultCell(i int) core.InCLL { return core.Cell(d.results, i) }
-
 // NewDedup creates the persistent pipeline state: the dedup table under
-// rootIdx, the descriptor under rootIdx+1. Construct before starting the
+// rootIdx, the job under rootIdx+1. Construct before starting the
 // checkpointer.
 func NewDedup(rt *core.Runtime, rootIdx, nChunks, uniqueChunks, buckets int, seed uint64) (*DedupRespct, error) {
 	if rt.Threads() < 3 {
@@ -215,26 +241,15 @@ func NewDedup(rt *core.Runtime, rootIdx, nChunks, uniqueChunks, buckets int, see
 	if err != nil {
 		return nil, err
 	}
-	sys := rt.Sys()
-	desc := rt.Arena().Alloc(sys, 0, 4)
 	// The per-chunk results are InCLL cells, not raw words: a result's value
 	// depends on the dedup table's state (who owned the hash first), so a
 	// result written in a crashed epoch must roll back together with the
 	// table — the write-after-read rule of §3.3.2 applied transitively.
-	results := rt.Arena().AllocCells(sys, nChunks)
-	if desc == pmem.NilAddr || results == pmem.NilAddr {
-		return nil, fmt.Errorf("apps: heap exhausted for dedup state")
+	j, err := newJob(rt, "Dedup", rootIdx+1, nChunks, uint64(nChunks), uint64(uniqueChunks), seed)
+	if err != nil {
+		return nil, err
 	}
-	d := &DedupRespct{rt: rt, table: table, nChunks: nChunks, unique: uniqueChunks, seed: seed, results: results, desc: desc}
-	for i := 0; i < nChunks; i++ {
-		sys.Init(d.resultCell(i), 0)
-	}
-	sys.StoreTracked(desc, uint64(nChunks))
-	sys.StoreTracked(desc+8, uint64(uniqueChunks))
-	sys.StoreTracked(desc+16, seed)
-	sys.StoreTracked(desc+24, uint64(results))
-	sys.Update(rt.RootInCLL(rootIdx+1), uint64(desc))
-	return d, nil
+	return openedDedup(j, table), nil
 }
 
 // OpenDedup reattaches after recovery.
@@ -243,125 +258,53 @@ func OpenDedup(rt *core.Runtime, rootIdx int) (*DedupRespct, error) {
 	if err != nil {
 		return nil, err
 	}
-	desc := rt.ReadAddr(rt.RootInCLL(rootIdx + 1))
-	if desc == pmem.NilAddr {
-		return nil, fmt.Errorf("apps: no dedup descriptor under root %d", rootIdx+1)
+	j, err := openJob(rt, "Dedup", rootIdx+1)
+	if err != nil {
+		return nil, err
 	}
-	h := rt.Heap()
-	return &DedupRespct{
-		rt:      rt,
-		table:   table,
-		nChunks: int(h.Load64(desc)),
-		unique:  int(h.Load64(desc + 8)),
-		seed:    h.Load64(desc + 16),
-		results: pmem.Addr(h.Load64(desc + 24)),
-	}, nil
+	return openedDedup(j, table), nil
+}
+
+func openedDedup(j *job, table *structures.RespctMap) *DedupRespct {
+	return &DedupRespct{job: j, table: table, nChunks: int(j.param(0)), unique: int(j.param(1)), seed: j.param(2)}
 }
 
 // Run executes (or resumes) the pipeline: only chunks without a persisted
 // result are replayed, and replay is idempotent (the dedup table names a
-// canonical owner per content hash, and table and result array roll back to
+// canonical owner per content hash, and table and result cells roll back to
 // the same checkpoint together).
 func (d *DedupRespct) Run() DedupResult {
-	rt := d.rt
-	threads := rt.Threads()
-	chunkQ := newBoundedQueue(64)
-	resultQ := newBoundedQueue(64)
-
-	var wg sync.WaitGroup
-
-	// Producer: thread 0 — replays exactly the chunks with no result.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := rt.Thread(0)
-		for i := 0; i < d.nChunks; i++ {
-			if rt.Read(d.resultCell(i)) != 0 {
-				continue // already recorded
-			}
-			chunkQ.push(t, uint64(i)+1) // ids shifted: 0 is the close marker
-		}
-		chunkQ.close()
-		t.CheckpointAllow()
-	}()
-
-	// Dedup + compress workers: threads 1..threads-2.
-	var workers sync.WaitGroup
-	for w := 1; w <= threads-2; w++ {
-		wg.Add(1)
-		workers.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer workers.Done()
-			t := rt.Thread(w)
-			for {
-				v, ok := chunkQ.pop(t)
-				if !ok {
-					break
-				}
-				id := int(v - 1)
-				hash := chunkHash(d.seed, id%d.unique)
-				owner, _ := d.table.InsertIfAbsent(w, hash, uint64(id)+1)
-				var size uint64
-				if owner == uint64(id)+1 {
-					dedupCompute()
-					size = compressedSize(hash)
-				} else {
-					size = dupRefSize
-				}
-				t.RP(rpDedupChunk) // after the logical block (paper §5.3)
-				resultQ.push(t, uint64(id)<<16|size)
-			}
-			t.CheckpointAllow()
-		}(w)
+	p := newPipeline(d.nChunks, d.unique, d.threads, d.seed)
+	p.claim = func(t *core.Thread, hash uint64, id int) bool {
+		owner, _ := d.table.InsertIfAbsent(t.ID(), hash, uint64(id)+1)
+		return owner == uint64(id)+1
 	}
-	go func() {
-		workers.Wait()
-		resultQ.close()
-	}()
-
-	// Writer: last thread — records each chunk's output size.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := rt.Thread(threads - 1)
-		for {
-			v, ok := resultQ.pop(t)
-			if !ok {
-				break
-			}
-			id := int(v >> 16)
-			size := v & 0xFFFF
-			t.Update(d.resultCell(id), size)
-			t.RP(rpDedupChunk)
-		}
-		t.CheckpointAllow()
-	}()
-
-	wg.Wait()
+	p.pending = func(i int) bool { return d.rt.Read(d.cell(i)) == 0 }
+	p.record = func(t *core.Thread, id int, size uint64) { t.Update(d.cell(id), size) }
+	d.run(p.stage)
 	return d.Result()
 }
 
-// Result folds the persistent result array.
+// Result folds the persistent result cells.
 func (d *DedupRespct) Result() DedupResult {
-	res := DedupResult{Chunks: d.nChunks}
-	for i := 0; i < d.nChunks; i++ {
-		s := d.rt.Read(d.resultCell(i))
-		res.TotalOutput += s
-		if s != 0 && s != dupRefSize {
-			res.Unique++
-		}
-	}
-	return res
+	return foldSizes(d.nChunks, func(i int) uint64 { return d.rt.Read(d.cell(i)) })
 }
 
 // Remaining counts chunks without a recorded result (0 when complete).
 func (d *DedupRespct) Remaining() int {
-	n := 0
-	for i := 0; i < d.nChunks; i++ {
-		if d.rt.Read(d.resultCell(i)) == 0 {
-			n++
+	done, total := d.Progress()
+	return total - done
+}
+
+// Progress returns the chunks with a recorded result and the chunks in all.
+func (d *DedupRespct) Progress() (done, total int) {
+	for _, size := range d.Cells() {
+		if size != 0 {
+			done++
 		}
 	}
-	return n
+	return done, d.nChunks
 }
+
+// Table returns the persistent dedup table.
+func (d *DedupRespct) Table() *structures.RespctMap { return d.table }

@@ -1,11 +1,7 @@
 package apps
 
 import (
-	"fmt"
-	"sync"
-
 	"github.com/respct/respct/internal/core"
-	"github.com/respct/respct/internal/pmem"
 )
 
 // Linear Regression (Phoenix): accumulate SX, SY, SXX, SYY, SXY over a point
@@ -36,6 +32,9 @@ func (r LRResult) Intercept() float64 {
 	return (r.SY - r.Slope()*r.SX) / n
 }
 
+// sums returns the five sums in field order.
+func (r *LRResult) sums() [5]*float64 { return [5]*float64{&r.SX, &r.SY, &r.SXX, &r.SYY, &r.SXY} }
+
 func lrPoint(seed uint64, i int) (x, y float64) {
 	v := xorshift64(seed + uint64(i)*2654435761)
 	x = float64(v%10000) / 100.0
@@ -43,174 +42,107 @@ func lrPoint(seed uint64, i int) (x, y float64) {
 	return x, y
 }
 
+// lrSums accumulates points [lo, hi) into r.
+func lrSums(r *LRResult, seed uint64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		x, y := lrPoint(seed, i)
+		r.SX += x
+		r.SY += y
+		r.SXX += x * x
+		r.SYY += y * y
+		r.SXY += x * y
+	}
+}
+
 // LRTransient runs the transient regression over n synthetic points.
 func LRTransient(n, threads int, seed uint64) LRResult {
 	partial := make([]LRResult, threads)
-	var wg sync.WaitGroup
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			lo, hi := splitRange(n, threads, th)
-			p := &partial[th]
-			for i := lo; i < hi; i++ {
-				x, y := lrPoint(seed, i)
-				p.SX += x
-				p.SY += y
-				p.SXX += x * x
-				p.SYY += y * y
-				p.SXY += x * y
-			}
-		}(th)
-	}
-	wg.Wait()
+	fanOut(threads, func(th int) {
+		lo, hi := splitRange(n, threads, th)
+		lrSums(&partial[th], seed, lo, hi)
+	})
 	total := LRResult{N: n}
 	for _, p := range partial {
-		total.SX += p.SX
-		total.SY += p.SY
-		total.SXX += p.SXX
-		total.SYY += p.SYY
-		total.SXY += p.SXY
+		for s, v := range p.sums() {
+			*total.sums()[s] += *v
+		}
 	}
 	return total
 }
 
 const rpLRBatch uint64 = 0x4c52426174
 
-// per-thread persistent cells: progress + 5 sums
+// per-thread persistent cells: points done + 5 sums
 const lrCellsPerThread = 6
 
 // LRRespct is the persistent regression with a configurable RP batch size
 // (the paper's positioning experiment: batch 1 is ~9x slower than the
 // transient run; batch 1000 brings the overhead to ~20%).
 type LRRespct struct {
-	rt    *core.Runtime
+	*job
 	n     int
 	batch int
 	seed  uint64
-	desc  pmem.Addr
 }
 
 // NewLR creates a persistent regression over n synthetic points with a
 // restart point after each `batch` points. Construct before starting the
 // checkpointer.
 func NewLR(rt *core.Runtime, rootIdx, n, batch int, seed uint64) (*LRRespct, error) {
-	if batch < 1 {
-		batch = 1
-	}
-	sys := rt.Sys()
-	desc := rt.Arena().Alloc(sys, 1+core.MaxThreads*lrCellsPerThread, 4)
-	if desc == pmem.NilAddr {
-		return nil, fmt.Errorf("apps: heap exhausted for LR descriptor")
-	}
-	l := &LRRespct{rt: rt, n: n, batch: batch, seed: seed, desc: desc}
-	sys.Init(core.Cell(desc, 0), 0) // done flag
-	threads := rt.Threads()
-	for th := 0; th < threads; th++ {
-		lo, _ := splitRange(n, threads, th)
-		sys.Init(l.progressCell(th), uint64(lo))
-		for s := 0; s < 5; s++ {
-			sys.InitFloat(l.sumCell(th, s), 0)
-		}
-	}
-	raw := core.RawBase(desc, 1+core.MaxThreads*lrCellsPerThread)
-	sys.StoreTracked(raw, uint64(n))
-	sys.StoreTracked(raw+8, uint64(batch))
-	sys.StoreTracked(raw+16, seed)
-	sys.StoreTracked(raw+24, uint64(threads))
-	sys.Update(rt.RootInCLL(rootIdx), uint64(desc))
-	return l, nil
+	return openedLR(newJob(rt, "LR", rootIdx, rt.Threads()*lrCellsPerThread, uint64(n), uint64(max(batch, 1)), seed))
 }
 
 // OpenLR reattaches after recovery.
 func OpenLR(rt *core.Runtime, rootIdx int) (*LRRespct, error) {
-	desc := rt.ReadAddr(rt.RootInCLL(rootIdx))
-	if desc == pmem.NilAddr {
-		return nil, fmt.Errorf("apps: no LR under root %d", rootIdx)
+	return openedLR(openJob(rt, "LR", rootIdx))
+}
+
+func openedLR(j *job, err error) (*LRRespct, error) {
+	if err != nil {
+		return nil, err
 	}
-	h := rt.Heap()
-	raw := core.RawBase(desc, 1+core.MaxThreads*lrCellsPerThread)
-	return &LRRespct{
-		rt:    rt,
-		n:     int(h.Load64(raw)),
-		batch: int(h.Load64(raw + 8)),
-		seed:  h.Load64(raw + 16),
-		desc:  desc,
-	}, nil
+	return &LRRespct{job: j, n: int(j.param(0)), batch: int(j.param(1)), seed: j.param(2)}, nil
 }
 
-func (l *LRRespct) doneCell() core.InCLL { return core.Cell(l.desc, 0) }
-func (l *LRRespct) progressCell(th int) core.InCLL {
-	return core.Cell(l.desc, 1+th*lrCellsPerThread)
-}
-func (l *LRRespct) sumCell(th, s int) core.InCLL {
-	return core.Cell(l.desc, 1+th*lrCellsPerThread+1+s)
-}
-
-func (l *LRRespct) threads() int {
-	raw := core.RawBase(l.desc, 1+core.MaxThreads*lrCellsPerThread)
-	return int(l.rt.Heap().Load64(raw + 24))
-}
+func (l *LRRespct) progressCell(th int) core.InCLL { return l.cell(th * lrCellsPerThread) }
+func (l *LRRespct) sumCell(th, s int) core.InCLL   { return l.cell(th*lrCellsPerThread + 1 + s) }
 
 // Run executes (or resumes) the regression. Partial sums are updated in
 // DRAM within a batch and folded into their InCLL cells at the batch
 // boundary, right before the restart point — re-executing a torn batch from
 // the rolled-back sums is then exact.
 func (l *LRRespct) Run() {
-	if l.rt.Read(l.doneCell()) != 0 {
-		// The work is already complete: open every worker's allow window so
-		// a running checkpointer is not gated on threads that will never run.
-		for i := 0; i < l.rt.Threads(); i++ {
-			l.rt.Thread(i).CheckpointAllow()
-		}
-		return
-	}
-	threads := l.threads()
-	var wg sync.WaitGroup
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			t := l.rt.Thread(th)
-			_, hi := splitRange(l.n, threads, th)
-			for i := int(t.Read(l.progressCell(th))); i < hi; {
-				end := min(i+l.batch, hi)
-				var sx, sy, sxx, syy, sxy float64
-				for ; i < end; i++ {
-					x, y := lrPoint(l.seed, i)
-					sx += x
-					sy += y
-					sxx += x * x
-					syy += y * y
-					sxy += x * y
-				}
-				t.UpdateFloat(l.sumCell(th, 0), t.ReadFloat(l.sumCell(th, 0))+sx)
-				t.UpdateFloat(l.sumCell(th, 1), t.ReadFloat(l.sumCell(th, 1))+sy)
-				t.UpdateFloat(l.sumCell(th, 2), t.ReadFloat(l.sumCell(th, 2))+sxx)
-				t.UpdateFloat(l.sumCell(th, 3), t.ReadFloat(l.sumCell(th, 3))+syy)
-				t.UpdateFloat(l.sumCell(th, 4), t.ReadFloat(l.sumCell(th, 4))+sxy)
-				t.Update(l.progressCell(th), uint64(i))
-				t.RP(rpLRBatch)
+	l.run(func(t *core.Thread, th int) {
+		lo, hi := splitRange(l.n, l.threads, th)
+		for i := lo + int(t.Read(l.progressCell(th))); i < hi; {
+			end := min(i+l.batch, hi)
+			var batch LRResult
+			lrSums(&batch, l.seed, i, end)
+			for s, v := range batch.sums() {
+				t.UpdateFloat(l.sumCell(th, s), t.ReadFloat(l.sumCell(th, s))+*v)
 			}
-			t.CheckpointAllow()
-		}(th)
-	}
-	wg.Wait()
-	l.rt.ExclusiveSys(func(sys *core.Thread) { sys.Update(l.doneCell(), 1) })
+			i = end
+			t.Update(l.progressCell(th), uint64(i-lo))
+			t.RP(rpLRBatch)
+		}
+	})
 }
 
 // Result combines the per-thread partial sums.
 func (l *LRRespct) Result() LRResult {
 	total := LRResult{N: l.n}
-	for th := 0; th < l.threads(); th++ {
-		total.SX += l.rt.ReadFloat(l.sumCell(th, 0))
-		total.SY += l.rt.ReadFloat(l.sumCell(th, 1))
-		total.SXX += l.rt.ReadFloat(l.sumCell(th, 2))
-		total.SYY += l.rt.ReadFloat(l.sumCell(th, 3))
-		total.SXY += l.rt.ReadFloat(l.sumCell(th, 4))
+	for th := 0; th < l.threads; th++ {
+		for s, v := range total.sums() {
+			*v += l.rt.ReadFloat(l.sumCell(th, s))
+		}
 	}
 	return total
 }
 
-// Done reports completion.
-func (l *LRRespct) Done() bool { return l.rt.Read(l.doneCell()) != 0 }
+// Progress returns the points done and the points in all.
+func (l *LRRespct) Progress() (done, total int) {
+	for th := 0; th < l.threads; th++ {
+		done += int(l.rt.Read(l.progressCell(th)))
+	}
+	return done, l.n
+}

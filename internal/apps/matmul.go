@@ -2,7 +2,7 @@ package apps
 
 import (
 	"fmt"
-	"sync"
+	"math"
 
 	"github.com/respct/respct/internal/core"
 	"github.com/respct/respct/internal/pmem"
@@ -14,34 +14,29 @@ import (
 // MatMulTransient runs the transient version and returns the checksum
 // (sum of C's entries).
 func MatMulTransient(n, threads int, seed uint64) float64 {
-	a := make([]float64, n*n)
-	b := make([]float64, n*n)
-	fillMatrix(a, seed)
-	fillMatrix(b, seed+1)
+	a, b := matMulInputs(n, seed)
 	c := make([]float64, n*n)
-	var wg sync.WaitGroup
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			lo, hi := splitRange(n, threads, th)
-			for r := lo; r < hi; r++ {
-				for col := 0; col < n; col++ {
-					sum := 0.0
-					for k := 0; k < n; k++ {
-						sum += a[r*n+k] * b[k*n+col]
-					}
-					c[r*n+col] = sum
-				}
+	fanOut(threads, func(th int) {
+		lo, hi := splitRange(n, threads, th)
+		for r := lo; r < hi; r++ {
+			for col := 0; col < n; col++ {
+				c[r*n+col] = dot(a, b, n, r, col)
 			}
-		}(th)
-	}
-	wg.Wait()
+		}
+	})
 	checksum := 0.0
 	for _, v := range c {
 		checksum += v
 	}
 	return checksum
+}
+
+// matMulInputs derives the two input matrices from the seed.
+func matMulInputs(n int, seed uint64) (a, b []float64) {
+	a, b = make([]float64, n*n), make([]float64, n*n)
+	fillMatrix(a, seed)
+	fillMatrix(b, seed+1)
+	return a, b
 }
 
 func fillMatrix(m []float64, seed uint64) {
@@ -50,6 +45,15 @@ func fillMatrix(m []float64, seed uint64) {
 		x = xorshift64(x)
 		m[i] = float64(x%1000) / 997.0
 	}
+}
+
+// dot is entry (r, col) of A x B.
+func dot(a, b []float64, n, r, col int) float64 {
+	sum := 0.0
+	for k := 0; k < n; k++ {
+		sum += a[r*n+k] * b[k*n+col]
+	}
+	return sum
 }
 
 // rpMatMulRow is the restart point after each completed row (one per
@@ -61,122 +65,57 @@ const rpMatMulRow uint64 = 0x4d4d526f77
 // and are re-derived from the recorded seed on restart, exactly as the
 // Phoenix original re-reads its memory-mapped input files — inputs are not
 // part of the persistent state because reloading them is idempotent.
+//
+// Job cell th counts the rows thread th has completed.
 type MatMulRespct struct {
-	rt       *core.Runtime
-	n        int
-	a, b     []float64 // DRAM inputs, regenerated from the seed
-	c        pmem.Addr // persistent raw float-bits output
-	progress []core.InCLL
-	done     core.InCLL // set when the multiply completed
+	*job
+	n    int
+	a, b []float64 // DRAM inputs, regenerated from the seed
+	c    pmem.Addr // persistent raw float-bits output
 }
 
 // NewMatMul allocates and initialises a persistent MatMul instance for the
 // runtime's thread count.
 func NewMatMul(rt *core.Runtime, rootIdx, n int, seed uint64) (*MatMulRespct, error) {
-	sys := rt.Sys()
-	threads := rt.Threads()
-	words := n * n
-	// Fixed descriptor layout: done cell + MaxThreads progress cells, then
-	// the raw trailer — so reattaching needs no knowledge of the original
-	// thread count.
-	desc := rt.Arena().Alloc(sys, 1+core.MaxThreads, 5)
-	if desc == pmem.NilAddr {
-		return nil, fmt.Errorf("apps: heap exhausted for MatMul descriptor")
-	}
-	m := &MatMulRespct{rt: rt, n: n}
-	m.a = make([]float64, words)
-	m.b = make([]float64, words)
-	fillMatrix(m.a, seed)
-	fillMatrix(m.b, seed+1)
-	m.c = rt.Arena().AllocRaw(sys, words)
-	if m.c == pmem.NilAddr {
+	c := rt.Arena().AllocRaw(rt.Sys(), n*n)
+	if c == pmem.NilAddr {
 		return nil, fmt.Errorf("apps: heap exhausted for %dx%d output matrix", n, n)
 	}
-	m.done = core.Cell(desc, 0)
-	sys.Init(m.done, 0)
-	m.progress = make([]core.InCLL, threads)
-	for i := 0; i < threads; i++ {
-		m.progress[i] = core.Cell(desc, 1+i)
-		lo, _ := splitRange(n, threads, i)
-		sys.Init(m.progress[i], uint64(lo))
-	}
-	raw := core.RawBase(desc, 1+core.MaxThreads)
-	sys.StoreTracked(raw, uint64(n))
-	sys.StoreTracked(raw+8, seed)
-	sys.StoreTracked(raw+24, uint64(m.c))
-	sys.StoreTracked(raw+32, uint64(threads))
-	sys.Update(rt.RootInCLL(rootIdx), uint64(desc))
-	return m, nil
+	return openedMatMul(newJob(rt, "MatMul", rootIdx, rt.Threads(), uint64(n), seed, uint64(c)))
 }
 
 // OpenMatMul reattaches to a persistent MatMul after recovery. The runtime
 // must have at least as many threads as the original.
 func OpenMatMul(rt *core.Runtime, rootIdx int) (*MatMulRespct, error) {
-	desc := rt.ReadAddr(rt.RootInCLL(rootIdx))
-	if desc == pmem.NilAddr {
-		return nil, fmt.Errorf("apps: no MatMul under root %d", rootIdx)
+	return openedMatMul(openJob(rt, "MatMul", rootIdx))
+}
+
+func openedMatMul(j *job, err error) (*MatMulRespct, error) {
+	if err != nil {
+		return nil, err
 	}
-	h := rt.Heap()
-	m := &MatMulRespct{rt: rt}
-	m.done = core.Cell(desc, 0)
-	raw := core.RawBase(desc, 1+core.MaxThreads)
-	threads := int(h.Load64(raw + 32))
-	if threads <= 0 || threads > core.MaxThreads {
-		return nil, fmt.Errorf("apps: corrupt MatMul descriptor at %#x", uint64(desc))
-	}
-	m.n = int(h.Load64(raw))
-	seed := h.Load64(raw + 8)
-	m.c = pmem.Addr(h.Load64(raw + 24))
-	m.a = make([]float64, m.n*m.n)
-	m.b = make([]float64, m.n*m.n)
-	fillMatrix(m.a, seed)
-	fillMatrix(m.b, seed+1)
-	m.progress = make([]core.InCLL, threads)
-	for i := 0; i < threads; i++ {
-		m.progress[i] = core.Cell(desc, 1+i)
-	}
+	m := &MatMulRespct{job: j, n: int(j.param(0)), c: pmem.Addr(j.param(2))}
+	m.a, m.b = matMulInputs(m.n, j.param(1))
 	return m, nil
 }
 
 // Run executes (or resumes) the multiplication with the runtime's workers.
-// Each thread resumes from its persistent row counter; rows are recomputed
+// Each thread resumes after its last counted row; rows are recomputed
 // idempotently (C is write-only between restart points).
 func (m *MatMulRespct) Run() {
-	if m.rt.Read(m.done) != 0 {
-		// The work is already complete: open every worker's allow window so
-		// a running checkpointer is not gated on threads that will never run.
-		for i := 0; i < m.rt.Threads(); i++ {
-			m.rt.Thread(i).CheckpointAllow()
-		}
-		return
-	}
 	n := m.n
-	threads := len(m.progress)
-	var wg sync.WaitGroup
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			t := m.rt.Thread(th)
-			_, hi := splitRange(n, threads, th)
-			for r := int(t.Read(m.progress[th])); r < hi; r++ {
-				for col := 0; col < n; col++ {
-					sum := 0.0
-					for k := 0; k < n; k++ {
-						sum += m.a[r*n+k] * m.b[k*n+col]
-					}
-					storeF64(t, m.c+pmem.Addr((r*n+col)*8), sum)
-				}
-				// Progress advances only after the row's stores: a crash
-				// re-executes the unfinished row (write-only, idempotent).
-				t.Update(m.progress[th], uint64(r+1))
-				t.RP(rpMatMulRow)
+	m.run(func(t *core.Thread, th int) {
+		lo, hi := splitRange(n, m.threads, th)
+		for r := lo + int(t.Read(m.cell(th))); r < hi; r++ {
+			for col := 0; col < n; col++ {
+				t.StoreTracked(m.c+pmem.Addr((r*n+col)*8), math.Float64bits(dot(m.a, m.b, n, r, col)))
 			}
-			t.CheckpointAllow()
-		}(th)
-	}
-	wg.Wait()
-	m.rt.ExclusiveSys(func(sys *core.Thread) { sys.Update(m.done, 1) })
+			// Progress advances only after the row's stores: a crash
+			// re-executes the unfinished row (write-only, idempotent).
+			t.Update(m.cell(th), uint64(r+1-lo))
+			t.RP(rpMatMulRow)
+		}
+	})
 }
 
 // Checksum returns the sum of C's entries.
@@ -184,29 +123,20 @@ func (m *MatMulRespct) Checksum() float64 {
 	h := m.rt.Heap()
 	sum := 0.0
 	for i := 0; i < m.n*m.n; i++ {
-		sum += loadF64(h, m.c+pmem.Addr(i*8))
+		sum += math.Float64frombits(h.Load64(m.c + pmem.Addr(i*8)))
 	}
 	return sum
 }
 
-// Done reports whether the multiplication has completed.
-func (m *MatMulRespct) Done() bool { return m.rt.Read(m.done) != 0 }
-
 // RowsDone returns how many output rows are complete according to the
 // persistent progress counters (after recovery: how much work survived).
 func (m *MatMulRespct) RowsDone() int {
-	threads := len(m.progress)
 	total := 0
-	for th := range m.progress {
-		lo, hi := splitRange(m.n, threads, th)
-		p := int(m.rt.Read(m.progress[th]))
-		if p > hi {
-			p = hi
-		}
-		if p < lo {
-			p = lo
-		}
-		total += p - lo
+	for _, rows := range m.Cells() {
+		total += int(rows)
 	}
 	return total
 }
+
+// Progress returns the rows done and the rows in all.
+func (m *MatMulRespct) Progress() (done, total int) { return m.RowsDone(), m.n }

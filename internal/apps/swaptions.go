@@ -1,12 +1,9 @@
 package apps
 
 import (
-	"fmt"
 	"math"
-	"sync"
 
 	"github.com/respct/respct/internal/core"
-	"github.com/respct/respct/internal/pmem"
 )
 
 // Swaptions (Parsec): price a portfolio of swaptions by Monte-Carlo
@@ -28,26 +25,25 @@ func swaptionPayoff(seed uint64, s, trial int) float64 {
 	return payoff * 100.0
 }
 
+// swaptionTrials sums swaption s's payoffs over trials [lo, hi).
+func swaptionTrials(seed uint64, s, lo, hi int) float64 {
+	sum := 0.0
+	for trial := lo; trial < hi; trial++ {
+		sum += swaptionPayoff(seed, s, trial)
+	}
+	return sum
+}
+
 // SwaptionsTransient prices nSwaptions with trials each and returns the
 // price vector's sum.
 func SwaptionsTransient(nSwaptions, trials, threads int, seed uint64) float64 {
 	prices := make([]float64, nSwaptions)
-	var wg sync.WaitGroup
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			lo, hi := splitRange(nSwaptions, threads, th)
-			for s := lo; s < hi; s++ {
-				sum := 0.0
-				for trial := 0; trial < trials; trial++ {
-					sum += swaptionPayoff(seed, s, trial)
-				}
-				prices[s] = sum / float64(trials)
-			}
-		}(th)
-	}
-	wg.Wait()
+	fanOut(threads, func(th int) {
+		lo, hi := splitRange(nSwaptions, threads, th)
+		for s := lo; s < hi; s++ {
+			prices[s] = swaptionTrials(seed, s, 0, trials) / float64(trials)
+		}
+	})
 	total := 0.0
 	for _, p := range prices {
 		total += p
@@ -64,104 +60,50 @@ const swCellsPer = 2
 // payoff and completed-trial count are InCLL cells (WAR across restart
 // points), with an RP after each batch of trials.
 type SwaptionsRespct struct {
-	rt     *core.Runtime
+	*job
 	n      int
 	trials int
 	batch  int
 	seed   uint64
-	desc   pmem.Addr
-	cells  pmem.Addr
 }
 
 // NewSwaptions creates a persistent pricer; construct before starting the
 // checkpointer.
 func NewSwaptions(rt *core.Runtime, rootIdx, nSwaptions, trials, batch int, seed uint64) (*SwaptionsRespct, error) {
-	if batch < 1 {
-		batch = 1
-	}
-	sys := rt.Sys()
-	desc := rt.Arena().Alloc(sys, 1, 5)
-	if desc == pmem.NilAddr {
-		return nil, fmt.Errorf("apps: heap exhausted for Swaptions descriptor")
-	}
-	cells := rt.Arena().AllocCells(sys, nSwaptions*swCellsPer)
-	if cells == pmem.NilAddr {
-		return nil, fmt.Errorf("apps: heap exhausted for %d swaptions", nSwaptions)
-	}
-	s := &SwaptionsRespct{rt: rt, n: nSwaptions, trials: trials, batch: batch, seed: seed, desc: desc, cells: cells}
-	sys.Init(core.Cell(desc, 0), 0)
-	for i := 0; i < nSwaptions; i++ {
-		sys.InitFloat(s.sumCell(i), 0)
-		sys.Init(s.trialCell(i), 0)
-	}
-	raw := core.RawBase(desc, 1)
-	sys.StoreTracked(raw, uint64(nSwaptions))
-	sys.StoreTracked(raw+8, uint64(trials))
-	sys.StoreTracked(raw+16, uint64(batch))
-	sys.StoreTracked(raw+24, seed)
-	sys.StoreTracked(raw+32, uint64(cells))
-	sys.Update(rt.RootInCLL(rootIdx), uint64(desc))
-	return s, nil
+	return openedSwaptions(newJob(rt, "Swaptions", rootIdx, nSwaptions*swCellsPer,
+		uint64(nSwaptions), uint64(trials), uint64(max(batch, 1)), seed))
 }
 
 // OpenSwaptions reattaches after recovery.
 func OpenSwaptions(rt *core.Runtime, rootIdx int) (*SwaptionsRespct, error) {
-	desc := rt.ReadAddr(rt.RootInCLL(rootIdx))
-	if desc == pmem.NilAddr {
-		return nil, fmt.Errorf("apps: no Swaptions under root %d", rootIdx)
-	}
-	h := rt.Heap()
-	raw := core.RawBase(desc, 1)
-	return &SwaptionsRespct{
-		rt:     rt,
-		n:      int(h.Load64(raw)),
-		trials: int(h.Load64(raw + 8)),
-		batch:  int(h.Load64(raw + 16)),
-		seed:   h.Load64(raw + 24),
-		desc:   desc,
-		cells:  pmem.Addr(h.Load64(raw + 32)),
-	}, nil
+	return openedSwaptions(openJob(rt, "Swaptions", rootIdx))
 }
 
-func (s *SwaptionsRespct) doneCell() core.InCLL       { return core.Cell(s.desc, 0) }
-func (s *SwaptionsRespct) sumCell(i int) core.InCLL   { return core.Cell(s.cells, i*swCellsPer) }
-func (s *SwaptionsRespct) trialCell(i int) core.InCLL { return core.Cell(s.cells, i*swCellsPer+1) }
+func openedSwaptions(j *job, err error) (*SwaptionsRespct, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &SwaptionsRespct{job: j, n: int(j.param(0)), trials: int(j.param(1)), batch: int(j.param(2)), seed: j.param(3)}, nil
+}
+
+func (s *SwaptionsRespct) sumCell(i int) core.InCLL   { return s.cell(i * swCellsPer) }
+func (s *SwaptionsRespct) trialCell(i int) core.InCLL { return s.cell(i*swCellsPer + 1) }
 
 // Run executes (or resumes) the pricing with the runtime's workers.
 func (s *SwaptionsRespct) Run() {
-	if s.rt.Read(s.doneCell()) != 0 {
-		// The work is already complete: open every worker's allow window so
-		// a running checkpointer is not gated on threads that will never run.
-		for i := 0; i < s.rt.Threads(); i++ {
-			s.rt.Thread(i).CheckpointAllow()
-		}
-		return
-	}
-	threads := s.rt.Threads()
-	var wg sync.WaitGroup
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			t := s.rt.Thread(th)
-			lo, hi := splitRange(s.n, threads, th)
-			for sw := lo; sw < hi; sw++ {
-				for trial := int(t.Read(s.trialCell(sw))); trial < s.trials; {
-					end := min(trial+s.batch, s.trials)
-					sum := 0.0
-					for ; trial < end; trial++ {
-						sum += swaptionPayoff(s.seed, sw, trial)
-					}
-					t.UpdateFloat(s.sumCell(sw), t.ReadFloat(s.sumCell(sw))+sum)
-					t.Update(s.trialCell(sw), uint64(trial))
-					t.RP(rpSwaptionBatch)
-				}
+	s.run(func(t *core.Thread, th int) {
+		lo, hi := splitRange(s.n, s.threads, th)
+		for sw := lo; sw < hi; sw++ {
+			for trial := int(t.Read(s.trialCell(sw))); trial < s.trials; {
+				end := min(trial+s.batch, s.trials)
+				sum := swaptionTrials(s.seed, sw, trial, end)
+				trial = end
+				t.UpdateFloat(s.sumCell(sw), t.ReadFloat(s.sumCell(sw))+sum)
+				t.Update(s.trialCell(sw), uint64(trial))
+				t.RP(rpSwaptionBatch)
 			}
-			t.CheckpointAllow()
-		}(th)
-	}
-	wg.Wait()
-	s.rt.ExclusiveSys(func(sys *core.Thread) { sys.Update(s.doneCell(), 1) })
+		}
+	})
 }
 
 // Checksum returns the sum of the per-swaption prices.
@@ -173,5 +115,10 @@ func (s *SwaptionsRespct) Checksum() float64 {
 	return total
 }
 
-// Done reports completion.
-func (s *SwaptionsRespct) Done() bool { return s.rt.Read(s.doneCell()) != 0 }
+// Progress returns the trials done and the trials in all.
+func (s *SwaptionsRespct) Progress() (done, total int) {
+	for i := 0; i < s.n; i++ {
+		done += int(s.rt.Read(s.trialCell(i)))
+	}
+	return done, s.n * s.trials
+}

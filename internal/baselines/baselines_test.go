@@ -21,7 +21,16 @@ import (
 	"github.com/respct/respct/internal/structures"
 )
 
-const heapSize = 64 << 20
+// Heaps are sized to the tests' data — at most a few thousand operations,
+// a few KiB of nodes — with room to spare: heapSize for the batteries and
+// the shadow twins of shadowWords words, recoveryHeap for a single-system
+// recovery test. Under the race detector every heap byte a test touches
+// costs several times over in resident memory, and the package runs whole.
+const (
+	heapSize     = 4 << 20
+	recoveryHeap = 1 << 20
+	shadowWords  = 1 << 16
+)
 
 func allMaps(t *testing.T, threads int) map[string]structures.Map {
 	t.Helper()
@@ -31,7 +40,7 @@ func allMaps(t *testing.T, threads int) map[string]structures.Map {
 		"undolog-clobber": durable.NewMap(mk(), 64, threads, durable.Clobber),
 		"redolog":         durable.NewMap(mk(), 64, threads, durable.RedoLog),
 		"inclltm":         durable.NewMap(mk(), 64, threads, durable.InCLL),
-		"shadow":          shadow.NewMap(shadow.NewHeap(mk(), 1<<20, threads, true), 64, 10*time.Millisecond),
+		"shadow":          shadow.NewMap(shadow.NewHeap(mk(), shadowWords, threads, true), 64, 10*time.Millisecond),
 		"cow":             cow.NewMap(mk(), 64, 10*time.Millisecond),
 		"dali":            dali.NewMap(mk(), 64, threads, 10*time.Millisecond),
 		"soft":            soft.NewMap(mk(), 64, threads),
@@ -45,7 +54,7 @@ func allQueues(t *testing.T, threads int) map[string]structures.Queue {
 		"undolog-full":    durable.NewQueue(mk(), threads, durable.UndoLog),
 		"undolog-clobber": durable.NewQueue(mk(), threads, durable.Clobber),
 		"inclltm":         durable.NewQueue(mk(), threads, durable.InCLL),
-		"shadow":          shadow.NewQueue(shadow.NewHeap(mk(), 1<<20, threads, true), 10*time.Millisecond),
+		"shadow":          shadow.NewQueue(shadow.NewHeap(mk(), shadowWords, threads, true), 10*time.Millisecond),
 		"cow":             cow.NewQueue(mk(), 10*time.Millisecond),
 		"friedman":        friedman.NewQueue(mk(), threads, 0),
 	}
@@ -178,7 +187,7 @@ func TestBaselineQueuesConcurrent(t *testing.T) {
 }
 
 func TestUndoLogRecovery(t *testing.T) {
-	h := pmem.New(pmem.Config{Size: heapSize})
+	h := pmem.New(pmem.Config{Size: recoveryHeap})
 	m := durable.NewMap(h, 64, 1, durable.UndoLog)
 	for k := uint64(1); k <= 100; k++ {
 		m.Insert(0, k, k)
@@ -196,7 +205,7 @@ func TestUndoLogRecovery(t *testing.T) {
 }
 
 func TestRedoLogRecovery(t *testing.T) {
-	h := pmem.New(pmem.Config{Size: heapSize})
+	h := pmem.New(pmem.Config{Size: recoveryHeap})
 	m := durable.NewMap(h, 64, 1, durable.RedoLog)
 	for k := uint64(1); k <= 100; k++ {
 		m.Insert(0, k, k+5)
@@ -214,7 +223,7 @@ func TestRedoLogRecovery(t *testing.T) {
 
 func TestShadowRecovery(t *testing.T) {
 	nv := pmem.New(pmem.Config{Size: heapSize})
-	sh := shadow.NewHeap(nv, 1<<16, 1, true)
+	sh := shadow.NewHeap(nv, shadowWords, 1, true)
 	m := shadow.NewMap(sh, 64, time.Hour) // manual checkpoints
 	for k := uint64(1); k <= 50; k++ {
 		m.Insert(0, k, k)
@@ -240,7 +249,7 @@ func TestShadowRecovery(t *testing.T) {
 
 func TestShadowAlternatingTwins(t *testing.T) {
 	nv := pmem.New(pmem.Config{Size: heapSize})
-	sh := shadow.NewHeap(nv, 1<<16, 1, false)
+	sh := shadow.NewHeap(nv, shadowWords, 1, false)
 	m := shadow.NewMap(sh, 64, time.Hour)
 	// Three epochs with different keys, then crash: state of epoch 3.
 	m.Insert(0, 1, 11)
@@ -260,7 +269,7 @@ func TestShadowAlternatingTwins(t *testing.T) {
 }
 
 func TestCowMapRecovery(t *testing.T) {
-	h := pmem.New(pmem.Config{Size: heapSize})
+	h := pmem.New(pmem.Config{Size: recoveryHeap})
 	m := cow.NewMap(h, 64, time.Hour)
 	for k := uint64(1); k <= 60; k++ {
 		m.Insert(0, k, k*3)
@@ -293,7 +302,7 @@ func TestCowMapRecovery(t *testing.T) {
 }
 
 func TestCowQueueRecovery(t *testing.T) {
-	h := pmem.New(pmem.Config{Size: heapSize})
+	h := pmem.New(pmem.Config{Size: recoveryHeap})
 	q := cow.NewQueue(h, time.Hour)
 	for i := uint64(1); i <= 30; i++ {
 		q.Enqueue(0, i)
@@ -321,7 +330,7 @@ func TestCowQueueRecovery(t *testing.T) {
 }
 
 func TestDaliRecovery(t *testing.T) {
-	h := pmem.New(pmem.Config{Size: heapSize})
+	h := pmem.New(pmem.Config{Size: recoveryHeap})
 	m := dali.NewMap(h, 64, 1, time.Hour)
 	for k := uint64(1); k <= 50; k++ {
 		m.Insert(0, k, k)
@@ -343,7 +352,7 @@ func TestDaliRecovery(t *testing.T) {
 }
 
 func TestSoftRecovery(t *testing.T) {
-	h := pmem.New(pmem.Config{Size: heapSize})
+	h := pmem.New(pmem.Config{Size: recoveryHeap})
 	m := soft.NewMap(h, 64, 1)
 	for k := uint64(1); k <= 100; k++ {
 		m.Insert(0, k, k+7)
@@ -370,7 +379,7 @@ func TestSoftRecovery(t *testing.T) {
 }
 
 func TestFriedmanRecovery(t *testing.T) {
-	h := pmem.New(pmem.Config{Size: heapSize})
+	h := pmem.New(pmem.Config{Size: recoveryHeap})
 	q := friedman.NewQueue(h, 1, 0)
 	for i := uint64(1); i <= 40; i++ {
 		q.Enqueue(0, i)
@@ -392,7 +401,7 @@ func TestFriedmanRecovery(t *testing.T) {
 }
 
 func TestFriedmanHeavyRecycling(t *testing.T) {
-	h := pmem.New(pmem.Config{Size: 4 << 20})
+	h := pmem.New(pmem.Config{Size: heapSize})
 	q := friedman.NewQueue(h, 1, 0)
 	// Far more ops than nodes fit without recycling.
 	for i := uint64(0); i < 50000; i++ {
@@ -408,7 +417,7 @@ func TestUndoLogRollsBackTornOp(t *testing.T) {
 	// Recover undoes. Torn ops themselves, crashed at every persistence
 	// event of every op under every policy, are durable's
 	// TestDurableCrashAtEveryPoint.
-	h := pmem.New(pmem.Config{Size: heapSize})
+	h := pmem.New(pmem.Config{Size: recoveryHeap})
 	m := durable.NewMap(h, 4, 1, durable.UndoLog)
 	m.Insert(0, 1, 10)
 	h.EvictAll() // committed op fully durable, log truncated
@@ -424,7 +433,7 @@ func TestUndoLogRollsBackTornOp(t *testing.T) {
 }
 
 func TestIncllTMRecovery(t *testing.T) {
-	h := pmem.New(pmem.Config{Size: heapSize})
+	h := pmem.New(pmem.Config{Size: recoveryHeap})
 	m := durable.NewMap(h, 64, 2, durable.InCLL)
 	for k := uint64(1); k <= 120; k++ {
 		m.Insert(0, k, k*2)
@@ -458,7 +467,7 @@ func TestIncllTMRecoveryRollsBackTornOp(t *testing.T) {
 	// the new value, not roll it back to its backup. Torn ops, crashed at
 	// every persistence event of every op under every policy, with and
 	// without eviction, are durable's TestDurableCrashAtEveryPoint.
-	h := pmem.New(pmem.Config{Size: heapSize})
+	h := pmem.New(pmem.Config{Size: recoveryHeap})
 	m := durable.NewMap(h, 8, 1, durable.InCLL)
 	m.Insert(0, 5, 50)
 	h.EvictAll() // committed op durable

@@ -63,115 +63,75 @@ func appRuntimeFor(threads int, heapBytes int64) *core.Runtime {
 	return rt
 }
 
-// appRow measures one application: transient vs ResPCT wall time.
-type appRow struct {
-	Name       string
-	Transient  time.Duration
-	Respct     time.Duration
-	Normalized float64 // Respct / Transient (the paper's Fig. 13 y-axis)
+// timeRespct builds an application on a fresh runtime of the given thread
+// count — persistent-heap creation and input initialisation are setup, as
+// the paper's pool-creation phase is outside its measured execution time —
+// makes it durable, and times its run under a checkpointer.
+func timeRespct(s AppScale, threads int, build func(rt *core.Runtime) (run func(), err error)) time.Duration {
+	rt := appRuntimeFor(threads, s.HeapBytes)
+	run, err := build(rt)
+	if err != nil {
+		panic(err)
+	}
+	rt.CheckpointIdle()
+	t0 := time.Now()
+	ck := rt.StartCheckpointer(s.Interval)
+	run()
+	ck.Stop()
+	return time.Since(t0)
 }
 
 // Fig13 reproduces the compute-application comparison: execution time of the
 // ResPCT-instrumented application normalized to the transient run.
 func Fig13(s AppScale, log func(string)) string {
-	var rows []appRow
-	// measure times the application run itself; persistent-heap creation
-	// and input initialisation happen in setup (the paper's pool-creation
-	// phase is likewise outside its measured execution time), so the
-	// returned closure from setup is what gets timed.
-	measure := func(name string, transient func(), setup func() func()) {
-		if log != nil {
-			log("fig13 " + name + " transient")
-		}
-		t0 := time.Now()
-		transient()
-		tTransient := time.Since(t0)
-		runtime.GC()
-		if log != nil {
-			log("fig13 " + name + " respct")
-		}
-		run := setup()
-		t0 = time.Now()
-		run()
-		tRespct := time.Since(t0)
-		runtime.GC()
-		rows = append(rows, appRow{
-			Name: name, Transient: tTransient, Respct: tRespct,
-			Normalized: float64(tRespct) / float64(tTransient),
-		})
-	}
-
-	measure("MatMul",
-		func() { apps.MatMulTransient(s.MatMulN, s.Threads, s.Seed) },
-		func() func() {
-			rt := appRuntimeFor(s.Threads, s.HeapBytes)
-			m, err := apps.NewMatMul(rt, 0, s.MatMulN, s.Seed)
-			if err != nil {
-				panic(err)
-			}
-			rt.CheckpointIdle()
-			return func() {
-				ck := rt.StartCheckpointer(s.Interval)
-				m.Run()
-				ck.Stop()
-			}
-		})
-
-	measure("LR",
-		func() { apps.LRTransient(s.LRPoints, s.Threads, s.Seed) },
-		func() func() {
-			rt := appRuntimeFor(s.Threads, s.HeapBytes)
-			l, err := apps.NewLR(rt, 0, s.LRPoints, s.LRBatch, s.Seed)
-			if err != nil {
-				panic(err)
-			}
-			rt.CheckpointIdle()
-			return func() {
-				ck := rt.StartCheckpointer(s.Interval)
-				l.Run()
-				ck.Stop()
-			}
-		})
-
-	measure("Swaptions",
-		func() { apps.SwaptionsTransient(s.SwaptionsN, s.SwTrials, s.Threads, s.Seed) },
-		func() func() {
-			rt := appRuntimeFor(s.Threads, s.HeapBytes)
-			sw, err := apps.NewSwaptions(rt, 0, s.SwaptionsN, s.SwTrials, s.SwBatch, s.Seed)
-			if err != nil {
-				panic(err)
-			}
-			rt.CheckpointIdle()
-			return func() {
-				ck := rt.StartCheckpointer(s.Interval)
-				sw.Run()
-				ck.Stop()
-			}
-		})
-
 	dedupThreads := max(s.Threads, 3)
-	measure("Dedup",
-		func() { apps.DedupTransient(s.DedupN, s.DedupUniq, dedupThreads, s.Seed) },
-		func() func() {
-			rt := appRuntimeFor(dedupThreads, s.HeapBytes)
-			d, err := apps.NewDedup(rt, 0, s.DedupN, s.DedupUniq, s.DedupUniq, s.Seed)
-			if err != nil {
-				panic(err)
-			}
-			rt.CheckpointIdle()
-			return func() {
-				ck := rt.StartCheckpointer(s.Interval)
-				d.Run()
-				ck.Stop()
-			}
-		})
+	rows := []struct {
+		name      string
+		threads   int
+		transient func()
+		build     func(rt *core.Runtime) (func(), error)
+	}{
+		{"MatMul", s.Threads, func() { apps.MatMulTransient(s.MatMulN, s.Threads, s.Seed) },
+			func(rt *core.Runtime) (func(), error) {
+				m, err := apps.NewMatMul(rt, 0, s.MatMulN, s.Seed)
+				return func() { m.Run() }, err
+			}},
+		{"LR", s.Threads, func() { apps.LRTransient(s.LRPoints, s.Threads, s.Seed) },
+			func(rt *core.Runtime) (func(), error) {
+				l, err := apps.NewLR(rt, 0, s.LRPoints, s.LRBatch, s.Seed)
+				return func() { l.Run() }, err
+			}},
+		{"Swaptions", s.Threads, func() { apps.SwaptionsTransient(s.SwaptionsN, s.SwTrials, s.Threads, s.Seed) },
+			func(rt *core.Runtime) (func(), error) {
+				sw, err := apps.NewSwaptions(rt, 0, s.SwaptionsN, s.SwTrials, s.SwBatch, s.Seed)
+				return func() { sw.Run() }, err
+			}},
+		{"Dedup", dedupThreads, func() { apps.DedupTransient(s.DedupN, s.DedupUniq, dedupThreads, s.Seed) },
+			func(rt *core.Runtime) (func(), error) {
+				d, err := apps.NewDedup(rt, 0, s.DedupN, s.DedupUniq, s.DedupUniq, s.Seed)
+				return func() { d.Run() }, err
+			}},
+	}
 
 	var out strings.Builder
 	out.WriteString(fmt.Sprintf("Figure 13 — compute applications, %d threads (time normalized to Transient<DRAM>)\n", s.Threads))
 	out.WriteString(fmt.Sprintf("%-12s %14s %14s %12s\n", "app", "transient", "ResPCT", "normalized"))
-	for _, r := range rows {
-		out.WriteString(fmt.Sprintf("%-12s %14v %14v %11.2fx\n",
-			r.Name, r.Transient.Round(time.Millisecond), r.Respct.Round(time.Millisecond), r.Normalized))
+	for _, a := range rows {
+		if log != nil {
+			log("fig13 " + a.name + " transient")
+		}
+		t0 := time.Now()
+		a.transient()
+		tTransient := time.Since(t0)
+		runtime.GC()
+		if log != nil {
+			log("fig13 " + a.name + " respct")
+		}
+		tRespct := timeRespct(s, a.threads, a.build)
+		runtime.GC()
+		// The paper's Fig. 13 y-axis: ResPCT time over transient time.
+		out.WriteString(fmt.Sprintf("%-12s %14v %14v %11.2fx\n", a.name, tTransient.Round(time.Millisecond),
+			tRespct.Round(time.Millisecond), float64(tRespct)/float64(tTransient)))
 	}
 	return out.String()
 }
@@ -194,17 +154,10 @@ func RPPlacementStudy(s AppScale, log func(string)) string {
 		if log != nil {
 			log(fmt.Sprintf("rp-study batch=%d", batch))
 		}
-		rt := appRuntimeFor(s.Threads, s.HeapBytes)
-		l, err := apps.NewLR(rt, 0, s.LRPoints, batch, s.Seed)
-		if err != nil {
-			panic(err)
-		}
-		rt.CheckpointIdle()
-		ck := rt.StartCheckpointer(s.Interval)
-		t0 := time.Now()
-		l.Run()
-		d := time.Since(t0)
-		ck.Stop()
+		d := timeRespct(s, s.Threads, func(rt *core.Runtime) (func(), error) {
+			l, err := apps.NewLR(rt, 0, s.LRPoints, batch, s.Seed)
+			return func() { l.Run() }, err
+		})
 		out.WriteString(fmt.Sprintf("%-20d %14v %11.2fx\n", batch, d.Round(time.Millisecond), float64(d)/float64(base)))
 		runtime.GC()
 	}

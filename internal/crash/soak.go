@@ -52,6 +52,11 @@ type Soak[S Subject] struct {
 	// DrainDelay holds every drain open that long at its start, so workers
 	// race the drain window.
 	DrainDelay time.Duration
+
+	// Vacuous judges whether a checked run tested nothing; nil means it
+	// certified only the empty state before its crash. RunSeeds retries a
+	// row whose every run was vacuous.
+	Vacuous func(s S) bool
 }
 
 // SoakReport describes one soak run. Key counts are summed over heaps.
@@ -66,6 +71,8 @@ type SoakReport struct {
 	DrainInterrupted  bool     // recovery found an uncommitted drain
 	CollisionsLogged  uint64   // worker undo-log appends during drain windows
 	CollisionsApplied int      // collision-log entries recovery replayed
+	CellsRolledBack   int      // InCLL cells recovery rolled back
+	Vacuous           bool     // the run tested nothing (Soak.Vacuous)
 }
 
 // Run soaks the row once.
@@ -203,9 +210,13 @@ func (r Soak[S]) run(seed int64, stretch time.Duration) (*SoakReport, error) {
 		rep.RecoveredKeys += len(rv.State)
 		rep.DrainInterrupted = rep.DrainInterrupted || rv.DrainInterrupted
 		rep.CollisionsApplied += rv.CollisionsApplied
+		rep.CellsRolledBack += rv.CellsRolledBack
 	}
 	if len(recs) > 0 {
 		rep.FailedEpoch = recs[0].FailedEpoch
+	}
+	if rep.Vacuous = rep.CertifiedKeys == 0; r.Vacuous != nil {
+		rep.Vacuous = r.Vacuous(s)
 	}
 	if err != nil {
 		return rep, err
@@ -217,19 +228,20 @@ func (r Soak[S]) run(seed int64, stretch time.Duration) (*SoakReport, error) {
 }
 
 // RunSeeds soaks the row once per seed, handing each run to each (which
-// runs it, e.g. inside a subtest). A row whose every run crashed before
-// certifying a non-empty state compared only empty states, which proves
-// nothing: it is retried on up to four more seeds (101–104), stopping at the
-// first that certifies, and fails if none does. A slow host can lose every
-// short run that way, so in rows that crash by CrashAfter the retries wait
-// eight times as long; rows that crash by CrashTicks or CrashDrain keep
-// their timing and only change seed.
+// runs it, e.g. inside a subtest). A row whose every run was vacuous — by
+// default, crashed before certifying a non-empty state, so it compared only
+// empty states — proves nothing: it is retried on up to four more seeds
+// (101–104), stopping at the first run that is not, and fails if none is.
+// A slow host can lose every short run that way, so in rows that crash by
+// CrashAfter the retries wait eight times as long; rows that crash by
+// CrashTicks, CrashDrain or their own Tick keep their timing and only
+// change seed.
 func (r Soak[S]) RunSeeds(seeds []int64, each func(seed int64, run func() (*SoakReport, error))) error {
 	certified := false
 	soak := func(seed int64, stretch time.Duration) {
 		each(seed, func() (*SoakReport, error) {
 			rep, err := r.run(seed, stretch)
-			certified = certified || (err == nil && rep.CertifiedKeys > 0)
+			certified = certified || (err == nil && !rep.Vacuous)
 			return rep, err
 		})
 	}
@@ -240,7 +252,7 @@ func (r Soak[S]) RunSeeds(seeds []int64, each func(seed int64, run func() (*Soak
 		soak(seed, 8)
 	}
 	if !certified {
-		return fmt.Errorf("crash: vacuous soak: no run certified a non-empty state before its crash")
+		return fmt.Errorf("crash: vacuous soak: every run tested nothing (by default: certified only the empty state before its crash)")
 	}
 	return nil
 }
