@@ -180,3 +180,52 @@ func TestLRInterceptPlausible(t *testing.T) {
 		t.Fatalf("intercept %v implausible", ic)
 	}
 }
+
+func TestMatMulRunTwiceIsIdempotent(t *testing.T) {
+	const n, threads, seed = 24, 2, 3
+	rt := appRuntime(t, threads, 4<<20)
+	m, err := NewMatMul(rt, 0, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Run()
+	first := m.Checksum()
+	m.Run() // the done cell short-circuits; nothing recomputed or corrupted
+	if got := m.Checksum(); got != first {
+		t.Fatalf("second Run changed the checksum: %v vs %v", got, first)
+	}
+}
+
+func TestSwaptionsDoneAfterRun(t *testing.T) {
+	rt := appRuntime(t, 2, 4<<20)
+	s, err := NewSwaptions(rt, 0, 4, 100, 50, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Done() {
+		t.Fatal("done before running")
+	}
+	s.Run()
+	if !s.Done() {
+		t.Fatal("not done after running")
+	}
+	first := s.Checksum()
+	s.Run()
+	if s.Checksum() != first {
+		t.Fatal("re-run changed the result")
+	}
+}
+
+func TestDedupResumeAfterCompletion(t *testing.T) {
+	const nChunks, unique, threads, seed = 300, 80, 3, 31
+	rt := appRuntime(t, threads, 4<<20)
+	d, err := NewDedup(rt, 0, nChunks, unique, 128, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := d.Run()
+	// A second Run finds nothing to replay and returns the same result.
+	if got := d.Run(); got != want {
+		t.Fatalf("re-run diverged: %+v vs %+v", got, want)
+	}
+}
