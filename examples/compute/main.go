@@ -45,11 +45,17 @@ func main() {
 		go func() { m.Run(); close(done) }()
 
 		if attempt <= 2 {
-			time.Sleep(120 * time.Millisecond)           // let some rows checkpoint
-			heap.EvictDirtyFraction(0.4, int64(attempt)) // partial state reaches NVMM
+			time.Sleep(120 * time.Millisecond) // let some rows checkpoint
+			// Crash mid-epoch: stop checkpointing, let the workers finish
+			// more rows in an epoch that never commits, and write every
+			// dirty line back first (the worst case): the epoch's row
+			// counters and output rows reach NVMM, and recovery must roll
+			// the counters back.
+			ck.Stop()
+			time.Sleep(20 * time.Millisecond)
+			heap.EvictAll()
 			heap.Crash()
 			<-done
-			ck.Stop()
 			rt2, report, err := core.Recover(heap, core.Config{Threads: threads}, 2)
 			if err != nil {
 				log.Fatal(err)

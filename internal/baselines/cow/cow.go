@@ -219,8 +219,12 @@ func (m *Map) allocVNode(key uint64, payload, next pmem.Addr) pmem.Addr {
 
 // NewMap creates a Montage-style map with a periodic checkpoint every
 // interval.
+//
+// The DRAM index is sized to the data: an index node takes a line, as a
+// payload does, removed nodes are recycled and Recover rebuilds the index
+// from scratch, so the nodes never outnumber the persistent heap's lines.
 func NewMap(h *pmem.Heap, nBucket int, interval time.Duration) *Map {
-	dram := pmem.New(pmem.DRAMConfig(int64(nBucket)*8 + (256 << 20)))
+	dram := pmem.New(pmem.DRAMConfig(int64(nBucket)*8 + pmem.LineSize + h.Size()))
 	m := &Map{
 		r:       newRegion(h),
 		nBucket: uint64(nBucket),
@@ -339,6 +343,8 @@ func (m *Map) Recover() int {
 	for b := uint64(0); b < m.nBucket; b++ {
 		m.dram.Store64(m.buckets+pmem.Addr(b*8), 0)
 	}
+	m.dalloc.SetCursor(pmem.AlignUp(m.buckets+pmem.Addr(m.nBucket*8), pmem.LineSize))
+	m.vfree = m.vfree[:0]
 	// Note: payload addresses are rebuilt lazily — recovered entries point
 	// at fresh payloads so the index stays uniform.
 	live := 0
@@ -374,9 +380,11 @@ type Queue struct {
 	ck     *ticker
 }
 
-// NewQueue creates a Montage-style queue with periodic checkpoints.
+// NewQueue creates a Montage-style queue with periodic checkpoints. Its DRAM
+// list is sized to the data like the map's index: one line per element,
+// recycled on dequeue and rebuilt by Recover.
 func NewQueue(h *pmem.Heap, interval time.Duration) *Queue {
-	dram := pmem.New(pmem.DRAMConfig(256 << 20))
+	dram := pmem.New(pmem.DRAMConfig(h.Size()))
 	q := &Queue{r: newRegion(h), dram: dram, dalloc: pmem.NewBumpAll(dram)}
 	q.ck = startTicker(q.r, interval)
 	return q
@@ -486,6 +494,7 @@ func (q *Queue) Recover() int {
 		}
 	}
 	q.head, q.tail = pmem.NilAddr, pmem.NilAddr
+	q.dalloc.Reset()
 	q.vfree = q.vfree[:0]
 	n := 0
 	for _, e := range enqs {

@@ -59,8 +59,14 @@ type Map struct {
 }
 
 // NewMap creates a SOFT-style map for `threads` workers.
+//
+// The DRAM index is sized to the data: an index node takes a line, as a
+// persistent node does. Removed index nodes are never recycled (Get is
+// lock-free and has no grace period to wait out), so the index grows with
+// fresh inserts rather than live keys; it gets twice the persistent heap's
+// lines, and Recover rebuilds it from scratch.
 func NewMap(h *pmem.Heap, nBucket, threads int) *Map {
-	dram := pmem.New(pmem.DRAMConfig(int64(nBucket)*8 + (512 << 20)))
+	dram := pmem.New(pmem.DRAMConfig(int64(nBucket)*8 + pmem.LineSize + 2*h.Size()))
 	m := &Map{
 		h:       h,
 		alloc:   pmem.NewBumpAll(h),
@@ -205,6 +211,7 @@ func (m *Map) Recover() int {
 	for b := uint64(0); b < m.nBucket; b++ {
 		m.dram.Store64(m.heads+pmem.Addr(b*8), 0)
 	}
+	m.dalloc.SetCursor(pmem.AlignUp(m.heads+pmem.Addr(m.nBucket*8), pmem.LineSize))
 	live := 0
 	end := m.alloc.Cursor()
 	for p := m.h.DataStart(); p+24 <= end; p += pmem.LineSize {

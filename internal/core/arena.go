@@ -29,14 +29,16 @@ import (
 //
 // Frees are deferred: Free puts the block in the freeing thread's volatile
 // magazine, from which that thread recycles it once the freeing epoch is
-// durable; only a magazine's overflow spills, at a checkpoint, onto the
-// persistent free lists. A block can therefore never be recycled in the
+// durable; a magazine's overflow spills, at a checkpoint, onto the
+// persistent free lists, and so does the whole magazine when a snapshot asks
+// for it (ReturnMagazines). A block can therefore never be recycled in the
 // epoch that freed it, which would otherwise let a new owner overwrite
-// payload words the undo log still needs. The price is paid at restart:
+// payload words the undo log still needs. The price is paid at a crash:
 // recovery does not rebuild magazines, so every block a magazine holds when
-// the process stops leaks — not only those freed in the epoch a crash
-// destroys, but every freed block not yet recycled or spilled, even after a
-// clean checkpoint (docs/FAILURE-MODEL.md §4). The paper's copy-on-write
+// the process dies leaks — not only those freed in the epoch the crash
+// destroys, but every freed block not yet recycled or spilled
+// (docs/FAILURE-MODEL.md §4). A clean restart from a snapshot leaks nothing:
+// the snapshot returned the magazines first. The paper's copy-on-write
 // competitors pay a comparable recovery-GC cost.
 const (
 	numClasses  = 21 // classes 64B << 0..20 (64 B .. 64 MiB)
@@ -118,15 +120,13 @@ type Arena struct {
 // the volatile entries are 16 bytes each.
 const magazineCap = 262144
 
-func (rt *Runtime) metaBase() pmem.Addr { return rt.heap.DataStart() }
-
-func newArenaView(rt *Runtime) *Arena {
-	metaBase := rt.metaBase()
+func newArenaView(h *pmem.Heap) *Arena {
+	metaBase := h.DataStart()
 	a := &Arena{
-		heap:     rt.heap,
+		heap:     h,
 		metaBase: metaBase,
 		dataBase: metaBase + pmem.Addr(metaLines*pmem.LineSize),
-		dataEnd:  pmem.Addr(rt.heap.Size()),
+		dataEnd:  pmem.Addr(h.Size()),
 	}
 	a.bump = InCLLAt(metaBase + pmem.Addr(metaBumpLine*pmem.LineSize))
 	for c := 0; c < numClasses; c++ {
@@ -137,7 +137,7 @@ func newArenaView(rt *Runtime) *Arena {
 
 // formatArena lays out a fresh arena on the runtime's heap.
 func formatArena(rt *Runtime) (*Arena, error) {
-	a := newArenaView(rt)
+	a := newArenaView(rt.heap)
 	if a.dataBase >= a.dataEnd {
 		return nil, fmt.Errorf("core: heap too small (%d bytes) for arena metadata", rt.heap.Size())
 	}
@@ -360,6 +360,34 @@ func (a *Arena) Free(t *Thread, payload pmem.Addr) {
 	}
 }
 
+// ReturnMagazines asks the runtime's next checkpoint to return every block
+// held in a thread magazine to the persistent free lists, so that the image
+// records every freed block: a restart from it then leaks none, and a
+// snapshot can elide their payloads (LiveImage). The blocks take the
+// deferred-free path of a magazine overflow — pushed in the new epoch by a
+// synchronous checkpoint, after the drain commits by an asynchronous one —
+// so the pushes are durable only once a further checkpoint commits.
+func (rt *Runtime) ReturnMagazines() { rt.returnMags.Store(true) }
+
+// takeMagazineReturn performs a requested return: every magazine entry moves
+// onto its thread's deferred-free list. Only the checkpoint's parked window
+// may touch worker magazines, so only Checkpoint and cutAsync call it, after
+// the ending epoch's dead ranges have been taken from the magazines.
+func (rt *Runtime) takeMagazineReturn() {
+	if !rt.returnMags.Swap(false) {
+		return
+	}
+	for _, t := range rt.all {
+		for c := range t.magazines {
+			for _, e := range t.magazines[c][t.magStart[c]:] {
+				t.pendingFree = append(t.pendingFree, e.block)
+			}
+			t.magazines[c] = t.magazines[c][:0]
+			t.magStart[c] = 0
+		}
+	}
+}
+
 // applyDeferredFrees pushes every queued block onto its free list. It runs
 // inside the checkpoint, after the epoch increment, with all workers parked;
 // sys performs the InCLL updates so they are logged and tracked in the new
@@ -460,6 +488,16 @@ func (a *Arena) Stats() ArenaStats {
 		Carves: a.carves.Load(),
 		Used:   int64(cur - a.dataBase),
 	}
+}
+
+// FreeHeads returns the head of every size class's free list, smallest
+// class first (NilAddr for an empty list).
+func (a *Arena) FreeHeads() []pmem.Addr {
+	out := make([]pmem.Addr, numClasses)
+	for c := range out {
+		out[c] = pmem.Addr(a.heap.Load64(a.heads[c].Addr() + cellRecordOff))
+	}
+	return out
 }
 
 // DataBase returns the first carvable address.

@@ -89,6 +89,9 @@ func (rt *Runtime) cutAsync(ending uint64, start, gateDone time.Time) Checkpoint
 		committed: make(chan struct{}),
 		done:      make(chan struct{}),
 	}
+	// Requested magazine returns join the stolen deferred frees, pushed only
+	// after this drain commits — the durable recycle rule of guard 3.
+	rt.takeMagazineReturn()
 	for _, t := range rt.all {
 		if len(t.toFlush) > 0 {
 			job.addrs += len(t.toFlush)

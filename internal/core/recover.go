@@ -58,7 +58,7 @@ func Recover(h *pmem.Heap, cfg Config, parallelism int) (*Runtime, *RecoveryRepo
 	rt.sysFlusher = h.NewFlusher()
 	rt.sys = newThread(rt, -1)
 
-	arena := newArenaView(rt)
+	arena := newArenaView(h)
 	if err := arena.checkFormatMarker(); err != nil {
 		return nil, nil, err
 	}

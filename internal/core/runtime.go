@@ -169,6 +169,10 @@ type Runtime struct {
 	// flush_modified. Crash tests use it to certify logical snapshots.
 	quiescedHook func(endingEpoch uint64)
 
+	// returnMags asks the next checkpoint to return every magazine entry to
+	// the deferred-free path (ReturnMagazines); the checkpoint clears it.
+	returnMags atomic.Bool
+
 	// faultCommitFirst, when set, makes synchronous checkpoints persist the
 	// epoch counter before draining the flush lists — a deliberate protocol
 	// violation installed only by SetCommitBeforeFlushFault for durability-
@@ -633,16 +637,7 @@ func (t *Thread) CondWait(c *sync.Cond, mu sync.Locker) {
 // the workers, and hands the lists to a background drain (async.go). A new
 // checkpoint first joins any in-flight drain — epochs commit in order.
 func (rt *Runtime) Checkpoint() CheckpointInfo {
-	rt.ckptMu.Lock()
-	for {
-		d := rt.drain.Load()
-		if d == nil {
-			break
-		}
-		rt.ckptMu.Unlock()
-		<-d.done
-		rt.ckptMu.Lock()
-	}
+	rt.lockQuiet()
 	defer rt.ckptMu.Unlock()
 
 	start := time.Now()
@@ -715,6 +710,9 @@ func (rt *Runtime) Checkpoint() CheckpointInfo {
 	// Deferred frees become visible in the new epoch, so a crash rolls
 	// them back and a block can never be recycled in the epoch it was
 	// freed (which would clobber data the undo log still depends on).
+	// Requested magazine returns join them here, after flushModified has
+	// elided the ending epoch's frees from the flush.
+	rt.takeMagazineReturn()
 	rt.arena.applyDeferredFrees(rt.sys, rt.threads)
 
 	rt.releaseWorkers()
@@ -748,6 +746,35 @@ func (rt *Runtime) Checkpoint() CheckpointInfo {
 }
 
 func (rt *Runtime) allThreads() []*Thread { return rt.all }
+
+// lockQuiet takes ckptMu with no background drain in flight: it joins any
+// drain first (epochs commit in order) and retries until none is live.
+func (rt *Runtime) lockQuiet() {
+	rt.ckptMu.Lock()
+	for {
+		d := rt.drain.Load()
+		if d == nil {
+			return
+		}
+		rt.ckptMu.Unlock()
+		<-d.done
+		rt.ckptMu.Lock()
+	}
+}
+
+// HoldCheckpoints waits out any in-flight background drain, then keeps
+// every checkpoint of the runtime from starting until release is called.
+// While held, no epoch commits and no deferred free is pushed, so the
+// persistent image changes only by write-backs of the running epoch's lines,
+// which recovery rolls back: what a recovery of the image would find stays
+// fixed. Snapshots encode the image under it (see LiveImage). Workers keep
+// running, but nothing they free is recycled until a checkpoint after the
+// release commits, so a long hold under write traffic grows the arena;
+// ExclusiveSys callers wait. Must not be called from inside ExclusiveSys.
+func (rt *Runtime) HoldCheckpoints() (release func()) {
+	rt.lockQuiet()
+	return rt.ckptMu.Unlock
+}
 
 // deadRange is the payload span of a block freed during the ending epoch.
 type deadRange struct{ start, end pmem.Addr }

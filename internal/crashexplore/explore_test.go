@@ -28,6 +28,8 @@ var pinnedTraces = map[string]struct {
 	"kv-log":             {53, 38, 0x45f9576f040b386},
 	"kv-multi":           {97, 82, 0xbdbf2b708de0ad2},
 	"kv-queue":           {74, 59, 0xe996d2c5056d348f},
+	"kv-return-async":    {233, 139, 0x1738ebcae05f787b},
+	"kv-return-sync":     {119, 99, 0xe6b961d0142400f6},
 	"kv-scan":            {115, 100, 0x165e33b8057cf4cd},
 	"kv-sync":            {76, 61, 0xd77c7bdb96572d77},
 	"kv-ttl":             {86, 71, 0x66770fdac4ceeb1e},
@@ -118,6 +120,8 @@ func TestDurabilityAcrossCrashPoints(t *testing.T) {
 		{"map-async", 0},
 		{"kv-sync", 30},
 		{"kv-async", 30},
+		{"kv-return-sync", 30},
+		{"kv-return-async", 30},
 		{"shard-2-staggered", 30},
 		{"kv-frames", 30},
 		{"kv-batch-sync", 30},

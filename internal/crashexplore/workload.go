@@ -97,8 +97,12 @@ var workloads = []*Workload{
 	// The seeded known-bad schedule: every checkpoint after setup commits
 	// its epoch before flushing (core.SetCommitBeforeFlushFault).
 	mapRow("map-sync-badcommit", false, true, 2, 6, 8, 0),
-	kvRow("kv-sync", false, 3, 10, 12, 0),
-	kvRow("kv-async", true, 3, 8, 10, 3),
+	kvRow("kv-sync", false, false, 3, 10, 12, 0),
+	kvRow("kv-async", true, false, 3, 8, 10, 3),
+	// Every cut returns the magazines to the free lists, as a snapshot
+	// does, so freed blocks are pushed, committed and recycled across cuts.
+	kvRow("kv-return-sync", false, true, 4, 10, 12, 0),
+	kvRow("kv-return-async", true, true, 4, 8, 10, 3),
 	shardRow("shard-2-staggered", 4, 8, 16),
 	framesRow("kv-frames", 4, 8, 10, 100),
 	batchRow("kv-batch-sync", false, 3, 8, 10),
@@ -194,13 +198,21 @@ func kvOps(st *kv.RespctStore, rng *rand.Rand, b, ops, keys int) {
 	}
 }
 
-// kvRow is mapRow's shape over kv.RespctStore.
-func kvRow(name string, async bool, batches, ops, keys, collide int) *Workload {
+// kvRow is mapRow's shape over kv.RespctStore. With ret, every cut first
+// asks the runtime to return its magazines (core.Runtime.ReturnMagazines).
+func kvRow(name string, async, ret bool, batches, ops, keys, collide int) *Workload {
 	sc := crash.Script[*crash.KV]{Seed: 7, Batches: batches,
 		Batch: func(s *crash.KV, rng *rand.Rand, b int) error {
 			kvOps(s.St, rng, b, ops, keys)
 			return nil
 		}}
+	if ret {
+		sc.Cut = func(s *crash.KV, b int) error {
+			s.RT.ReturnMagazines()
+			crash.Inline(s.RT)
+			return nil
+		}
+	}
 	if collide > 0 {
 		sc.Collide = func(s *crash.KV, rng *rand.Rand, b int) error {
 			for i := 0; i < collide; i++ {
@@ -263,17 +275,29 @@ func framesRow(name string, batches, ops, keys int, budget int64) *Workload {
 		Cut: func(s *crash.FramedKV, b int) error {
 			crash.Inline(s.RT)
 			if b < batches-1 {
-				if _, err := s.Frames.Snapshot(s.RT.Heap(), s.RT.DurableEpoch()); err != nil {
+				if err := liveSnapshot(s); err != nil {
 					return fmt.Errorf("kv-frames: snapshot after batch %d: %w", b, err)
 				}
 				return nil
 			}
 			s.FS.Arm(budget)
-			if _, err := s.Frames.Snapshot(s.RT.Heap(), s.RT.DurableEpoch()); !errors.Is(err, frame.ErrCrashed) {
+			if err := liveSnapshot(s); !errors.Is(err, frame.ErrCrashed) {
 				return fmt.Errorf("kv-frames: final snapshot survived a %d-byte write budget (err=%v)", budget, err)
 			}
 			return nil
 		}})
+}
+
+// liveSnapshot writes the subject's live image (core.LiveImage) as its frame
+// store's next set. The view only reads the persistent image, so the trace
+// is a plain kv workload's.
+func liveSnapshot(s *crash.FramedKV) error {
+	src, err := core.NewLiveImage(s.RT.Heap())
+	if err != nil {
+		return err
+	}
+	_, err = s.Frames.Snapshot(src, s.RT.DurableEpoch())
+	return err
 }
 
 // applyFrame encodes one deterministic request batch, decodes it back

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	iofs "io/fs"
 	"sync"
-
-	"github.com/respct/respct/internal/pmem"
 )
 
 // ManifestName is the store manifest's file name. Rewriting it (atomically)
@@ -79,11 +77,12 @@ func NewStore(fs FS, p Params) (*Store, error) {
 	return &Store{fs: fs, params: p, man: man}, nil
 }
 
-// Snapshot writes the heap's persistent image at epoch as a new full set and
-// certifies it in place of the previous one. The caller must have quiesced
-// the runtime (checkpoint completed, async drains waited) so the image is a
+// Snapshot writes src, the image of a heap at durable epoch epoch, as a new
+// full set and certifies it in place of the previous one. The caller must
+// have quiesced the runtime (checkpoint completed, async drains waited) and
+// keep it from committing until Snapshot returns, so the image is a
 // certified cut. On error the previous set stays certified.
-func (s *Store) Snapshot(h *pmem.Heap, epoch uint64) (*SnapshotResult, error) {
+func (s *Store) Snapshot(src ImageSource, epoch uint64) (*SnapshotResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	seq := uint64(1)
@@ -92,7 +91,7 @@ func (s *Store) Snapshot(h *pmem.Heap, epoch uint64) (*SnapshotResult, error) {
 	}
 	name := fmt.Sprintf("full-%06d.fimg", seq)
 	info, err := s.writeContainer(name, func(f File) (*SetInfo, error) {
-		return WriteFull(f, HeapSource{h}, s.params)
+		return WriteFull(f, src, s.params)
 	})
 	if err != nil {
 		return nil, err

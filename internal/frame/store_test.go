@@ -52,7 +52,7 @@ func TestStoreChain(t *testing.T) {
 	h := pmem.New(pmem.Config{Size: 1 << 20})
 	for round := 1; round <= 3; round++ {
 		touchLines(h, round*(1<<17), 10, uint64(0xB0+round))
-		res, err := st.Snapshot(h, uint64(round))
+		res, err := st.Snapshot(HeapSource{h}, uint64(round))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestStoreCrashFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Snapshot(h, 1); err != nil {
+	if _, err := st.Snapshot(HeapSource{h}, 1); err != nil {
 		t.Fatal(err)
 	}
 	certified := persistentImage(t, h)
@@ -104,7 +104,7 @@ func TestStoreCrashFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	touchLines(h, 1<<17, 20, 0xE0)
-	if _, err := st2.Snapshot(h, 2); err == nil {
+	if _, err := st2.Snapshot(HeapSource{h}, 2); err == nil {
 		t.Fatal("snapshot survived a crashed FS")
 	}
 	if !crash.Crashed() {
@@ -125,7 +125,7 @@ func TestStoreCrashFallsBack(t *testing.T) {
 	}
 
 	// The next snapshot replaces the certified set and collects the orphan.
-	if _, err := st3.Snapshot(h, 3); err != nil {
+	if _, err := st3.Snapshot(HeapSource{h}, 3); err != nil {
 		t.Fatal(err)
 	}
 	img, _ = restoreSet(t, st3, 1)
@@ -202,11 +202,11 @@ func TestDirFSStore(t *testing.T) {
 	}
 	h := pmem.New(pmem.Config{Size: 1 << 19})
 	touchLines(h, 4096, 30, 0xF0)
-	if _, err := st.Snapshot(h, 1); err != nil {
+	if _, err := st.Snapshot(HeapSource{h}, 1); err != nil {
 		t.Fatal(err)
 	}
 	touchLines(h, 1<<17, 7, 0xF1)
-	if _, err := st.Snapshot(h, 2); err != nil {
+	if _, err := st.Snapshot(HeapSource{h}, 2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -232,7 +232,7 @@ func TestDirFSStore(t *testing.T) {
 	if !bytes.Equal(img, persistentImage(t, h)) {
 		t.Fatal("DirFS restore differs from persistent image")
 	}
-	if _, err := st2.Snapshot(h, 3); err != nil {
+	if _, err := st2.Snapshot(HeapSource{h}, 3); err != nil {
 		t.Fatal(err)
 	}
 	names, err := DirFS{Dir: dir}.List()

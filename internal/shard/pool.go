@@ -142,6 +142,11 @@ type Shard struct {
 	KV    *kv.RespctStore
 
 	gated *kv.GatedStore
+
+	// ckpt serialises checkpointShard: the driver and CheckpointAll may
+	// both checkpoint the shard, and the expiry sweep that precedes each
+	// checkpoint runs on the sweeper's one thread handle.
+	ckpt sync.Mutex
 }
 
 // Pool owns N shards and their checkpoint schedule.
@@ -363,6 +368,8 @@ func (p *Pool) clockNow() uint64 {
 // record past its deadline.
 func (p *Pool) checkpointShard(i int) {
 	sh := p.shards[i]
+	sh.ckpt.Lock()
+	defer sh.ckpt.Unlock()
 	if sh.Heap.Crashed() {
 		return
 	}

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"github.com/respct/respct/internal/core"
 	"github.com/respct/respct/internal/frame"
 	"github.com/respct/respct/internal/pmem"
 	"github.com/respct/respct/internal/telemetry"
@@ -18,16 +19,29 @@ func ShardFrameDir(base string, i int) string {
 	return fmt.Sprintf("%s-%d.fset", strings.TrimSuffix(base, filepath.Ext(base)), i)
 }
 
-// SnapshotFrames checkpoints every shard, then writes each shard's
-// persistent image as a full frame set into the frame store under
-// ShardFrameDir(base, i), where it replaces the certified set: all shards in
-// parallel, and each shard's frames in parallel per params. Failed shards
-// keep their previous certified set.
+// SnapshotFrames writes each shard's live image (core.LiveImage) as a full
+// frame set into the frame store under ShardFrameDir(base, i), where it
+// replaces the certified set: all shards in parallel, and each shard's frames
+// in parallel per params. Failed shards keep their previous certified set.
+//
+// Every shard first returns its magazine blocks to the free lists
+// (core.Runtime.ReturnMagazines) at the next checkpoint, and a second
+// checkpoint makes those pushes durable, so a restart from the set leaks no
+// freed block and the set carries none of their payloads. Each shard's
+// checkpoints are then held off while its frames are encoded: a commit
+// mid-encode could make a block the view elides live again. The pool may
+// keep serving throughout; a snapshot of a running pool captures the cut it
+// holds.
 func (p *Pool) SnapshotFrames(base string, params frame.Params) ([]*frame.SnapshotResult, error) {
 	p.snapMu.Lock()
 	defer p.snapMu.Unlock()
-	p.CheckpointAll()
-	p.WaitDrains()
+	for _, sh := range p.shards {
+		sh.RT.ReturnMagazines()
+	}
+	for range 2 {
+		p.CheckpointAll()
+		p.WaitDrains()
+	}
 	results := make([]*frame.SnapshotResult, len(p.shards))
 	err := eachShard(len(p.shards), func(i int) error {
 		sh := p.shards[i]
@@ -35,13 +49,19 @@ func (p *Pool) SnapshotFrames(base string, params frame.Params) ([]*frame.Snapsh
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		res, err := st.Snapshot(sh.Heap, sh.RT.DurableEpoch())
+		release := sh.RT.HoldCheckpoints()
+		defer release()
+		src, err := core.NewLiveImage(sh.Heap)
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		epoch := sh.RT.DurableEpoch()
+		res, err := st.Snapshot(src, epoch)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		results[i] = res
-		sh.RT.Flight().Record(telemetry.FlightFrameSnap, sh.RT.DurableEpoch(),
-			uint64(res.Info.Lines), uint64(res.Info.Bytes))
+		sh.RT.Flight().Record(telemetry.FlightFrameSnap, epoch, uint64(res.Info.Lines), uint64(res.Info.Bytes))
 		return nil
 	})
 	if err != nil {

@@ -7,6 +7,7 @@ package respct
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"time"
 
@@ -58,10 +59,20 @@ func NVMM(size int64) HeapConfig { return pmem.NVMMConfig(size) }
 func EADR(size int64) HeapConfig { return pmem.EADRConfig(size) }
 
 // WriteSnapshot writes h's persistent image — what a crash would leave — to w
-// as one full frame container (docs/SNAPSHOT-FORMAT.md). Snapshot a quiesced
-// heap: one being written concurrently yields a word-consistent blur.
+// as one full frame container (docs/SNAPSHOT-FORMAT.md). A ResPCT-formatted
+// heap is written as its live view (core.LiveImage): the payloads of free
+// blocks and committed undo words read as zero. Snapshot a quiesced heap: one
+// being written concurrently yields a word-consistent blur.
 func WriteSnapshot(w io.Writer, h *Heap) error {
-	_, err := frame.WriteFull(w, frame.HeapSource{H: h}, frame.Params{Compression: frame.CompressFlate})
+	var src frame.ImageSource = frame.HeapSource{H: h}
+	live, err := core.NewLiveImage(h)
+	switch {
+	case err == nil:
+		src = live
+	case !errors.Is(err, core.ErrNotFormatted):
+		return err
+	}
+	_, err = frame.WriteFull(w, src, frame.Params{Compression: frame.CompressFlate})
 	return err
 }
 
