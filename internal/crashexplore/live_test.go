@@ -1,7 +1,9 @@
 package crashexplore
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc64"
 	"maps"
 	"slices"
 	"sync"
@@ -141,4 +143,73 @@ func liveDifferential(t *testing.T, name string, async bool) (drained, rolledBac
 		}
 	}
 	return drained, rolledBack, freeBlocks, freeAndRolled
+}
+
+// pinnedLiveViews pins, per row, a digest of the live view at every fifth
+// image-changing write-back (the points TestLiveViewRecoversLikeFullImage
+// visits under -short, so both modes agree). If a deliberate change to the
+// live view or to a row's schedule moves one, re-derive it with
+// `go test -run TestLiveViewBytesPinned -v`.
+var pinnedLiveViews = map[string]struct {
+	points int
+	digest uint64
+}{
+	"kv-sync":         {14, 0x6f7991a42f58b6a9},
+	"kv-async":        {17, 0x16117b83019651a5},
+	"kv-return-sync":  {22, 0x5274bb84a368bead},
+	"kv-return-async": {28, 0x158afd88484852fc},
+}
+
+// TestLiveViewBytesPinned pins the bytes core.LiveImage reads at the crash
+// points of the four kv rows. The flight ring carries wall-clock stamps, so
+// a point folds the crc64 of the live view XOR the full image: every word
+// the view zeroes, with its position and value; the ring, which the view
+// reads unchanged, folds in as zeros.
+func TestLiveViewBytesPinned(t *testing.T) {
+	tab := crc64.MakeTable(crc64.ECMA)
+	for _, name := range slices.Sorted(maps.Keys(pinnedLiveViews)) {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			w, err := Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _, err := runOnce(w, nil, -1, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			digest, points := crc64.New(tab), 0
+			for i, e := range ref.Events() {
+				if e.Kind != pmem.EvWriteBack || !e.Changed || i%5 != 0 {
+					continue
+				}
+				_, run, err := runOnce(w, nil, int64(e.Seq), false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := run.subject.(*crash.KV).RT.Heap()
+				live, err := core.NewLiveImage(h)
+				if err != nil {
+					t.Fatalf("%s @%d: %v", name, e.Seq, err)
+				}
+				full := make([]byte, h.ImageSize())
+				view := make([]byte, h.ImageSize())
+				if err := h.ReadPersistentAt(full, 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := live.ReadImageAt(view, 0); err != nil {
+					t.Fatal(err)
+				}
+				for j := range view {
+					view[j] ^= full[j]
+				}
+				digest.Write(binary.LittleEndian.AppendUint64(nil, crc64.Checksum(view, tab)))
+				points++
+			}
+			pin := pinnedLiveViews[name]
+			if got := digest.Sum64(); points != pin.points || got != pin.digest {
+				t.Errorf("%s: live-view digest over %d points = %#x, pinned %#x over %d", name, points, got, pin.digest, pin.points)
+			}
+		})
+	}
 }
