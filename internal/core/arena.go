@@ -193,25 +193,6 @@ func (a *Arena) persistFormatMarker(f *pmem.Flusher) {
 	f.Persist(a.markerAddr())
 }
 
-// checkFormatMarker validates a previously formatted heap.
-func (a *Arena) checkFormatMarker() error {
-	h := a.heap
-	mb := a.markerAddr()
-	if got := h.Load64(mb); got != formatMagic {
-		return fmt.Errorf("core: heap is not ResPCT-formatted (marker %#x)", got)
-	}
-	if got := h.Load64(mb + 8); got != formatVer {
-		return fmt.Errorf("core: unsupported format version %d", got)
-	}
-	if got := h.Load64(mb + 16); got != numClasses {
-		return fmt.Errorf("core: format has %d size classes, binary expects %d", got, numClasses)
-	}
-	if got := h.Load64(mb + 24); got != MaxThreads {
-		return fmt.Errorf("core: format has MaxThreads %d, binary expects %d", got, MaxThreads)
-	}
-	return nil
-}
-
 // Alloc returns a persistent block with room for `cells` InCLL cells
 // followed by `rawWords` plain 64-bit words, or NilAddr if the heap is
 // exhausted. The returned address is the payload start: cell i lives at

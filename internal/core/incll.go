@@ -153,29 +153,3 @@ func (t *Thread) ReadAddr(v InCLL) pmem.Addr { return pmem.Addr(t.Read(v)) }
 
 // InitAddr is Init for persistent pointers.
 func (t *Thread) InitAddr(v InCLL, val pmem.Addr) { t.Init(v, uint64(val)) }
-
-// rollbackCell applies the recovery rule (paper Fig. 5 lines 62-64) to the
-// cell at a, using the persistent image as both source and target: callers
-// run it after Heap.Reopen, so the volatile image equals the persistent one.
-//
-// drained handles a crash inside an async drain window: the failed epoch N
-// never durably committed, but workers were already running epoch N+1, so
-// cells tagged N+1 may have reached NVMM too (evictions, collision flushes).
-// Restoring their backup and retagging with N recovers them: for a cell
-// untouched during epoch N the backup is its value at the last durable cut,
-// and a cell modified in both N and N+1 — whose backup is the not-yet-durable
-// cut-N value — is repaired afterwards from the collision log (see Recover).
-// The retag matters: execution resumes in epoch N, and a tag of N+1 would
-// make the cell's next update in any epoch ≤ N+1 skip its undo logging.
-func rollbackCell(h *pmem.Heap, a pmem.Addr, failedEpoch uint64, drained bool) bool {
-	switch tag := h.Load64(a + cellEpochOff); {
-	case tag == failedEpoch:
-		h.Store64(a+cellRecordOff, h.Load64(a+cellBackupOff))
-		return true
-	case drained && tag == failedEpoch+1:
-		h.Store64(a+cellRecordOff, h.Load64(a+cellBackupOff))
-		h.Store64(a+cellEpochOff, failedEpoch)
-		return true
-	}
-	return false
-}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -31,10 +32,10 @@ type RecoveryReport struct {
 }
 
 // Recover reconstructs a consistent runtime from a crashed heap (paper
-// Fig. 5). It reboots the heap if needed, reads the failed epoch from the
-// persistent image, scans every InCLL cell in NVMM — the metadata cells, the
-// 64 root cells, and every cell of every allocated block — and rolls back to
-// its logged value each cell whose epoch tag equals the failed epoch. The
+// Fig. 5). It reboots the heap if needed, plans the recovery of the rebooted
+// image (planRecovery) and applies the plan: every InCLL cell in NVMM — the
+// arena's metadata cells, the 64 root cells, and every cell of every carved
+// block — whose epoch tag says so is rolled back to its logged value. The
 // rolled-back lines are flushed immediately, so the persistent image itself
 // becomes the state of the last completed checkpoint and recovery is
 // idempotent across repeated crashes.
@@ -54,195 +55,20 @@ func Recover(h *pmem.Heap, cfg Config, parallelism int) (*Runtime, *RecoveryRepo
 	if h.Crashed() {
 		h.Reopen()
 	}
-	rt := &Runtime{heap: h, cfg: cfg}
-	rt.sysFlusher = h.NewFlusher()
-	rt.sys = newThread(rt, -1)
-
-	arena := newArenaView(h)
-	if err := arena.checkFormatMarker(); err != nil {
+	p, err := planRecovery(h, h.Load64)
+	if err != nil {
 		return nil, nil, err
 	}
-	rt.arena = arena
+	arena := p.arena
+	rt := &Runtime{heap: h, cfg: cfg, arena: arena}
+	rt.sysFlusher = h.NewFlusher()
+	rt.sys = newThread(rt, -1)
+	rt.epochCache.Store(p.epoch)
+	rt.durableEpoch.Store(p.epoch)
 
-	failedEpoch := h.Load64(h.EpochAddr())
-	if failedEpoch == 0 {
-		return nil, nil, fmt.Errorf("core: formatted heap with epoch 0 — torn format")
-	}
-	rt.epochCache.Store(failedEpoch)
-	rt.durableEpoch.Store(failedEpoch)
-
-	// If the collision-log guard epoch equals the failed epoch, the crash
-	// hit between an async cut of failedEpoch and its durable commit:
-	// epoch failedEpoch+1 was already executing, so its cells must be
-	// rolled back too, and backups destroyed by double-epoch collisions
-	// must be repaired from the log. The epoch counter is monotonic, so a
-	// guard from any *committed* drain can never equal a failed epoch.
-	drained := h.Load64(arena.collHdrAddr()) == failedEpoch
-
-	rep := &RecoveryReport{FailedEpoch: failedEpoch, DrainInterrupted: drained}
+	rep := &RecoveryReport{FailedEpoch: p.epoch, DrainInterrupted: p.drained}
 	rt.flight, rep.FlightEvents = telemetry.OpenFlightRecorder(h, arena.flightHdrAddr(), flightEntries)
-	f := rt.sysFlusher
-
-	// Every cell tagged with the failed epoch is rolled back, flushed, and
-	// re-registered in the system flush list: execution resumes in the
-	// failed epoch, so later updates of these cells are not first touches
-	// and would otherwise never be flushed by the resumed epoch's
-	// checkpoint.
-	rollback := func(a pmem.Addr) {
-		rep.CellsScanned++
-		if rollbackCell(h, a, failedEpoch, drained) {
-			rep.CellsRolledBack++
-			f.CLWB(a)
-			rt.sys.AddModified(a)
-		}
-	}
-
-	// Metadata and root cells first: the bump cursor gates the block scan.
-	rollback(arena.bump.Addr())
-	for c := 0; c < numClasses; c++ {
-		rollback(arena.heads[c].Addr())
-	}
-	for i := 0; i < pmem.NumRoots; i++ {
-		rollback(h.RootAddr(i))
-	}
-	f.SFence()
-
-	// Replay the collision log before walking the carved region: each entry
-	// names an InCLL cell whose last durable-cut value was evicted from its
-	// backup by an update in the epoch after the interrupted drain's, and
-	// the rollback above restored such cells only to the *not-yet-durable*
-	// cut. The bump cursor itself can be one of them (carves in both epochs)
-	// — and the not-yet-durable bump would extend the walk into blocks whose
-	// headers never reached NVMM — so the log must have its final word
-	// first. Replay and the per-cell rollback are mutually idempotent: a
-	// replayed cell holds record = backup with the failed epoch's tag, which
-	// later rollback passes rewrite to the same value.
-	replayLog := func() error {
-		if !drained {
-			return nil
-		}
-		cnt := h.Load64(arena.collHdrAddr() + 8)
-		if cnt > collLogEntries {
-			return fmt.Errorf("core: corrupt collision log (count %d)", cnt)
-		}
-		for i := 0; i < int(cnt); i++ {
-			ent := arena.collEntryAddr(i)
-			a := pmem.Addr(h.Load64(ent))
-			val := h.Load64(ent + 8)
-			if a%pmem.WordSize != 0 || int64(a) <= 0 || int64(a)+3*pmem.WordSize > h.Size() ||
-				uint64(a)%pmem.LineSize > pmem.LineSize-3*pmem.WordSize {
-				return fmt.Errorf("core: corrupt collision log entry %d (addr %#x)", i, uint64(a))
-			}
-			h.Store64(a+cellRecordOff, val)
-			h.Store64(a+cellBackupOff, val)
-			h.Store64(a+cellEpochOff, failedEpoch)
-			f.CLWB(a)
-			rt.sys.AddModified(a)
-		}
-		rep.CollisionsApplied = int(cnt)
-		f.SFence()
-		return nil
-	}
-
-	// Walk the carved region block by block. Headers of every reachable
-	// block were flushed by the checkpoint that made them reachable, so
-	// magic and layout are trustworthy after the layout cell's own
-	// rollback.
-	var blocks []pmem.Addr
-	walkBlocks := func() error {
-		cur := arena.dataBase
-		end := pmem.Addr(h.Load64(arena.bump.Addr() + cellRecordOff))
-		for cur < end {
-			if got := h.Load64(cur + hdrMagicOff); got != blockMagic {
-				return fmt.Errorf("core: corrupt block header at %#x (magic %#x)", uint64(cur), got)
-			}
-			rollback(cur + hdrLayoutOff)
-			class, _, _ := unpackLayout(h.Load64(cur + hdrLayoutOff + cellRecordOff))
-			if class < 0 || class >= numClasses {
-				return fmt.Errorf("core: corrupt block layout at %#x (class %d)", uint64(cur), class)
-			}
-			blocks = append(blocks, cur)
-			cur += pmem.Addr(classSize(class))
-		}
-		rep.BlocksScanned = len(blocks)
-		f.SFence()
-		return nil
-	}
-
-	// Replay strictly before the walk: the log holds the bump cursor's last
-	// durable-cut value, and the rolled-back (not-yet-durable) bump would
-	// extend the walk into blocks whose headers never reached NVMM.
-	// faultWalkBeforeReplay re-seeds the historical inversion of this order
-	// for the regression fixture.
-	steps := []func() error{replayLog, walkBlocks}
-	if faultWalkBeforeReplay {
-		steps[0], steps[1] = steps[1], steps[0]
-	}
-	for _, step := range steps {
-		if err := step(); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	scanBlock := func(block pmem.Addr, fl *pmem.Flusher, matched *[]pmem.Addr) (scanned int) {
-		_, cells, _ := unpackLayout(h.Load64(block + hdrLayoutOff + cellRecordOff))
-		check := func(a pmem.Addr) {
-			scanned++
-			if rollbackCell(h, a, failedEpoch, drained) {
-				*matched = append(*matched, a)
-				fl.CLWB(a)
-			}
-		}
-		check(block + hdrNextOff)
-		payload := block + headerSize
-		for i := 0; i < cells; i++ {
-			check(payload + pmem.Addr(i*CellSize))
-		}
-		return scanned
-	}
-
-	registerMatches := func(matched []pmem.Addr) {
-		rep.CellsRolledBack += len(matched)
-		for _, a := range matched {
-			rt.sys.AddModified(a)
-		}
-	}
-
-	if parallelism < 2 || len(blocks) < 64 {
-		var matched []pmem.Addr
-		for _, b := range blocks {
-			rep.CellsScanned += scanBlock(b, f, &matched)
-		}
-		f.SFence()
-		registerMatches(matched)
-	} else {
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		chunk := (len(blocks) + parallelism - 1) / parallelism
-		for g := 0; g < parallelism; g++ {
-			lo := g * chunk
-			hi := min(lo+chunk, len(blocks))
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(bs []pmem.Addr) {
-				defer wg.Done()
-				fl := h.NewFlusher()
-				var matched []pmem.Addr
-				scanned := 0
-				for _, b := range bs {
-					scanned += scanBlock(b, fl, &matched)
-				}
-				fl.SFence()
-				mu.Lock()
-				rep.CellsScanned += scanned
-				registerMatches(matched)
-				mu.Unlock()
-			}(blocks[lo:hi])
-		}
-		wg.Wait()
-	}
+	p.apply(rt, rep, parallelism)
 
 	// Rebuild worker handles; restart-point cells registered by a previous
 	// run are recovered, missing ones (never checkpointed) are fresh.
@@ -269,13 +95,277 @@ func Recover(h *pmem.Heap, cfg Config, parallelism int) (*Runtime, *RecoveryRepo
 	// Attach the sanitizer last, replaying
 	// the tracked state of every rolled-back cell: the resumed epoch owes
 	// them a flush, and rule R1 holds it to that.
-	rt.attachSanitizer(failedEpoch, true)
+	rt.attachSanitizer(p.epoch, true)
 
 	rep.Duration = time.Since(start)
 	var drainedAux uint64
-	if drained {
+	if p.drained {
 		drainedAux = 1
 	}
-	rt.flight.Record(telemetry.FlightRecovery, failedEpoch, uint64(rep.CellsRolledBack), drainedAux)
+	rt.flight.Record(telemetry.FlightRecovery, p.epoch, uint64(rep.CellsRolledBack), drainedAux)
 	return rt, rep, nil
+}
+
+// Recovery reads a crashed image once and writes it once. planRecovery reads
+// the image and decides everything the paper's recovery rule (Fig. 5 lines
+// 62-65) does, writing nothing; apply then writes the plan back in a fixed
+// order. The live view (live.go) is the plan without apply.
+
+// ErrNotFormatted reports a heap whose persistent image carries no ResPCT
+// format marker: nothing on it can be recovered, and it has no live view
+// (snapshot its full image).
+var ErrNotFormatted = errors.New("core: heap is not ResPCT-formatted")
+
+// recoveryPlan is the recovery of one persistent image.
+type recoveryPlan struct {
+	arena *Arena
+	load  func(pmem.Addr) uint64 // reads the planned image
+	epoch uint64                 // the failed epoch: the image's epoch word
+	// drained reports a crash inside an async drain window: the
+	// collision-log guard epoch equals the failed epoch (see rollsBack).
+	drained  bool
+	log      []collEntry          // the collision log, in order; empty unless drained
+	replayed map[pmem.Addr]uint64 // each logged cell's value once the log is replayed
+	blocks   []carvedBlock        // every carved block below the recovered bump, in address order
+}
+
+// collEntry is one collision-log entry: an InCLL cell and its value at the
+// last durable cut.
+type collEntry struct {
+	cell pmem.Addr
+	val  uint64
+}
+
+// carvedBlock is one carved block as recovery sees it.
+type carvedBlock struct {
+	start pmem.Addr
+	cells int32 // InCLL cells the recovered layout declares
+	class int8
+	free  bool // on a committed free list; only the live view sets it
+}
+
+func (b carvedBlock) end() pmem.Addr { return b.start + pmem.Addr(classSize(int(b.class))) }
+
+// planRecovery reads the image of h that load returns — the rebooted image
+// for Recover, the persistent one for the live view — and refuses it when
+// recovery could not trust it: no format marker (ErrNotFormatted), another
+// format, an epoch word of 0 (a torn format), a collision log that does not
+// fit, a bump cursor outside the data region, or a carved block whose magic
+// or layout does not fit its place.
+func planRecovery(h *pmem.Heap, load func(pmem.Addr) uint64) (*recoveryPlan, error) {
+	a := newArenaView(h)
+	mb := a.markerAddr()
+	if a.dataBase >= a.dataEnd || load(mb) != formatMagic {
+		return nil, ErrNotFormatted
+	}
+	if v, c, n := load(mb+8), load(mb+16), load(mb+24); v != formatVer || c != numClasses || n != MaxThreads {
+		return nil, fmt.Errorf("core: format version %d, %d size classes, MaxThreads %d; this binary has %d, %d, %d",
+			v, c, n, formatVer, numClasses, MaxThreads)
+	}
+	p := &recoveryPlan{arena: a, load: load, epoch: load(h.EpochAddr())}
+	if p.epoch == 0 {
+		return nil, errors.New("core: formatted heap with epoch 0 — torn format")
+	}
+
+	// If the collision-log guard epoch equals the failed epoch, the crash
+	// hit between an async cut of the failed epoch and its durable commit.
+	// The epoch counter is monotonic, so a guard from any *committed* drain
+	// can never equal a failed epoch.
+	p.drained = load(a.collHdrAddr()) == p.epoch
+	if p.drained {
+		cnt := load(a.collHdrAddr() + 8)
+		if cnt > collLogEntries {
+			return nil, fmt.Errorf("core: corrupt collision log (count %d)", cnt)
+		}
+		p.replayed = make(map[pmem.Addr]uint64, cnt)
+		for i := 0; i < int(cnt); i++ {
+			ent := a.collEntryAddr(i)
+			c, val := pmem.Addr(load(ent)), load(ent+8)
+			if c%pmem.WordSize != 0 || int64(c) <= 0 || int64(c)+3*pmem.WordSize > h.Size() ||
+				uint64(c)%pmem.LineSize > pmem.LineSize-3*pmem.WordSize {
+				return nil, fmt.Errorf("core: corrupt collision log entry %d (addr %#x)", i, uint64(c))
+			}
+			p.log = append(p.log, collEntry{c, val})
+			p.replayed[c] = val
+		}
+	}
+
+	// The carved region, bounded by the bump cursor as the log leaves it:
+	// the bump itself can be logged (carves in both epochs of a drain
+	// window), and its not-yet-durable value would extend the walk into
+	// blocks whose headers never reached NVMM (faultWalkBeforeReplay
+	// re-seeds that bug). Headers of every reachable block were flushed by
+	// the checkpoint that made them reachable, so magic and layout are
+	// trustworthy once the layout cell is recovered; blocks tile the region.
+	end := pmem.Addr(p.recovered(a.bump.Addr()))
+	if faultWalkBeforeReplay {
+		end = pmem.Addr(p.rolledBack(a.bump.Addr()))
+	}
+	if end < a.dataBase || end > a.dataEnd {
+		return nil, fmt.Errorf("core: bump cursor %#x outside the data region", uint64(end))
+	}
+	for cur := a.dataBase; cur < end; {
+		if got := load(cur + hdrMagicOff); got != blockMagic {
+			return nil, fmt.Errorf("core: corrupt block header at %#x (magic %#x)", uint64(cur), got)
+		}
+		class, cells, _ := unpackLayout(p.recovered(cur + hdrLayoutOff))
+		if class >= numClasses || headerSize+cells*CellSize > classSize(class) || cur+pmem.Addr(classSize(class)) > end {
+			return nil, fmt.Errorf("core: corrupt block layout at %#x (class %d, %d cells)", uint64(cur), class, cells)
+		}
+		p.blocks = append(p.blocks, carvedBlock{start: cur, cells: int32(cells), class: int8(class)})
+		cur += pmem.Addr(classSize(class))
+	}
+	return p, nil
+}
+
+// rollsBack is the recovery rule (paper Fig. 5 lines 62-64): a cell tagged
+// with the failed epoch N goes back to its backup.
+//
+// A drained plan also rolls back cells tagged N+1: the crash hit inside an
+// async drain window, where N never durably committed but workers were
+// already running N+1, so cells tagged N+1 may have reached NVMM too
+// (evictions, collision flushes). For a cell untouched during N the backup
+// is its value at the last durable cut; a cell modified in both N and N+1 —
+// whose backup is the not-yet-durable cut-N value — is repaired from the
+// collision log. Such a cell is retagged N: execution resumes in N, and a tag
+// of N+1 would make the cell's next update in any epoch ≤ N+1 skip its undo
+// logging.
+func (p *recoveryPlan) rollsBack(tag uint64) bool {
+	return tag == p.epoch || p.drained && tag == p.epoch+1
+}
+
+// recovered returns the value the cell at c holds once the plan is applied:
+// the collision log has the last word on a cell it names.
+func (p *recoveryPlan) recovered(c pmem.Addr) uint64 {
+	if val, ok := p.replayed[c]; ok {
+		return val
+	}
+	return p.rolledBack(c)
+}
+
+// rolledBack returns the value the rule alone leaves in the cell at c.
+func (p *recoveryPlan) rolledBack(c pmem.Addr) uint64 {
+	if p.rollsBack(p.load(c + cellEpochOff)) {
+		return p.load(c + cellBackupOff)
+	}
+	return p.load(c + cellRecordOff)
+}
+
+// apply writes the plan into rt's heap — the image it was read from — in
+// four fenced steps:
+//
+//  1. the arena's bump and free-list head cells, and the roots;
+//  2. the collision log's replay: each entry names a cell whose last
+//     durable-cut value an update in the epoch after the interrupted drain's
+//     evicted from its backup, and step 1 restored such a cell only to the
+//     not-yet-durable cut. Replay and the rule are mutually idempotent: a
+//     replayed cell holds record = backup with the failed epoch's tag;
+//  3. every carved block's layout cell;
+//  4. every carved block's next cell and declared cells, in up to
+//     parallelism chunks (one below 64 blocks).
+//
+// Every cell rewritten is registered in the system flush list: execution
+// resumes in the failed epoch, so later updates of these cells are not first
+// touches and would otherwise never be flushed by the resumed epoch's
+// checkpoint.
+func (p *recoveryPlan) apply(rt *Runtime, rep *RecoveryReport, parallelism int) {
+	h, a := rt.heap, p.arena
+	var mu sync.Mutex
+	meta := p.scan()
+	meta.check(a.bump.Addr())
+	for c := range a.heads {
+		meta.check(a.heads[c].Addr())
+	}
+	for i := 0; i < pmem.NumRoots; i++ {
+		meta.check(h.RootAddr(i))
+	}
+	meta.done(rt.sys, rep, &mu)
+
+	f := rt.sysFlusher
+	for _, e := range p.log {
+		h.Store64(e.cell+cellRecordOff, e.val)
+		h.Store64(e.cell+cellBackupOff, e.val)
+		h.Store64(e.cell+cellEpochOff, p.epoch)
+		f.CLWB(e.cell)
+		rt.sys.AddModified(e.cell)
+	}
+	if p.drained {
+		f.SFence()
+	}
+	rep.CollisionsApplied = len(p.log)
+
+	layouts := p.scan()
+	for _, b := range p.blocks {
+		layouts.check(b.start + hdrLayoutOff)
+	}
+	layouts.done(rt.sys, rep, &mu)
+	rep.BlocksScanned = len(p.blocks)
+
+	chunks := 1
+	if parallelism >= 2 && len(p.blocks) >= 64 {
+		chunks = parallelism
+	}
+	size := (len(p.blocks) + chunks - 1) / chunks
+	scanBlocks := func(bs []carvedBlock) {
+		s := p.scan()
+		for _, b := range bs {
+			s.check(b.start + hdrNextOff)
+			for i := 0; i < int(b.cells); i++ {
+				s.check(b.start + headerSize + pmem.Addr(i*CellSize))
+			}
+		}
+		s.done(rt.sys, rep, &mu)
+	}
+	var wg sync.WaitGroup
+	for lo := size; lo < len(p.blocks); lo += size {
+		wg.Add(1)
+		go func(bs []carvedBlock) {
+			defer wg.Done()
+			scanBlocks(bs)
+		}(p.blocks[lo:min(lo+size, len(p.blocks))])
+	}
+	scanBlocks(p.blocks[:size])
+	wg.Wait()
+}
+
+// cellScan applies the rule to cells one by one, on one goroutine, queueing
+// every rolled-back cell's line on its own flusher.
+type cellScan struct {
+	p       *recoveryPlan
+	h       *pmem.Heap
+	f       *pmem.Flusher
+	scanned int
+	matched []pmem.Addr
+}
+
+func (p *recoveryPlan) scan() *cellScan {
+	h := p.arena.heap
+	return &cellScan{p: p, h: h, f: h.NewFlusher()}
+}
+
+func (s *cellScan) check(c pmem.Addr) {
+	s.scanned++
+	tag := s.h.Load64(c + cellEpochOff)
+	if !s.p.rollsBack(tag) {
+		return
+	}
+	s.h.Store64(c+cellRecordOff, s.h.Load64(c+cellBackupOff))
+	if tag != s.p.epoch {
+		s.h.Store64(c+cellEpochOff, s.p.epoch)
+	}
+	s.matched = append(s.matched, c)
+	s.f.CLWB(c)
+}
+
+// done fences the scan's write-backs, then counts the scan into rep and
+// registers its rolled-back cells in sys's flush list under mu.
+func (s *cellScan) done(sys *Thread, rep *RecoveryReport, mu *sync.Mutex) {
+	s.f.SFence()
+	mu.Lock()
+	defer mu.Unlock()
+	rep.CellsScanned += s.scanned
+	rep.CellsRolledBack += len(s.matched)
+	for _, c := range s.matched {
+		sys.AddModified(c)
+	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -202,6 +203,63 @@ func TestRecoverCrashDuringRecovery(t *testing.T) {
 				}
 			}
 			t.Logf("%d crash points recovered like an uninterrupted recovery", points)
+		})
+	}
+}
+
+// TestMalformedImagesRefusedAlike corrupts a crashed image in four ways and
+// requires Recover and the live view to refuse each with the same error,
+// without panicking.
+func TestMalformedImagesRefusedAlike(t *testing.T) {
+	img := syncCrashImage(t)
+	a := newArenaView(imageHeap(t, img))
+	size := pmem.Addr(len(img))
+	// setCell makes v the value of the cell at c whatever its tag says.
+	setCell := func(b []byte, c pmem.Addr, v uint64) {
+		binary.LittleEndian.PutUint64(b[c+cellRecordOff:], v)
+		binary.LittleEndian.PutUint64(b[c+cellBackupOff:], v)
+	}
+	block := a.dataBase
+	cases := []struct {
+		name    string
+		corrupt func(b []byte)
+	}{
+		{"layout declares 2^27 cells", func(b []byte) { setCell(b, block+hdrLayoutOff, packLayout(1, 1<<27, 0)) }},
+		{"layout declares 40 cells in a 128 B class", func(b []byte) { setCell(b, block+hdrLayoutOff, packLayout(1, 40, 0)) }},
+		{"bump cursor past the heap end", func(b []byte) { setCell(b, a.bump.Addr(), uint64(size+4096)) }},
+		{"collision-log entry past the heap end", func(b []byte) {
+			hdr := a.collHdrAddr()
+			copy(b[hdr:], b[0:pmem.WordSize]) // guard = the epoch word: a drain was interrupted
+			binary.LittleEndian.PutUint64(b[hdr+8:], 1)
+			binary.LittleEndian.PutUint64(b[a.collEntryAddr(0):], uint64(size+pmem.LineSize))
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := slices.Clone(img)
+			tc.corrupt(bad)
+			refusal := func(name string, read func(h *pmem.Heap) error) (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s panicked: %v", name, r)
+					}
+				}()
+				if err = read(imageHeap(t, bad)); err == nil {
+					t.Fatalf("%s accepted the image", name)
+				}
+				return err
+			}
+			rerr := refusal("Recover", func(h *pmem.Heap) error {
+				_, _, err := Recover(h, Config{Threads: 1}, 1)
+				return err
+			})
+			lerr := refusal("NewLiveImage", func(h *pmem.Heap) error {
+				_, err := NewLiveImage(h)
+				return err
+			})
+			if rerr.Error() != lerr.Error() {
+				t.Fatalf("Recover refused with %q, NewLiveImage with %q", rerr, lerr)
+			}
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/respct/respct/internal/pmem"
@@ -237,8 +238,8 @@ func TestRecycleDifferentLayoutCrashSafe(t *testing.T) {
 func TestRecoverUnformattedHeapFails(t *testing.T) {
 	h := pmem.New(pmem.Config{Size: 8 << 20})
 	h.Crash()
-	if _, _, err := Recover(h, Config{Threads: 1}, 1); err == nil {
-		t.Fatal("Recover accepted an unformatted heap")
+	if _, _, err := Recover(h, Config{Threads: 1}, 1); !errors.Is(err, ErrNotFormatted) {
+		t.Fatalf("Recover on an unformatted heap: %v, want ErrNotFormatted", err)
 	}
 }
 

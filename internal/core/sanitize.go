@@ -23,10 +23,11 @@ var (
 	// test-and-clear then skips their lines and commits an epoch that never
 	// flushed them — the rule-R1 scenario the sanitizer exists to catch.
 	faultSkipReplayMarks bool
-	// faultWalkBeforeReplay makes Recover walk the carved region before
-	// replaying the collision log. When the bump cursor itself was
-	// collision-logged, the not-yet-durable bump extends the walk into
-	// blocks whose headers never reached NVMM.
+	// faultWalkBeforeReplay makes the recovery plan bound its walk of the
+	// carved region by the bump cursor as it stands before the collision
+	// log's replay. When the bump cursor itself was collision-logged, that
+	// not-yet-durable bump extends the walk into blocks whose headers never
+	// reached NVMM.
 	faultWalkBeforeReplay bool
 )
 

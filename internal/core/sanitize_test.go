@@ -140,8 +140,9 @@ func TestSanitizerCatchesSkippedReplayMarks(t *testing.T) {
 	})
 }
 
-// Regression fixture for the other shipped recovery bug: Recover must replay
-// the collision log strictly before walking the carved region. The log holds
+// Regression fixture for the other shipped recovery bug: recovery must bound
+// its walk of the carved region by the bump cursor as the collision log's
+// replay leaves it. The log holds
 // the bump cursor's last durable value; the rolled-back (not-yet-durable)
 // bump extends the walk into blocks whose headers never reached NVMM.
 // faultWalkBeforeReplay re-seeds the inversion, which must surface as a
