@@ -61,14 +61,15 @@ func NewLiveImage(h *pmem.Heap) (*LiveImage, error) {
 	// The committed free lists. A link that is not a block of the list's
 	// class, or one already seen, ends the walk: nothing past it is elided.
 	for c := range a.heads {
-		for b := pmem.Addr(p.recovered(a.heads[c].Addr())); b != pmem.NilAddr; {
-			i, ok := v.blockAt(b)
+		b, _ := p.recovered(a.heads[c].Addr())
+		for b != uint64(pmem.NilAddr) {
+			i, ok := v.blockAt(pmem.Addr(b))
 			if !ok || v.blocks[i].free || int(v.blocks[i].class) != c {
 				break
 			}
 			v.blocks[i].free = true
 			v.free++
-			b = pmem.Addr(p.recovered(b + hdrNextOff))
+			b, _ = p.recovered(pmem.Addr(b) + hdrNextOff)
 		}
 	}
 	return v, nil

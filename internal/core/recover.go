@@ -138,10 +138,11 @@ type collEntry struct {
 
 // carvedBlock is one carved block as recovery sees it.
 type carvedBlock struct {
-	start pmem.Addr
-	cells int32 // InCLL cells the recovered layout declares
-	class int8
-	free  bool // on a committed free list; only the live view sets it
+	start     pmem.Addr
+	cells     int32 // InCLL cells the recovered layout declares
+	class     int8
+	newLayout bool // apply rewrites the layout cell
+	free      bool // on a committed free list; only the live view sets it
 }
 
 func (b carvedBlock) end() pmem.Addr { return b.start + pmem.Addr(classSize(int(b.class))) }
@@ -197,10 +198,11 @@ func planRecovery(h *pmem.Heap, load func(pmem.Addr) uint64) (*recoveryPlan, err
 	// re-seeds that bug). Headers of every reachable block were flushed by
 	// the checkpoint that made them reachable, so magic and layout are
 	// trustworthy once the layout cell is recovered; blocks tile the region.
-	end := pmem.Addr(p.recovered(a.bump.Addr()))
+	bump, _ := p.recovered(a.bump.Addr())
 	if faultWalkBeforeReplay {
-		end = pmem.Addr(p.rolledBack(a.bump.Addr()))
+		bump, _ = p.rolledBack(a.bump.Addr())
 	}
+	end := pmem.Addr(bump)
 	if end < a.dataBase || end > a.dataEnd {
 		return nil, fmt.Errorf("core: bump cursor %#x outside the data region", uint64(end))
 	}
@@ -208,11 +210,12 @@ func planRecovery(h *pmem.Heap, load func(pmem.Addr) uint64) (*recoveryPlan, err
 		if got := load(cur + hdrMagicOff); got != blockMagic {
 			return nil, fmt.Errorf("core: corrupt block header at %#x (magic %#x)", uint64(cur), got)
 		}
-		class, cells, _ := unpackLayout(p.recovered(cur + hdrLayoutOff))
+		layout, rewritten := p.recovered(cur + hdrLayoutOff)
+		class, cells, _ := unpackLayout(layout)
 		if class >= numClasses || headerSize+cells*CellSize > classSize(class) || cur+pmem.Addr(classSize(class)) > end {
 			return nil, fmt.Errorf("core: corrupt block layout at %#x (class %d, %d cells)", uint64(cur), class, cells)
 		}
-		p.blocks = append(p.blocks, carvedBlock{start: cur, cells: int32(cells), class: int8(class)})
+		p.blocks = append(p.blocks, carvedBlock{start: cur, cells: int32(cells), class: int8(class), newLayout: rewritten})
 		cur += pmem.Addr(classSize(class))
 	}
 	return p, nil
@@ -234,21 +237,24 @@ func (p *recoveryPlan) rollsBack(tag uint64) bool {
 	return tag == p.epoch || p.drained && tag == p.epoch+1
 }
 
-// recovered returns the value the cell at c holds once the plan is applied:
-// the collision log has the last word on a cell it names.
-func (p *recoveryPlan) recovered(c pmem.Addr) uint64 {
-	if val, ok := p.replayed[c]; ok {
-		return val
+// recovered returns the value the cell at c holds once the plan is applied,
+// and whether apply rewrites it. The collision log has the last word on a
+// cell it names.
+func (p *recoveryPlan) recovered(c pmem.Addr) (val uint64, rewritten bool) {
+	if p.drained {
+		if val, ok := p.replayed[c]; ok {
+			return val, true
+		}
 	}
 	return p.rolledBack(c)
 }
 
-// rolledBack returns the value the rule alone leaves in the cell at c.
-func (p *recoveryPlan) rolledBack(c pmem.Addr) uint64 {
+// rolledBack is recovered by the rule alone.
+func (p *recoveryPlan) rolledBack(c pmem.Addr) (val uint64, rewritten bool) {
 	if p.rollsBack(p.load(c + cellEpochOff)) {
-		return p.load(c + cellBackupOff)
+		return p.load(c + cellBackupOff), true
 	}
-	return p.load(c + cellRecordOff)
+	return p.load(c + cellRecordOff), false
 }
 
 // apply writes the plan into rt's heap — the image it was read from — in
@@ -260,7 +266,8 @@ func (p *recoveryPlan) rolledBack(c pmem.Addr) uint64 {
 //     evicted from its backup, and step 1 restored such a cell only to the
 //     not-yet-durable cut. Replay and the rule are mutually idempotent: a
 //     replayed cell holds record = backup with the failed epoch's tag;
-//  3. every carved block's layout cell;
+//  3. every carved block's layout cell the plan marked, so no header line
+//     is read twice before step 4;
 //  4. every carved block's next cell and declared cells, in up to
 //     parallelism chunks (one below 64 blocks).
 //
@@ -296,8 +303,11 @@ func (p *recoveryPlan) apply(rt *Runtime, rep *RecoveryReport, parallelism int) 
 
 	layouts := p.scan()
 	for _, b := range p.blocks {
-		layouts.check(b.start + hdrLayoutOff)
+		if b.newLayout {
+			layouts.check(b.start + hdrLayoutOff)
+		}
 	}
+	layouts.scanned = len(p.blocks) // the plan read every layout cell
 	layouts.done(rt.sys, rep, &mu)
 	rep.BlocksScanned = len(p.blocks)
 
