@@ -106,11 +106,6 @@ func Recover(h *pmem.Heap, cfg Config, parallelism int) (*Runtime, *RecoveryRepo
 	return rt, rep, nil
 }
 
-// Recovery reads a crashed image once and writes it once. planRecovery reads
-// the image and decides everything the paper's recovery rule (Fig. 5 lines
-// 62-65) does, writing nothing; apply then writes the plan back in a fixed
-// order. The live view (live.go) is the plan without apply.
-
 // ErrNotFormatted reports a heap whose persistent image carries no ResPCT
 // format marker: nothing on it can be recovered, and it has no live view
 // (snapshot its full image).
@@ -148,11 +143,12 @@ type carvedBlock struct {
 func (b carvedBlock) end() pmem.Addr { return b.start + pmem.Addr(classSize(int(b.class))) }
 
 // planRecovery reads the image of h that load returns — the rebooted image
-// for Recover, the persistent one for the live view — and refuses it when
-// recovery could not trust it: no format marker (ErrNotFormatted), another
-// format, an epoch word of 0 (a torn format), a collision log that does not
-// fit, a bump cursor outside the data region, or a carved block whose magic
-// or layout does not fit its place.
+// for Recover, the persistent one for the live view (live.go), which is the
+// plan without apply — and decides everything the recovery rule does,
+// writing nothing. It refuses an image recovery could not trust: no format
+// marker (ErrNotFormatted), another format, an epoch word of 0 (a torn
+// format), a collision log that does not fit, a bump cursor outside the data
+// region, or a carved block whose magic or layout does not fit its place.
 func planRecovery(h *pmem.Heap, load func(pmem.Addr) uint64) (*recoveryPlan, error) {
 	a := newArenaView(h)
 	mb := a.markerAddr()
