@@ -185,10 +185,6 @@ func TestRecoverCrashDuringRecovery(t *testing.T) {
 					if !h.Crashed() {
 						t.Fatalf("crash point %d never fired", e.Seq)
 					}
-					// Boot and crash once more: an armed sanitizer of the
-					// interrupted runtime detaches at the crash.
-					h.Reopen()
-					h.Crash()
 					rt, _, err := Recover(h, fx.cfg, 1)
 					if err != nil {
 						t.Fatalf("crash at %d (evict %v): %v", e.Seq, evict, err)
