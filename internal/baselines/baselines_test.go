@@ -5,6 +5,7 @@
 package baselines_test
 
 import (
+	"maps"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -526,4 +527,132 @@ func TestFriedmanRecycledNodeStress(t *testing.T) {
 	if len(seen) != threads*ops {
 		t.Errorf("%d distinct values came back, %d went in", len(seen), threads*ops)
 	}
+}
+
+// cost is the persistence work of one kind of operation over a script: the
+// cache lines written back to the persistent heap and the fences issued.
+type cost struct{ writeBacks, fences int }
+
+// opCosts runs script on a structure built on h and returns each op kind's
+// summed cost. Only the ops are counted, not the construction before them.
+func opCosts(h *pmem.Heap, script func(do func(kind string, op func()))) map[string]cost {
+	r := pmem.NewRecorder()
+	r.Attach(h)
+	defer r.Detach()
+	costs := map[string]cost{}
+	script(func(kind string, op func()) {
+		from := r.Len()
+		op()
+		c := costs[kind]
+		for _, e := range r.Events()[from:] {
+			switch e.Kind {
+			case pmem.EvWriteBack:
+				c.writeBacks++
+			case pmem.EvFence:
+				c.fences++
+			}
+		}
+		costs[kind] = c
+	})
+	return costs
+}
+
+func mapScript(m structures.Map) func(do func(string, func())) {
+	return func(do func(string, func())) {
+		for k := uint64(1); k <= 8; k++ {
+			do("Insert", func() { m.Insert(0, k, k*10) })
+		}
+		do("Insert", func() { m.Insert(0, 2, 21) })
+		do("Insert", func() { m.Insert(0, 3, 30) })
+		for _, k := range []uint64{1, 2, 9} {
+			do("Get", func() { m.Get(0, k) })
+		}
+		for _, k := range []uint64{3, 9} {
+			do("Remove", func() { m.Remove(0, k) })
+		}
+		do("Insert", func() { m.Insert(0, 3, 33) })
+	}
+}
+
+func queueScript(q structures.Queue) func(do func(string, func())) {
+	return func(do func(string, func())) {
+		for v := uint64(1); v <= 70; v++ {
+			do("Enqueue", func() { q.Enqueue(0, v) })
+		}
+		for i := 0; i <= 70; i++ {
+			do("Dequeue", func() { q.Dequeue(0) })
+		}
+		for v := uint64(71); v <= 72; v++ {
+			do("Enqueue", func() { q.Enqueue(0, v) })
+		}
+	}
+}
+
+// TestPerOpPersistenceCostPinned pins the write-backs and fences each
+// comparator's operations cost over a fixed script, so the Fig. 8/9 costs
+// cannot move without this table changing. Checkpoints, construction and
+// recovery are not counted.
+func TestPerOpPersistenceCostPinned(t *testing.T) {
+	mk := func() *pmem.Heap { return pmem.New(pmem.Config{Size: recoveryHeap}) }
+	got := map[string]map[string]cost{}
+	for _, p := range []struct {
+		name string
+		pol  durable.Policy
+	}{{"UndoLog", durable.UndoLog}, {"Clobber", durable.Clobber}, {"RedoLog", durable.RedoLog}, {"InCLL", durable.InCLL}} {
+		h := mk()
+		got[p.name+"/map"] = opCosts(h, mapScript(durable.NewMap(h, 4, 1, p.pol)))
+		h = mk()
+		got[p.name+"/queue"] = opCosts(h, queueScript(durable.NewQueue(h, 1, p.pol)))
+	}
+	h := mk()
+	dm := dali.NewMap(h, 4, 1, time.Hour)
+	got["Dali/map"] = opCosts(h, mapScript(dm))
+	dm.Close()
+	h = mk()
+	cm := cow.NewMap(h, 4, time.Hour)
+	got["COW/map"] = opCosts(h, mapScript(cm))
+	cm.Close()
+	h = mk()
+	cq := cow.NewQueue(h, time.Hour)
+	got["COW/queue"] = opCosts(h, queueScript(cq))
+	cq.Close()
+	h = mk()
+	sm := shadow.NewMap(shadow.NewHeap(h, shadowWords/16, 1, true), 4, time.Hour)
+	got["Shadow/map"] = opCosts(h, mapScript(sm))
+	sm.Close()
+	h = mk()
+	sq := shadow.NewQueue(shadow.NewHeap(h, shadowWords/16, 1, true), time.Hour)
+	got["Shadow/queue"] = opCosts(h, queueScript(sq))
+	sq.Close()
+	h = mk()
+	got["SOFT/map"] = opCosts(h, mapScript(soft.NewMap(h, 4, 1)))
+	h = mk()
+	got["Friedman/queue"] = opCosts(h, queueScript(friedman.NewQueue(h, 1, 0)))
+
+	if len(got) != 15 {
+		t.Fatalf("%d structures measured, want 15", len(got))
+	}
+	for name, costs := range got {
+		if want := pinnedOpCosts[name]; !maps.Equal(costs, want) {
+			t.Errorf("%s: per-op costs %v, pinned %v", name, costs, want)
+		}
+	}
+}
+
+var pinnedOpCosts = map[string]map[string]cost{
+	"UndoLog/map":    {"Get": {0, 0}, "Insert": {69, 60}, "Remove": {3, 3}},
+	"UndoLog/queue":  {"Dequeue": {211, 211}, "Enqueue": {574, 432}},
+	"Clobber/map":    {"Get": {0, 0}, "Insert": {42, 33}, "Remove": {3, 3}},
+	"Clobber/queue":  {"Dequeue": {211, 211}, "Enqueue": {430, 288}},
+	"RedoLog/map":    {"Get": {0, 0}, "Insert": {62, 44}, "Remove": {4, 4}},
+	"RedoLog/queue":  {"Dequeue": {280, 280}, "Enqueue": {502, 288}},
+	"InCLL/map":      {"Get": {0, 0}, "Insert": {40, 22}, "Remove": {2, 2}},
+	"InCLL/queue":    {"Dequeue": {140, 140}, "Enqueue": {286, 144}},
+	"Dali/map":       {"Get": {0, 0}, "Insert": {8, 8}, "Remove": {0, 0}},
+	"COW/map":        {"Get": {0, 0}, "Insert": {0, 0}, "Remove": {0, 0}},
+	"COW/queue":      {"Dequeue": {0, 0}, "Enqueue": {0, 0}},
+	"Shadow/map":     {"Get": {0, 0}, "Insert": {0, 0}, "Remove": {0, 0}},
+	"Shadow/queue":   {"Dequeue": {0, 0}, "Enqueue": {0, 0}},
+	"SOFT/map":       {"Get": {0, 0}, "Insert": {11, 11}, "Remove": {1, 1}},
+	"Friedman/queue": {"Dequeue": {71, 71}, "Enqueue": {144, 144}},
 }
