@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/respct/respct/internal/baselines/cow"
 	"github.com/respct/respct/internal/baselines/dali"
@@ -41,9 +40,9 @@ func allMaps(t *testing.T, threads int) map[string]structures.Map {
 		"undolog-clobber": durable.NewMap(mk(), 64, threads, durable.Clobber),
 		"redolog":         durable.NewMap(mk(), 64, threads, durable.RedoLog),
 		"inclltm":         durable.NewMap(mk(), 64, threads, durable.InCLL),
-		"shadow":          shadow.NewMap(shadow.NewHeap(mk(), shadowWords, threads, true), 64, 10*time.Millisecond),
-		"cow":             cow.NewMap(mk(), 64, 10*time.Millisecond),
-		"dali":            dali.NewMap(mk(), 64, threads, 10*time.Millisecond),
+		"shadow":          shadow.NewMap(shadow.NewHeap(mk(), shadowWords), 64),
+		"cow":             cow.NewMap(mk(), 64),
+		"dali":            dali.NewMap(mk(), 64, threads),
 		"soft":            soft.NewMap(mk(), 64, threads),
 	}
 }
@@ -55,8 +54,8 @@ func allQueues(t *testing.T, threads int) map[string]structures.Queue {
 		"undolog-full":    durable.NewQueue(mk(), threads, durable.UndoLog),
 		"undolog-clobber": durable.NewQueue(mk(), threads, durable.Clobber),
 		"inclltm":         durable.NewQueue(mk(), threads, durable.InCLL),
-		"shadow":          shadow.NewQueue(shadow.NewHeap(mk(), shadowWords, threads, true), 10*time.Millisecond),
-		"cow":             cow.NewQueue(mk(), 10*time.Millisecond),
+		"shadow":          shadow.NewQueue(shadow.NewHeap(mk(), shadowWords)),
+		"cow":             cow.NewQueue(mk()),
 		"friedman":        friedman.NewQueue(mk(), threads, 0),
 	}
 }
@@ -129,11 +128,40 @@ func TestBaselineQueuesFunctional(t *testing.T) {
 	}
 }
 
+// checkpointing runs x's checkpoints back to back, if it has any, until
+// the returned function is called, so they race the operations.
+func checkpointing(x any) (stop func()) {
+	c, ok := x.(interface{ Checkpoint() })
+	if !ok {
+		return func() {}
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				c.Checkpoint()
+				runtime.Gosched()
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		wg.Wait()
+	}
+}
+
 func TestBaselineMapsConcurrent(t *testing.T) {
 	const threads = 4
 	for name, m := range allMaps(t, threads) {
 		t.Run(name, func(t *testing.T) {
 			defer m.Close()
+			defer checkpointing(m)()
 			var wg sync.WaitGroup
 			for th := 0; th < threads; th++ {
 				wg.Add(1)
@@ -166,6 +194,7 @@ func TestBaselineQueuesConcurrent(t *testing.T) {
 	for name, q := range allQueues(t, threads) {
 		t.Run(name, func(t *testing.T) {
 			defer q.Close()
+			defer checkpointing(q)()
 			var wg sync.WaitGroup
 			var deq sync.Map
 			for th := 0; th < threads; th++ {
@@ -187,55 +216,18 @@ func TestBaselineQueuesConcurrent(t *testing.T) {
 	}
 }
 
-func TestUndoLogRecovery(t *testing.T) {
-	h := pmem.New(pmem.Config{Size: recoveryHeap})
-	m := durable.NewMap(h, 64, 1, durable.UndoLog)
-	for k := uint64(1); k <= 100; k++ {
-		m.Insert(0, k, k)
-	}
-	// Durable linearizability: every completed op survives any crash.
-	h.EvictAll()
-	h.Crash()
-	h.Reopen()
-	m.Recover()
-	for k := uint64(1); k <= 100; k++ {
-		if v, ok := m.Get(0, k); !ok || v != k {
-			t.Fatalf("key %d lost: %d,%v", k, v, ok)
-		}
-	}
-}
-
-func TestRedoLogRecovery(t *testing.T) {
-	h := pmem.New(pmem.Config{Size: recoveryHeap})
-	m := durable.NewMap(h, 64, 1, durable.RedoLog)
-	for k := uint64(1); k <= 100; k++ {
-		m.Insert(0, k, k+5)
-	}
-	h.EvictAll()
-	h.Crash()
-	h.Reopen()
-	m.Recover()
-	for k := uint64(1); k <= 100; k++ {
-		if v, ok := m.Get(0, k); !ok || v != k+5 {
-			t.Fatalf("key %d lost: %d,%v", k, v, ok)
-		}
-	}
-}
-
 func TestShadowRecovery(t *testing.T) {
 	nv := pmem.New(pmem.Config{Size: heapSize})
-	sh := shadow.NewHeap(nv, shadowWords, 1, true)
-	m := shadow.NewMap(sh, 64, time.Hour) // manual checkpoints
+	m := shadow.NewMap(shadow.NewHeap(nv, shadowWords), 64)
 	for k := uint64(1); k <= 50; k++ {
 		m.Insert(0, k, k)
 	}
-	sh.Checkpoint() // twin now consistent with 50 keys
+	m.Checkpoint() // twin now consistent with 50 keys
 	for k := uint64(51); k <= 80; k++ {
 		m.Insert(0, k, k) // doomed epoch
 	}
-	m.Close()
 	nv.Crash()
-	sh.Recover()
+	m = shadow.OpenMap(shadow.OpenHeap(nv, shadowWords), 64)
 	for k := uint64(1); k <= 50; k++ {
 		if v, ok := m.Get(0, k); !ok || v != k {
 			t.Fatalf("checkpointed key %d lost: %d,%v", k, v, ok)
@@ -250,28 +242,49 @@ func TestShadowRecovery(t *testing.T) {
 
 func TestShadowAlternatingTwins(t *testing.T) {
 	nv := pmem.New(pmem.Config{Size: heapSize})
-	sh := shadow.NewHeap(nv, shadowWords, 1, false)
-	m := shadow.NewMap(sh, 64, time.Hour)
+	m := shadow.NewMap(shadow.NewHeap(nv, shadowWords), 64)
 	// Three epochs with different keys, then crash: state of epoch 3.
 	m.Insert(0, 1, 11)
-	sh.Checkpoint()
+	m.Checkpoint()
 	m.Insert(0, 2, 22)
-	sh.Checkpoint()
+	m.Checkpoint()
 	m.Insert(0, 3, 33)
-	sh.Checkpoint()
-	m.Close()
+	m.Checkpoint()
 	nv.Crash()
-	sh.Recover()
+	reopen := func() { m = shadow.OpenMap(shadow.OpenHeap(nv, shadowWords), 64) }
+	reopen()
 	for k := uint64(1); k <= 3; k++ {
 		if v, ok := m.Get(0, k); !ok || v != k*11 {
 			t.Fatalf("key %d: %d,%v", k, v, ok)
+		}
+	}
+	// Nodes are three words from word 72 on, so key 200's lies on the
+	// second 512-word page and key 1's on the first. The twins then differ
+	// in key 200's page, and the first checkpoint after recovery writes the
+	// twin that lags: it must take every page, not only the one key 1's
+	// overwrite dirties.
+	for k := uint64(4); k <= 200; k++ {
+		m.Insert(0, k, k*11)
+	}
+	m.Checkpoint()
+	m.Insert(0, 200, 2000)
+	m.Checkpoint()
+	nv.Crash()
+	reopen()
+	m.Insert(0, 1, 111)
+	m.Checkpoint()
+	nv.Crash()
+	reopen()
+	for k, want := range map[uint64]uint64{1: 111, 2: 22, 200: 2000} {
+		if v, ok := m.Get(0, k); !ok || v != want {
+			t.Fatalf("after two recoveries, key %d: %d,%v, want %d", k, v, ok, want)
 		}
 	}
 }
 
 func TestCowMapRecovery(t *testing.T) {
 	h := pmem.New(pmem.Config{Size: recoveryHeap})
-	m := cow.NewMap(h, 64, time.Hour)
+	m := cow.NewMap(h, 64)
 	for k := uint64(1); k <= 60; k++ {
 		m.Insert(0, k, k*3)
 	}
@@ -282,13 +295,9 @@ func TestCowMapRecovery(t *testing.T) {
 		m.Insert(0, k, k)
 	}
 	m.Remove(0, 1)
-	m.Close()
 	h.EvictAll() // even fully evicted, epoch tags exclude the doomed epoch
 	h.Crash()
-	live := m.Recover()
-	if live != 59 {
-		t.Fatalf("recovered %d keys, want 59", live)
-	}
+	m = cow.OpenMap(h, 64)
 	for k := uint64(1); k <= 59; k++ {
 		if v, ok := m.Get(0, k); !ok || v != k*3 {
 			t.Fatalf("key %d: %d,%v", k, v, ok)
@@ -304,7 +313,7 @@ func TestCowMapRecovery(t *testing.T) {
 
 func TestCowQueueRecovery(t *testing.T) {
 	h := pmem.New(pmem.Config{Size: recoveryHeap})
-	q := cow.NewQueue(h, time.Hour)
+	q := cow.NewQueue(h)
 	for i := uint64(1); i <= 30; i++ {
 		q.Enqueue(0, i)
 	}
@@ -315,24 +324,23 @@ func TestCowQueueRecovery(t *testing.T) {
 	for i := uint64(100); i < 110; i++ {
 		q.Enqueue(0, i) // doomed
 	}
-	q.Close()
 	h.EvictAll()
 	h.Crash()
-	n := q.Recover()
-	if n != 20 {
-		t.Fatalf("recovered %d elements, want 20", n)
-	}
+	q = cow.OpenQueue(h)
 	for i := uint64(11); i <= 30; i++ {
 		v, ok := q.Dequeue(0)
 		if !ok || v != i {
 			t.Fatalf("dequeue: %d,%v want %d", v, ok, i)
 		}
 	}
+	if v, ok := q.Dequeue(0); ok {
+		t.Fatalf("recovered queue holds %d past its 20 elements", v)
+	}
 }
 
 func TestDaliRecovery(t *testing.T) {
 	h := pmem.New(pmem.Config{Size: recoveryHeap})
-	m := dali.NewMap(h, 64, 1, time.Hour)
+	m := dali.NewMap(h, 64, 1)
 	for k := uint64(1); k <= 50; k++ {
 		m.Insert(0, k, k)
 	}
@@ -341,10 +349,9 @@ func TestDaliRecovery(t *testing.T) {
 		m.Insert(0, k, 999) // doomed overwrites
 	}
 	m.Remove(0, 30) // doomed delete
-	m.Close()
 	h.EvictAll()
 	h.Crash()
-	m.Recover()
+	m = dali.OpenMap(h, 64, 1)
 	for k := uint64(1); k <= 50; k++ {
 		if v, ok := m.Get(0, k); !ok || v != k {
 			t.Fatalf("key %d: %d,%v (doomed epoch leaked)", k, v, ok)
@@ -361,10 +368,7 @@ func TestSoftRecovery(t *testing.T) {
 	m.Remove(0, 50)
 	// Durable linearizability: state survives without any checkpoint.
 	h.Crash()
-	live := m.Recover()
-	if live != 99 {
-		t.Fatalf("recovered %d nodes, want 99", live)
-	}
+	m = soft.OpenMap(h, 64, 1)
 	for k := uint64(1); k <= 100; k++ {
 		v, ok := m.Get(0, k)
 		if k == 50 {
@@ -389,15 +393,15 @@ func TestFriedmanRecovery(t *testing.T) {
 		q.Dequeue(0)
 	}
 	h.Crash()
-	n := q.Recover()
-	if n != 25 {
-		t.Fatalf("recovered %d elements, want 25", n)
-	}
+	q = friedman.OpenQueue(h, 1, 0)
 	for i := uint64(16); i <= 40; i++ {
 		v, ok := q.Dequeue(0)
 		if !ok || v != i {
 			t.Fatalf("dequeue %d,%v want %d", v, ok, i)
 		}
+	}
+	if v, ok := q.Dequeue(0); ok {
+		t.Fatalf("recovered queue holds %d past its 25 elements", v)
 	}
 }
 
@@ -413,26 +417,6 @@ func TestFriedmanHeavyRecycling(t *testing.T) {
 	}
 }
 
-func TestUndoLogRollsBackTornOp(t *testing.T) {
-	// A crash after a committed op: the committed key must survive whatever
-	// Recover undoes. Torn ops themselves, crashed at every persistence
-	// event of every op under every policy, are durable's
-	// TestDurableCrashAtEveryPoint.
-	h := pmem.New(pmem.Config{Size: recoveryHeap})
-	m := durable.NewMap(h, 4, 1, durable.UndoLog)
-	m.Insert(0, 1, 10)
-	h.EvictAll() // committed op fully durable, log truncated
-
-	m.Insert(0, 2, 20)
-	h.Crash()
-	h.Reopen()
-	undone := m.Recover()
-	_ = undone // may be 0 (op committed) — both states are linearizable
-	if v, ok := m.Get(0, 1); !ok || v != 10 {
-		t.Fatalf("committed key lost: %d,%v", v, ok)
-	}
-}
-
 func TestIncllTMRecovery(t *testing.T) {
 	h := pmem.New(pmem.Config{Size: recoveryHeap})
 	m := durable.NewMap(h, 64, 2, durable.InCLL)
@@ -444,7 +428,7 @@ func TestIncllTMRecovery(t *testing.T) {
 	// with every line already evicted.
 	h.EvictAll()
 	h.Crash()
-	m.Recover()
+	m = durable.OpenMap(h, 64, 2, durable.InCLL)
 	for k := uint64(1); k <= 120; k++ {
 		v, ok := m.Get(0, k)
 		if k == 60 {
@@ -460,26 +444,6 @@ func TestIncllTMRecovery(t *testing.T) {
 	// The map stays fully operational after recovery.
 	if !m.Insert(0, 1000, 1) {
 		t.Fatal("post-recovery insert failed")
-	}
-}
-
-func TestIncllTMRecoveryRollsBackTornOp(t *testing.T) {
-	// A committed overwrite, fully evicted, then a crash: recovery must keep
-	// the new value, not roll it back to its backup. Torn ops, crashed at
-	// every persistence event of every op under every policy, with and
-	// without eviction, are durable's TestDurableCrashAtEveryPoint.
-	h := pmem.New(pmem.Config{Size: recoveryHeap})
-	m := durable.NewMap(h, 8, 1, durable.InCLL)
-	m.Insert(0, 5, 50)
-	h.EvictAll() // committed op durable
-
-	m.Insert(0, 5, 51)
-	h.EvictAll()
-	h.Crash()
-	undone := m.Recover()
-	_ = undone // both ops committed: nothing to undo is also correct
-	if v, ok := m.Get(0, 5); !ok || v != 51 {
-		t.Fatalf("committed update lost: %d,%v", v, ok)
 	}
 }
 
@@ -605,25 +569,15 @@ func TestPerOpPersistenceCostPinned(t *testing.T) {
 		got[p.name+"/queue"] = opCosts(h, queueScript(durable.NewQueue(h, 1, p.pol)))
 	}
 	h := mk()
-	dm := dali.NewMap(h, 4, 1, time.Hour)
-	got["Dali/map"] = opCosts(h, mapScript(dm))
-	dm.Close()
+	got["Dali/map"] = opCosts(h, mapScript(dali.NewMap(h, 4, 1)))
 	h = mk()
-	cm := cow.NewMap(h, 4, time.Hour)
-	got["COW/map"] = opCosts(h, mapScript(cm))
-	cm.Close()
+	got["COW/map"] = opCosts(h, mapScript(cow.NewMap(h, 4)))
 	h = mk()
-	cq := cow.NewQueue(h, time.Hour)
-	got["COW/queue"] = opCosts(h, queueScript(cq))
-	cq.Close()
+	got["COW/queue"] = opCosts(h, queueScript(cow.NewQueue(h)))
 	h = mk()
-	sm := shadow.NewMap(shadow.NewHeap(h, shadowWords/16, 1, true), 4, time.Hour)
-	got["Shadow/map"] = opCosts(h, mapScript(sm))
-	sm.Close()
+	got["Shadow/map"] = opCosts(h, mapScript(shadow.NewMap(shadow.NewHeap(h, shadowWords/16), 4)))
 	h = mk()
-	sq := shadow.NewQueue(shadow.NewHeap(h, shadowWords/16, 1, true), time.Hour)
-	got["Shadow/queue"] = opCosts(h, queueScript(sq))
-	sq.Close()
+	got["Shadow/queue"] = opCosts(h, queueScript(shadow.NewQueue(shadow.NewHeap(h, shadowWords/16))))
 	h = mk()
 	got["SOFT/map"] = opCosts(h, mapScript(soft.NewMap(h, 4, 1)))
 	h = mk()

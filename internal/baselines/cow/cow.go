@@ -16,9 +16,10 @@
 package cow
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/respct/respct/internal/pmem"
 	"github.com/respct/respct/internal/structures"
@@ -40,10 +41,12 @@ const (
 	kindInvalid = ^uint64(0)
 )
 
-// root slots used for the persistent epoch record
+// The epoch record is one root line, so a checkpoint commits it with one
+// write-back: word 0 is the first epoch not yet complete, word 1 the bump
+// cursor at its start. Payloads of complete epochs lie below the cursor.
 const (
-	rootEpoch = 0
-	rootBump  = 1
+	recEpoch = 0
+	recBump  = 8
 )
 
 // region manages payload allocation, per-epoch flush lists, and deferred
@@ -60,17 +63,27 @@ type region struct {
 	freshMu  sync.Mutex
 	fresh    []pmem.Addr // payloads allocated in the current epoch
 	retireMu sync.Mutex
-	retire   [][]pmem.Addr // retire[i]: retired i epochs ago (0 = current)
+	retire   [2][]pmem.Addr // retire[i]: retired i epochs ago (0 = current)
 	freeMu   sync.Mutex
 	free     []pmem.Addr
 	flusher  *pmem.Flusher
 }
 
+// newRegion formats an empty region: epoch 1 starts at the heap's first
+// line, and the record saying so is durable before any payload is written.
 func newRegion(h *pmem.Heap) *region {
 	r := &region{h: h, alloc: pmem.NewBumpAll(h), flusher: h.NewFlusher()}
-	r.epoch.Store(1)
-	r.retire = [][]pmem.Addr{nil, nil}
+	r.commit(1)
 	return r
+}
+
+// commit persists the epoch record: epoch starts now, at the bump cursor.
+func (r *region) commit(epoch uint64) {
+	r.epoch.Store(epoch)
+	rec := r.h.RootAddr(0)
+	r.h.Store64(rec+recEpoch, epoch)
+	r.h.Store64(rec+recBump, uint64(r.alloc.Cursor()))
+	r.flusher.Persist(rec)
 }
 
 // newPayload allocates and fills a payload block (the per-update allocation
@@ -127,58 +140,73 @@ func (r *region) checkpoint() {
 	old := r.retire[1]
 	r.retire[1] = r.retire[0]
 	r.retire[0] = nil
-	if len(old) > 0 {
-		// Scrub in two fenced phases: data records (put/enq) first, then
-		// the delete records (tombstones/dequeues) that supersede them. A
-		// crash between the phases leaves a dangling delete record, which
-		// is harmless; the reverse order could resurrect deleted data.
-		scrub := func(wantDelete bool) {
-			n := 0
-			for _, p := range old {
-				kind := r.h.Load64(p + pKind)
-				isDelete := kind == kindDel || kind == kindDeq
-				if isDelete != wantDelete {
-					continue
-				}
-				r.h.Store64(p+pEpoch, kindInvalid)
-				r.flusher.CLWB(p)
-				n++
-			}
-			if n > 0 {
-				r.flusher.SFence()
-			}
-		}
-		scrub(false)
-		scrub(true)
-		r.freeMu.Lock()
-		r.free = append(r.free, old...)
-		r.freeMu.Unlock()
-	}
-
-	next := r.epoch.Add(1)
-	r.h.SetRoot(rootEpoch, next)
-	r.h.SetRoot(rootBump, uint64(r.alloc.Cursor()))
-	r.flusher.CLWB(r.h.RootAddr(rootEpoch))
-	r.flusher.CLWB(r.h.RootAddr(rootBump))
-	r.flusher.SFence()
+	r.scrub(old)
+	r.commit(r.epoch.Load() + 1)
 }
 
-// scan yields every payload in the persistent image belonging to a completed
-// epoch (epoch < lastEpoch read from the root record).
-func (r *region) scan(visit func(seq, key, value, kind uint64)) {
-	h := r.h
-	lastEpoch := h.Load64(h.RootAddr(rootEpoch))
-	end := pmem.Addr(h.Load64(h.RootAddr(rootBump)))
-	if end == 0 {
-		return
+// record is a payload of a complete epoch, found by openRegion's scan.
+type record struct {
+	at                    pmem.Addr
+	seq, key, value, kind uint64
+}
+
+// openRegion rebuilds a region from the persistent image: the epoch and the
+// bump cursor come from the epoch record, and the scan below the cursor
+// returns every payload of a complete epoch, oldest sequence number first.
+// Payloads of the failed epoch are scrubbed, so a later checkpoint cannot
+// complete them; the caller scrubs the records it finds superseded.
+func openRegion(h *pmem.Heap) (*region, []record) {
+	if h.Crashed() {
+		h.Reopen()
 	}
-	for p := h.DataStart(); p+pWords*8 <= end; p += pmem.LineSize {
-		ep := h.Load64(p + pEpoch)
-		if ep == kindInvalid || ep == 0 || ep >= lastEpoch {
-			continue
+	rec := h.RootAddr(0)
+	failed, end := h.Load64(rec+recEpoch), pmem.Addr(h.Load64(rec+recBump))
+	r := &region{h: h, alloc: pmem.NewBumpAll(h), flusher: h.NewFlusher()}
+	r.alloc.SetCursor(end)
+	r.epoch.Store(failed)
+	var live []record
+	var doomed []pmem.Addr
+	for p := h.DataStart(); p < end; p += pmem.LineSize {
+		switch ep := h.Load64(p + pEpoch); {
+		case ep == kindInvalid || ep == 0:
+		case ep >= failed:
+			doomed = append(doomed, p)
+		default:
+			live = append(live, record{p, h.Load64(p + pSeq), h.Load64(p + pKey), h.Load64(p + pVal), h.Load64(p + pKind)})
 		}
-		visit(h.Load64(p+pSeq), h.Load64(p+pKey), h.Load64(p+pVal), h.Load64(p+pKind))
 	}
+	r.scrub(doomed)
+	slices.SortFunc(live, func(a, b record) int { return cmp.Compare(a.seq, b.seq) })
+	if n := len(live); n > 0 {
+		r.seq.Store(live[n-1].seq)
+	}
+	return r, live
+}
+
+// scrub invalidates the payloads at ps durably, data records (put/enq)
+// under one fence and then the delete records (tombstones/dequeues) that
+// supersede them under another: a crash between the two leaves a dangling
+// delete record, which is harmless; the reverse order could resurrect
+// deleted data. The blocks are free for reuse once scrubbed.
+func (r *region) scrub(ps []pmem.Addr) {
+	for _, wantDelete := range []bool{false, true} {
+		n := 0
+		for _, p := range ps {
+			kind := r.h.Load64(p + pKind)
+			if isDelete := kind == kindDel || kind == kindDeq; isDelete != wantDelete {
+				continue
+			}
+			r.h.Store64(p+pEpoch, kindInvalid)
+			r.flusher.CLWB(p)
+			n++
+		}
+		if n > 0 {
+			r.flusher.SFence()
+		}
+	}
+	r.freeMu.Lock()
+	r.free = append(r.free, ps...)
+	r.freeMu.Unlock()
 }
 
 // Map is the Montage-style hash map: a DRAM index over NVMM payloads. The
@@ -194,7 +222,6 @@ type Map struct {
 	buckets pmem.Addr // array of node addrs in the DRAM heap
 	freeMu  sync.Mutex
 	vfree   []pmem.Addr
-	ck      *ticker
 }
 
 func (m *Map) allocVNode(key uint64, payload, next pmem.Addr) pmem.Addr {
@@ -217,16 +244,20 @@ func (m *Map) allocVNode(key uint64, payload, next pmem.Addr) pmem.Addr {
 	return n
 }
 
-// NewMap creates a Montage-style map with a periodic checkpoint every
-// interval.
+// NewMap formats h as an empty Montage-style map; the caller drives its
+// checkpoints.
 //
 // The DRAM index is sized to the data: an index node takes a line, as a
-// payload does, removed nodes are recycled and Recover rebuilds the index
-// from scratch, so the nodes never outnumber the persistent heap's lines.
-func NewMap(h *pmem.Heap, nBucket int, interval time.Duration) *Map {
-	dram := pmem.New(pmem.DRAMConfig(int64(nBucket)*8 + pmem.LineSize + h.Size()))
+// payload does, and removed nodes are recycled, so the nodes never
+// outnumber the persistent heap's lines.
+func NewMap(h *pmem.Heap, nBucket int) *Map {
+	return newMap(newRegion(h), nBucket)
+}
+
+func newMap(r *region, nBucket int) *Map {
+	dram := pmem.New(pmem.DRAMConfig(int64(nBucket)*8 + pmem.LineSize + r.h.Size()))
 	m := &Map{
-		r:       newRegion(h),
+		r:       r,
 		nBucket: uint64(nBucket),
 		locks:   make([]sync.Mutex, nBucket),
 		dram:    dram,
@@ -236,7 +267,35 @@ func NewMap(h *pmem.Heap, nBucket int, interval time.Duration) *Map {
 	if m.buckets == pmem.NilAddr {
 		panic("cow: DRAM index heap too small")
 	}
-	m.ck = startTicker(m.r, interval)
+	return m
+}
+
+// OpenMap rebuilds a map from the persistent image of h, rebooting h if it
+// is still down: the newest record of each key wins, and the index points
+// at the winning puts' payloads. Every superseded record is scrubbed.
+func OpenMap(h *pmem.Heap, nBucket int) *Map {
+	r, recs := openRegion(h)
+	m := newMap(r, nBucket)
+	newest := map[uint64]record{}
+	var superseded []pmem.Addr
+	for _, rec := range recs {
+		if rec.kind != kindPut && rec.kind != kindDel {
+			continue
+		}
+		if old, ok := newest[rec.key]; ok {
+			superseded = append(superseded, old.at)
+		}
+		newest[rec.key] = rec
+	}
+	for key, rec := range newest {
+		if rec.kind == kindDel {
+			superseded = append(superseded, rec.at)
+			continue
+		}
+		head := m.buckets + pmem.Addr(structures.HashMix(key)%m.nBucket*8)
+		m.dram.Store64(head, uint64(m.allocVNode(key, rec.at, pmem.Addr(m.dram.Load64(head)))))
+	}
+	r.scrub(superseded)
 	return m
 }
 
@@ -310,60 +369,11 @@ func (m *Map) PerOp(int) {}
 // ThreadExit implements structures.Map.
 func (m *Map) ThreadExit(int) {}
 
-// Close stops the checkpointer.
-func (m *Map) Close() { m.ck.stop() }
+// Close implements structures.Map.
+func (m *Map) Close() {}
 
-// Checkpoint forces an epoch boundary (tests).
+// Checkpoint ends the epoch: every completed operation becomes durable.
 func (m *Map) Checkpoint() { m.r.checkpoint() }
-
-// Recover rebuilds the DRAM index from the persistent payload region and
-// returns the number of live keys.
-func (m *Map) Recover() int {
-	if m.r.h.Crashed() {
-		m.r.h.Reopen()
-	}
-	type best struct {
-		seq  uint64
-		val  uint64
-		kind uint64
-	}
-	latest := map[uint64]best{}
-	maxSeq := uint64(0)
-	m.r.scan(func(seq, key, value, kind uint64) {
-		if kind != kindPut && kind != kindDel {
-			return
-		}
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		if b, ok := latest[key]; !ok || seq > b.seq {
-			latest[key] = best{seq: seq, val: value, kind: kind}
-		}
-	})
-	for b := uint64(0); b < m.nBucket; b++ {
-		m.dram.Store64(m.buckets+pmem.Addr(b*8), 0)
-	}
-	m.dalloc.SetCursor(pmem.AlignUp(m.buckets+pmem.Addr(m.nBucket*8), pmem.LineSize))
-	m.vfree = m.vfree[:0]
-	// Note: payload addresses are rebuilt lazily — recovered entries point
-	// at fresh payloads so the index stays uniform.
-	live := 0
-	m.r.epoch.Store(m.r.h.Load64(m.r.h.RootAddr(rootEpoch)))
-	m.r.seq.Store(maxSeq)
-	m.r.alloc.SetCursor(pmem.AlignUp(pmem.Addr(m.r.h.Load64(m.r.h.RootAddr(rootBump))), pmem.LineSize))
-	for key, b := range latest {
-		if b.kind != kindPut {
-			continue
-		}
-		bi := structures.HashMix(key) % m.nBucket
-		head := m.buckets + pmem.Addr(bi*8)
-		p := m.r.newPayload(kindPut, key, b.val)
-		n := m.allocVNode(key, p, pmem.Addr(m.dram.Load64(head)))
-		m.dram.Store64(head, uint64(n))
-		live++
-	}
-	return live
-}
 
 // Queue is the Montage-style FIFO: a DRAM list of payload addresses, with
 // the global sequence number updated inside the critical section (the extra
@@ -377,20 +387,50 @@ type Queue struct {
 	head   pmem.Addr
 	tail   pmem.Addr
 	vfree  []pmem.Addr
-	ck     *ticker
 }
 
-// NewQueue creates a Montage-style queue with periodic checkpoints. Its DRAM
-// list is sized to the data like the map's index: one line per element,
-// recycled on dequeue and rebuilt by Recover.
-func NewQueue(h *pmem.Heap, interval time.Duration) *Queue {
-	dram := pmem.New(pmem.DRAMConfig(h.Size()))
-	q := &Queue{r: newRegion(h), dram: dram, dalloc: pmem.NewBumpAll(dram)}
-	q.ck = startTicker(q.r, interval)
+// NewQueue formats h as an empty Montage-style queue; the caller drives its
+// checkpoints. Its DRAM list is sized to the data like the map's index: one
+// line per element, recycled on dequeue.
+func NewQueue(h *pmem.Heap) *Queue {
+	return newQueue(newRegion(h))
+}
+
+func newQueue(r *region) *Queue {
+	dram := pmem.New(pmem.DRAMConfig(r.h.Size()))
+	return &Queue{r: r, dram: dram, dalloc: pmem.NewBumpAll(dram)}
+}
+
+// OpenQueue rebuilds a queue from the persistent image of h, rebooting h if
+// it is still down: the enqueue records no dequeue record consumed, in
+// sequence order, relinked where they lie. Every consumed enqueue record
+// and every dequeue record is scrubbed.
+func OpenQueue(h *pmem.Heap) *Queue {
+	r, recs := openRegion(h)
+	q := newQueue(r)
+	consumed := map[uint64]bool{}
+	var superseded []pmem.Addr
+	for _, rec := range recs {
+		if rec.kind == kindDeq {
+			consumed[rec.key] = true // key field holds the consumed sequence
+			superseded = append(superseded, rec.at)
+		}
+	}
+	for _, rec := range recs {
+		switch {
+		case rec.kind != kindEnq:
+		case consumed[rec.seq]:
+			superseded = append(superseded, rec.at)
+		default:
+			q.link(rec.at, rec.seq)
+		}
+	}
+	r.scrub(superseded)
 	return q
 }
 
-func (q *Queue) allocQNode(payload pmem.Addr, seq uint64) pmem.Addr {
+// link appends a DRAM node for the payload at p, of sequence number seq.
+func (q *Queue) link(p pmem.Addr, seq uint64) {
 	var n pmem.Addr
 	if l := len(q.vfree); l > 0 {
 		n = q.vfree[l-1]
@@ -401,10 +441,15 @@ func (q *Queue) allocQNode(payload pmem.Addr, seq uint64) pmem.Addr {
 			panic("cow: DRAM index heap exhausted")
 		}
 	}
-	q.dram.Store64(n, uint64(payload))
+	q.dram.Store64(n, uint64(p))
 	q.dram.Store64(n+8, seq)
 	q.dram.Store64(n+16, 0)
-	return n
+	if q.tail == pmem.NilAddr {
+		q.head = n
+	} else {
+		q.dram.Store64(q.tail+16, uint64(n))
+	}
+	q.tail = n
 }
 
 // Enqueue implements structures.Queue.
@@ -414,13 +459,7 @@ func (q *Queue) Enqueue(th int, v uint64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	p := q.r.newPayload(kindEnq, 0, v)
-	n := q.allocQNode(p, q.r.h.Load64(p+pSeq))
-	if q.tail == pmem.NilAddr {
-		q.head, q.tail = n, n
-	} else {
-		q.dram.Store64(q.tail+16, uint64(n))
-		q.tail = n
-	}
+	q.link(p, q.r.h.Load64(p+pSeq))
 }
 
 // Dequeue implements structures.Queue.
@@ -453,94 +492,8 @@ func (q *Queue) PerOp(int) {}
 // ThreadExit implements structures.Queue.
 func (q *Queue) ThreadExit(int) {}
 
-// Close stops the checkpointer.
-func (q *Queue) Close() { q.ck.stop() }
+// Close implements structures.Queue.
+func (q *Queue) Close() {}
 
-// Checkpoint forces an epoch boundary (tests).
+// Checkpoint ends the epoch: every completed operation becomes durable.
 func (q *Queue) Checkpoint() { q.r.checkpoint() }
-
-// Recover rebuilds the queue from enqueue records minus dequeue records,
-// ordered by sequence number, and returns its length.
-func (q *Queue) Recover() int {
-	if q.r.h.Crashed() {
-		q.r.h.Reopen()
-	}
-	type enq struct {
-		seq uint64
-		val uint64
-	}
-	var enqs []enq
-	deqd := map[uint64]bool{}
-	maxSeq := uint64(0)
-	q.r.scan(func(seq, key, value, kind uint64) {
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		switch kind {
-		case kindEnq:
-			enqs = append(enqs, enq{seq: seq, val: value})
-		case kindDeq:
-			deqd[key] = true // key field holds the consumed sequence
-		}
-	})
-	q.r.epoch.Store(q.r.h.Load64(q.r.h.RootAddr(rootEpoch)))
-	q.r.seq.Store(maxSeq)
-	q.r.alloc.SetCursor(pmem.AlignUp(pmem.Addr(q.r.h.Load64(q.r.h.RootAddr(rootBump))), pmem.LineSize))
-	// Sort by sequence (insertion sort is fine for test-scale recovery;
-	// the benchmark never recovers).
-	for i := 1; i < len(enqs); i++ {
-		for j := i; j > 0 && enqs[j-1].seq > enqs[j].seq; j-- {
-			enqs[j-1], enqs[j] = enqs[j], enqs[j-1]
-		}
-	}
-	q.head, q.tail = pmem.NilAddr, pmem.NilAddr
-	q.dalloc.Reset()
-	q.vfree = q.vfree[:0]
-	n := 0
-	for _, e := range enqs {
-		if deqd[e.seq] {
-			continue
-		}
-		p := q.r.newPayload(kindEnq, 0, e.val)
-		node := q.allocQNode(p, q.r.h.Load64(p+pSeq))
-		if q.tail == pmem.NilAddr {
-			q.head, q.tail = node, node
-		} else {
-			q.dram.Store64(q.tail+16, uint64(node))
-			q.tail = node
-		}
-		n++
-	}
-	return n
-}
-
-// ticker drives periodic checkpoints on a region.
-type ticker struct {
-	stopCh chan struct{}
-	once   sync.Once
-	done   sync.WaitGroup
-}
-
-func startTicker(r *region, interval time.Duration) *ticker {
-	t := &ticker{stopCh: make(chan struct{})}
-	t.done.Add(1)
-	go func() {
-		defer t.done.Done()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-t.stopCh:
-				return
-			case <-tick.C:
-				r.checkpoint()
-			}
-		}
-	}()
-	return t
-}
-
-func (t *ticker) stop() {
-	t.once.Do(func() { close(t.stopCh) })
-	t.done.Wait()
-}

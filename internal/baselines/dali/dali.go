@@ -18,7 +18,6 @@ package dali
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/respct/respct/internal/pmem"
 	"github.com/respct/respct/internal/structures"
@@ -56,12 +55,19 @@ type Map struct {
 	touched  []map[pmem.Addr]struct{} // per-thread records dirtied this epoch
 	flusher  *pmem.Flusher
 	flushers []*pmem.Flusher // per-thread, for structural inserts
-	ck       *ticker
 }
 
-// NewMap creates a Dalí-style map for `threads` workers, checkpointing
-// every interval.
-func NewMap(h *pmem.Heap, nBucket, threads int, interval time.Duration) *Map {
+// NewMap formats h as an empty Dalí-style map for `threads` workers; the
+// caller drives its checkpoints. Epoch 1 is durable before it returns.
+func NewMap(h *pmem.Heap, nBucket, threads int) *Map {
+	m := newMap(h, nBucket, threads)
+	m.epoch.Store(1)
+	h.SetRoot(rootEpoch, 1)
+	m.flusher.Persist(h.RootAddr(rootEpoch))
+	return m
+}
+
+func newMap(h *pmem.Heap, nBucket, threads int) *Map {
 	m := &Map{
 		h:       h,
 		alloc:   pmem.NewBumpAll(h),
@@ -79,8 +85,36 @@ func NewMap(h *pmem.Heap, nBucket, threads int, interval time.Duration) *Map {
 	if m.buckets == pmem.NilAddr {
 		panic("dali: heap too small")
 	}
-	m.epoch.Store(1)
-	m.ck = startTicker(m, interval)
+	return m
+}
+
+// OpenMap rebuilds a map from the persistent image of h, rebooting h if it
+// is still down. Every version written during the failed epoch is demoted
+// and the demotions are durable before it returns, so the next checkpoint,
+// which reuses the failed epoch's number, cannot commit the failed writes.
+// The bump cursor resumes past the last linked record.
+func OpenMap(h *pmem.Heap, nBucket, threads int) *Map {
+	if h.Crashed() {
+		h.Reopen()
+	}
+	m := newMap(h, nBucket, threads)
+	failed := h.Load64(h.RootAddr(rootEpoch))
+	m.epoch.Store(failed)
+	end := m.alloc.Cursor()
+	for b := uint64(0); b < m.nBucket; b++ {
+		head := m.buckets + pmem.Addr(b*8)
+		for r := pmem.Addr(h.Load64(head)); r != pmem.NilAddr; r = pmem.Addr(h.Load64(r + rNext)) {
+			end = max(end, r+64)
+			if h.Load64(r+rE1) == failed {
+				h.Store64(r+rV1, h.Load64(r+rV2))
+				h.Store64(r+rE1, h.Load64(r+rE2))
+				h.Store64(r+rF1, h.Load64(r+rF2))
+				m.flusher.CLWB(r)
+			}
+		}
+	}
+	m.flusher.SFence()
+	m.alloc.SetCursor(end)
 	return m
 }
 
@@ -178,8 +212,8 @@ func (m *Map) Get(th int, key uint64) (uint64, bool) {
 	return m.h.Load64(r + rV1), true
 }
 
-// Checkpoint flushes every record touched in the epoch and advances the
-// persistent epoch counter.
+// Checkpoint ends the epoch: it flushes every record touched in it and
+// advances the persistent epoch counter.
 func (m *Map) Checkpoint() {
 	m.gate.Lock()
 	defer m.gate.Unlock()
@@ -195,71 +229,11 @@ func (m *Map) Checkpoint() {
 	m.flusher.Persist(m.h.RootAddr(rootEpoch))
 }
 
-// Recover demotes versions written during the failed epoch and returns the
-// number of records rolled back.
-func (m *Map) Recover() int {
-	if m.h.Crashed() {
-		m.h.Reopen()
-	}
-	failed := m.h.Load64(m.h.RootAddr(rootEpoch))
-	if failed == 0 {
-		failed = 1
-	}
-	rolled := 0
-	h := m.h
-	for b := uint64(0); b < m.nBucket; b++ {
-		head := m.buckets + pmem.Addr(b*8)
-		for r := pmem.Addr(h.Load64(head)); r != pmem.NilAddr; r = pmem.Addr(h.Load64(r + rNext)) {
-			if h.Load64(r+rE1) == failed {
-				h.Store64(r+rV1, h.Load64(r+rV2))
-				h.Store64(r+rE1, h.Load64(r+rE2))
-				h.Store64(r+rF1, h.Load64(r+rF2))
-				rolled++
-			}
-		}
-	}
-	m.epoch.Store(failed)
-	for th := range m.touched {
-		clear(m.touched[th])
-	}
-	return rolled
-}
-
 // PerOp implements structures.Map.
 func (m *Map) PerOp(int) {}
 
 // ThreadExit implements structures.Map.
 func (m *Map) ThreadExit(int) {}
 
-// Close stops the checkpointer.
-func (m *Map) Close() { m.ck.stop() }
-
-type ticker struct {
-	stopCh chan struct{}
-	once   sync.Once
-	done   sync.WaitGroup
-}
-
-func startTicker(m *Map, interval time.Duration) *ticker {
-	t := &ticker{stopCh: make(chan struct{})}
-	t.done.Add(1)
-	go func() {
-		defer t.done.Done()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-t.stopCh:
-				return
-			case <-tick.C:
-				m.Checkpoint()
-			}
-		}
-	}()
-	return t
-}
-
-func (t *ticker) stop() {
-	t.once.Do(func() { close(t.stopCh) })
-	t.done.Wait()
-}
+// Close implements structures.Map.
+func (m *Map) Close() {}

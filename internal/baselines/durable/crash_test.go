@@ -3,19 +3,32 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
+	"github.com/respct/respct/internal/baselines/cow"
+	"github.com/respct/respct/internal/baselines/dali"
+	"github.com/respct/respct/internal/baselines/friedman"
+	"github.com/respct/respct/internal/baselines/shadow"
+	"github.com/respct/respct/internal/baselines/soft"
 	"github.com/respct/respct/internal/pmem"
+	"github.com/respct/respct/internal/structures"
 )
 
-// An op is one scripted operation: insert (k, v) or remove k on a map,
-// enqueue v or dequeue on a queue.
+// This file is the crash table of every comparator structure: the durable
+// package's four policies over its map and queue, and the Dalí, COW,
+// shadow, SOFT and Friedman structures, each recovered into a fresh object
+// by its Open.
+
+// An op is one scripted step: insert (k, v) or remove k on a map, enqueue v
+// or dequeue on a queue, or a checkpoint, which a durable structure has no
+// use for.
 type op struct {
-	kind byte // 'i', 'r', 'e', 'd'
+	kind byte // 'i', 'r', 'e', 'd', 'c'
 	k, v uint64
 }
 
-// model is the sequential specification both structures are checked against.
+// model is the sequential specification every structure is checked against.
 type model struct {
 	kv map[uint64]uint64
 	q  []uint64
@@ -51,11 +64,10 @@ func (m *model) state(isMap bool) string {
 	return fmt.Sprint(m.q)
 }
 
-// subject is a structure under test. Its state walk is bounded, so a cycle
+// subject is a structure under test. Its state read is bounded, so a cycle
 // fails the test instead of hanging it.
 type subject interface {
 	do(o op)
-	Recover() int
 	state() (string, error)
 }
 
@@ -63,12 +75,15 @@ const walkBound = 64
 
 var errCycle = errors.New("chain longer than any script builds: a cycle")
 
+// mapSubject and queueSubject read a durable structure's state by walking
+// its words: a bucket chain in one bucket, the queue from head to tail.
 type mapSubject struct{ *Map }
 
 func (m mapSubject) do(o op) {
-	if o.kind == 'i' {
+	switch o.kind {
+	case 'i':
 		m.Insert(0, o.k, o.v)
-	} else {
+	case 'r':
 		m.Remove(0, o.k)
 	}
 }
@@ -88,9 +103,10 @@ func (m mapSubject) state() (string, error) {
 type queueSubject struct{ *Queue }
 
 func (q queueSubject) do(o op) {
-	if o.kind == 'e' {
+	switch o.kind {
+	case 'e':
 		q.Enqueue(0, o.v)
-	} else {
+	case 'd':
 		q.Dequeue(0)
 	}
 }
@@ -110,73 +126,224 @@ func (q queueSubject) state() (string, error) {
 	return fmt.Sprint(vs), nil
 }
 
-var policies = []struct {
-	name string
-	p    Policy
-}{{"UndoLog", UndoLog}, {"Clobber", Clobber}, {"RedoLog", RedoLog}, {"InCLL", InCLL}}
-
-// A shape is a structure, the script whose every crash point is tried, and
-// the two committed ops that follow the recovery.
-type shape struct {
-	name   string
-	isMap  bool
-	open   func(h *pmem.Heap, p Policy) subject
-	script []op
-	more   []op
+// checkpoint runs x's Checkpoint if it has one.
+func checkpoint(x any) {
+	if c, ok := x.(interface{ Checkpoint() }); ok {
+		c.Checkpoint()
+	}
 }
 
-var shapes = []shape{
-	{
-		// One bucket, so every op collides: four inserts, an overwrite, a
-		// remove, an insert that reuses the freed node, a missing remove.
-		name: "map", isMap: true,
-		open:   func(h *pmem.Heap, p Policy) subject { return mapSubject{NewMap(h, 1, 1, p)} },
-		script: []op{{'i', 1, 10}, {'i', 2, 20}, {'i', 3, 30}, {'i', 4, 40}, {'i', 2, 21}, {'r', 3, 0}, {'i', 5, 50}, {'r', 9, 0}},
-		more:   []op{{'i', 100, 1}, {'i', 101, 2}},
-	},
-	{
-		// Three enqueues, two dequeues, two enqueues that reuse their
-		// nodes, then dequeues until one finds the queue empty.
-		name:   "queue",
-		open:   func(h *pmem.Heap, p Policy) subject { return queueSubject{NewQueue(h, 1, p)} },
-		script: []op{{'e', 0, 1}, {'e', 0, 2}, {'e', 0, 3}, {'d', 0, 0}, {'d', 0, 0}, {'e', 0, 4}, {'e', 0, 5}, {'d', 0, 0}, {'d', 0, 0}, {'d', 0, 0}, {'d', 0, 0}},
-		more:   []op{{'e', 0, 100}, {'e', 0, 101}},
-	},
+// keys holds every key the map scripts use; mapAPI reads a map's state as
+// their lookups.
+var keys = []uint64{1, 2, 3, 4, 5, 9, 100, 101}
+
+// mapAPI and queueAPI drive the other comparators through their exported
+// operations. A queue's state is read by draining it and enqueueing the
+// values back, which leaves the same sequence.
+type mapAPI struct{ structures.Map }
+
+func (m mapAPI) do(o op) {
+	switch o.kind {
+	case 'i':
+		m.Insert(0, o.k, o.v)
+	case 'r':
+		m.Remove(0, o.k)
+	case 'c':
+		checkpoint(m.Map)
+	}
+}
+
+func (m mapAPI) state() (string, error) {
+	kv := map[uint64]uint64{}
+	for _, k := range keys {
+		if v, ok := m.Get(0, k); ok {
+			kv[k] = v
+		}
+	}
+	return fmt.Sprint(kv), nil
+}
+
+type queueAPI struct{ structures.Queue }
+
+func (q queueAPI) do(o op) {
+	switch o.kind {
+	case 'e':
+		q.Enqueue(0, o.v)
+	case 'd':
+		q.Dequeue(0)
+	case 'c':
+		checkpoint(q.Queue)
+	}
+}
+
+func (q queueAPI) state() (string, error) {
+	var vs []uint64
+	for v, ok := q.Dequeue(0); ok; v, ok = q.Dequeue(0) {
+		if len(vs) == walkBound {
+			return "", errCycle
+		}
+		vs = append(vs, v)
+	}
+	for _, v := range vs {
+		q.Enqueue(0, v)
+	}
+	return fmt.Sprint(vs), nil
+}
+
+// A shape is the scripts a kind of structure runs: the script whose every
+// crash point is tried, the script run whole before a crash, and the two
+// ops committed after each recovery. The checkpoints are steps of the
+// scripts; a durable structure skips them. The map's ops after recovery
+// remove a key that may have been overwritten before the crash, and two
+// checkpoints then reclaim its last put: a superseded put recovery kept
+// would come back.
+type shape struct {
+	isMap              bool
+	script, free, more []op
+}
+
+var (
+	// One bucket, so every op collides: four inserts, an overwrite, a
+	// remove, an insert that reuses the freed node, a missing remove. The
+	// whole-script run ends with a remove, so a free list holds its node
+	// at the crash.
+	mapShape = shape{
+		isMap:  true,
+		script: []op{{'i', 1, 10}, {'i', 2, 20}, {'c', 0, 0}, {'i', 3, 30}, {'i', 4, 40}, {'i', 2, 21}, {'c', 0, 0}, {'r', 3, 0}, {'i', 5, 50}, {'r', 9, 0}, {'c', 0, 0}},
+		free:   []op{{'i', 1, 10}, {'i', 2, 20}, {'i', 3, 30}, {'i', 4, 40}, {'i', 5, 50}, {'r', 3, 0}, {'c', 0, 0}},
+		more:   []op{{'i', 100, 1}, {'r', 2, 0}, {'c', 0, 0}, {'c', 0, 0}},
+	}
+	// Three enqueues, two dequeues, two enqueues that reuse their nodes,
+	// then dequeues until one finds the queue empty.
+	queueShape = shape{
+		script: []op{{'e', 0, 1}, {'e', 0, 2}, {'e', 0, 3}, {'c', 0, 0}, {'d', 0, 0}, {'d', 0, 0}, {'e', 0, 4}, {'c', 0, 0}, {'e', 0, 5}, {'d', 0, 0}, {'d', 0, 0}, {'c', 0, 0}, {'d', 0, 0}, {'d', 0, 0}, {'c', 0, 0}},
+		free:   []op{{'e', 0, 1}, {'e', 0, 2}, {'e', 0, 3}, {'e', 0, 4}, {'d', 0, 0}, {'c', 0, 0}},
+		more:   []op{{'e', 0, 100}, {'e', 0, 101}, {'c', 0, 0}},
+	}
+	// The buffered rows go on past the last checkpoint with an op that
+	// reuses a block a checkpoint reclaimed, then checkpoint again: a
+	// block rewritten in the failed epoch must not count once a later
+	// checkpoint completes.
+	bufferedMapShape   = extend(mapShape, op{'i', 3, 31}, op{'c', 0, 0})
+	bufferedQueueShape = extend(queueShape, op{'e', 0, 6}, op{'c', 0, 0})
+)
+
+func extend(sh shape, steps ...op) shape {
+	sh.script = append(slices.Clip(sh.script), steps...)
+	return sh
+}
+
+// A row is one structure. build formats it on a fresh heap, or with open
+// rebuilds it from the heap's image into a fresh object. A buffered row
+// loses what its last completed checkpoint does not cover; a durable row
+// loses at most the torn op.
+type row struct {
+	name     string
+	buffered bool
+	shape    shape
+	build    func(h *pmem.Heap, open bool) subject
+}
+
+// shadowWords is two pages, one working and one spare.
+const shadowWords = 1024
+
+func rows() []row {
+	var rs []row
+	for _, pol := range []struct {
+		name string
+		p    Policy
+	}{{"UndoLog", UndoLog}, {"Clobber", Clobber}, {"RedoLog", RedoLog}, {"InCLL", InCLL}} {
+		rs = append(rs, row{pol.name + "/map", false, mapShape, func(h *pmem.Heap, open bool) subject {
+			if open {
+				return mapSubject{OpenMap(h, 1, 1, pol.p)}
+			}
+			return mapSubject{NewMap(h, 1, 1, pol.p)}
+		}}, row{pol.name + "/queue", false, queueShape, func(h *pmem.Heap, open bool) subject {
+			if open {
+				return queueSubject{OpenQueue(h, 1, pol.p)}
+			}
+			return queueSubject{NewQueue(h, 1, pol.p)}
+		}})
+	}
+	return append(rs,
+		row{"Dali/map", true, bufferedMapShape, func(h *pmem.Heap, open bool) subject {
+			if open {
+				return mapAPI{dali.OpenMap(h, 1, 1)}
+			}
+			return mapAPI{dali.NewMap(h, 1, 1)}
+		}},
+		row{"COW/map", true, bufferedMapShape, func(h *pmem.Heap, open bool) subject {
+			if open {
+				return mapAPI{cow.OpenMap(h, 1)}
+			}
+			return mapAPI{cow.NewMap(h, 1)}
+		}},
+		row{"COW/queue", true, bufferedQueueShape, func(h *pmem.Heap, open bool) subject {
+			if open {
+				return queueAPI{cow.OpenQueue(h)}
+			}
+			return queueAPI{cow.NewQueue(h)}
+		}},
+		row{"Shadow/map", true, bufferedMapShape, func(h *pmem.Heap, open bool) subject {
+			if open {
+				return mapAPI{shadow.OpenMap(shadow.OpenHeap(h, shadowWords), 1)}
+			}
+			return mapAPI{shadow.NewMap(shadow.NewHeap(h, shadowWords), 1)}
+		}},
+		row{"Shadow/queue", true, bufferedQueueShape, func(h *pmem.Heap, open bool) subject {
+			if open {
+				return queueAPI{shadow.OpenQueue(shadow.OpenHeap(h, shadowWords))}
+			}
+			return queueAPI{shadow.NewQueue(shadow.NewHeap(h, shadowWords))}
+		}},
+		row{"SOFT/map", false, mapShape, func(h *pmem.Heap, open bool) subject {
+			if open {
+				return mapAPI{soft.OpenMap(h, 1, 1)}
+			}
+			return mapAPI{soft.NewMap(h, 1, 1)}
+		}},
+		row{"Friedman/queue", false, queueShape, func(h *pmem.Heap, open bool) subject {
+			if open {
+				return queueAPI{friedman.OpenQueue(h, 1, 0)}
+			}
+			return queueAPI{friedman.NewQueue(h, 1, 0)}
+		}},
+	)
 }
 
 func newHeap() *pmem.Heap { return pmem.New(pmem.Config{Size: 1 << 18}) }
 
-// afterCrash recovers s, requires a state in want, then commits more, each
-// checked, crashes with nothing evicted and requires their effects too. It
-// returns the index in want that the recovered state matched; where names
-// the crash in failures.
-func afterCrash(t *testing.T, where string, h *pmem.Heap, s subject, sh shape, want []model) int {
+// afterCrash opens a fresh object on h, requires a state in want, then
+// commits more, each checked, crashes with nothing evicted and requires
+// their effects from another fresh object. It returns the index in want
+// that the recovered state matched; where names the crash in failures.
+func afterCrash(t *testing.T, where string, h *pmem.Heap, r row, want []model) int {
 	t.Helper()
-	s.Recover()
+	isMap := r.shape.isMap
+	s := r.build(h, true)
 	got, err := s.state()
 	hit := -1
 	for i := range want {
-		if err == nil && got == want[i].state(sh.isMap) {
+		if err == nil && got == want[i].state(isMap) {
 			hit = i
 		}
 	}
 	if hit < 0 {
-		t.Errorf("%s: recovered %q (%v), want one of %q", where, got, err, states(want, sh.isMap))
+		t.Errorf("%s: recovered %q (%v), want one of %q", where, got, err, states(want, isMap))
 		return hit
 	}
 	m := want[hit].clone()
-	for _, o := range sh.more {
+	for _, o := range r.shape.more {
 		s.do(o)
 		m.do(o)
-		if got, err := s.state(); err != nil || got != m.state(sh.isMap) {
-			t.Errorf("%s: after recovery, op %c %d %d leaves %q (%v), want %q", where, o.kind, o.k, o.v, got, err, m.state(sh.isMap))
+		if got, err := s.state(); err != nil || got != m.state(isMap) {
+			t.Errorf("%s: after recovery, op %c %d %d leaves %q (%v), want %q", where, o.kind, o.k, o.v, got, err, m.state(isMap))
 			return hit
 		}
 	}
 	h.Crash()
-	s.Recover()
-	if got, err := s.state(); err != nil || got != m.state(sh.isMap) {
-		t.Errorf("%s: second crash recovered %q (%v), want %q", where, got, err, m.state(sh.isMap))
+	if got, err := r.build(h, true).state(); err != nil || got != m.state(isMap) {
+		t.Errorf("%s: second crash recovered %q (%v), want %q", where, got, err, m.state(isMap))
 	}
 	return hit
 }
@@ -189,11 +356,11 @@ func states(ms []model, isMap bool) []string {
 	return out
 }
 
-// prefix runs the first n ops of the script on s and returns the model
-// after each of them, the empty model first.
-func prefix(s subject, sh shape, n int) []model {
+// prefix runs the first n steps of script on s, if s is not nil, and
+// returns the model after each of them, the empty model first.
+func prefix(s subject, script []op, n int) []model {
 	ms := []model{{kv: map[uint64]uint64{}}}
-	for _, o := range sh.script[:n] {
+	for _, o := range script[:n] {
 		if s != nil {
 			s.do(o)
 		}
@@ -204,69 +371,79 @@ func prefix(s subject, sh shape, n int) []model {
 	return ms
 }
 
-// TestDurableCrashAtEveryPoint crashes every op of each script at every
-// persistence event it emits, once as is and once with every dirty line
-// evicted first, under every policy. Recovery must yield the state before
-// or after the torn op, and two ops committed after it must survive a
-// second crash. Both outcomes must occur for each policy and structure.
+// outcomes returns the states a crash inside step i of script may recover:
+// the committed one, and the one the step makes visible if it completes.
+// A durable structure commits each op as it returns; a buffered one at
+// each checkpoint, so a crash inside an op recovers the last completed
+// checkpoint and one inside a checkpoint may also recover that one.
+func outcomes(r row, models []model, i int) (committed, visible model) {
+	if !r.buffered {
+		return models[i], models[i+1]
+	}
+	last := 0
+	for j, o := range r.shape.script[:i] {
+		if o.kind == 'c' {
+			last = j + 1
+		}
+	}
+	if r.shape.script[i].kind == 'c' {
+		return models[last], models[i]
+	}
+	return models[last], models[last]
+}
+
+// TestDurableCrashAtEveryPoint crashes every step of each row's script at
+// every persistence event it emits, once as is and once with every dirty
+// line evicted first. Recovery into a fresh object must yield a state the
+// row's consistency allows (see outcomes), and two ops committed after it,
+// with a checkpoint, must survive a second crash. Both outcomes must occur
+// in every row. Each row also runs its whole-script script and crashes,
+// with no step torn: a free list kept across the crash hands out a live
+// node, which makes a map chain a cycle or drains a queue short.
 func TestDurableCrashAtEveryPoint(t *testing.T) {
-	for _, pol := range policies {
-		for _, sh := range shapes {
-			t.Run(pol.name+"/"+sh.name, func(t *testing.T) {
-				h, r := newHeap(), pmem.NewRecorder()
-				r.Attach(h)
-				s := sh.open(h, pol.p)
-				ends := []int{r.Len()}
-				for _, o := range sh.script {
-					s.do(o)
-					ends = append(ends, r.Len())
-				}
-				models := prefix(nil, sh, len(sh.script))
-				var outcomes [2]int
-				for i := range sh.script {
-					for seq := ends[i]; seq < ends[i+1]; seq++ {
-						for _, evict := range []bool{false, true} {
-							h, r := newHeap(), pmem.NewRecorder()
-							r.Attach(h)
-							s := sh.open(h, pol.p)
-							prefix(s, sh, i)
-							if evict {
-								r.Script([]pmem.Action{{AfterSeq: uint64(seq), Line: -1}})
-							}
-							r.CrashAllAt(uint64(seq))
-							s.do(sh.script[i])
-							o, before, after := sh.script[i], models[i], models[i+1]
-							where := fmt.Sprintf("op %d (%c %d %d), event %d, evict %v", i, o.kind, o.k, o.v, seq, evict)
-							if hit := afterCrash(t, where, h, s, sh, []model{before, after}); hit >= 0 && before.state(sh.isMap) != after.state(sh.isMap) {
-								outcomes[hit]++
-							}
+	for _, r := range rows() {
+		sh := r.shape
+		t.Run(r.name, func(t *testing.T) {
+			h, rec := newHeap(), pmem.NewRecorder()
+			rec.Attach(h)
+			s := r.build(h, false)
+			ends := []int{rec.Len()}
+			for _, o := range sh.script {
+				s.do(o)
+				ends = append(ends, rec.Len())
+			}
+			models := prefix(nil, sh.script, len(sh.script))
+			var seen [2]int
+			for i, o := range sh.script {
+				committed, visible := outcomes(r, models, i)
+				for seq := ends[i]; seq < ends[i+1]; seq++ {
+					for _, evict := range []bool{false, true} {
+						h, rec := newHeap(), pmem.NewRecorder()
+						rec.Attach(h)
+						s := r.build(h, false)
+						prefix(s, sh.script, i)
+						if evict {
+							rec.Script([]pmem.Action{{AfterSeq: uint64(seq), Line: -1}})
+						}
+						rec.CrashAllAt(uint64(seq))
+						s.do(o)
+						where := fmt.Sprintf("step %d (%c %d %d), event %d, evict %v", i, o.kind, o.k, o.v, seq, evict)
+						if hit := afterCrash(t, where, h, r, []model{committed, visible}); hit >= 0 && committed.state(sh.isMap) != visible.state(sh.isMap) {
+							seen[hit]++
 						}
 					}
 				}
-				t.Logf("%d crash points: %d torn ops rolled back, %d survived", 2*(ends[len(ends)-1]-ends[0]), outcomes[0], outcomes[1])
-				if outcomes[0] == 0 || outcomes[1] == 0 {
-					t.Errorf("torn ops rolled back %d times, survived %d: both outcomes must occur", outcomes[0], outcomes[1])
-				}
-			})
-		}
-		// A crash right after a committed remove or dequeue, then two pops
-		// of the free list. One kept across Recover hands out a live node:
-		// the map's chain became a cycle, the queue drained as [101].
-		for _, sh := range freeListRows {
-			t.Run(pol.name+"/"+sh.name+"-free-list", func(t *testing.T) {
-				h := newHeap()
-				s := sh.open(h, pol.p)
-				ms := prefix(s, sh, len(sh.script))
-				h.Crash()
-				afterCrash(t, "after the script", h, s, sh, ms[len(ms)-1:])
-			})
-		}
+			}
+			t.Logf("%d crash points: %d torn steps rolled back, %d survived", 2*(ends[len(ends)-1]-ends[0]), seen[0], seen[1])
+			if seen[0] == 0 || seen[1] == 0 {
+				t.Errorf("torn steps rolled back %d times, survived %d: both outcomes must occur", seen[0], seen[1])
+			}
+		})
+		t.Run(r.name+"-free-list", func(t *testing.T) {
+			h := newHeap()
+			ms := prefix(r.build(h, false), sh.free, len(sh.free))
+			h.Crash()
+			afterCrash(t, "after the script", h, r, ms[len(ms)-1:])
+		})
 	}
 }
-
-var freeListRows = func() []shape {
-	rows := append([]shape(nil), shapes...)
-	rows[0].script = []op{{'i', 1, 10}, {'i', 2, 20}, {'i', 3, 30}, {'i', 4, 40}, {'i', 5, 50}, {'r', 3, 0}}
-	rows[1].script = []op{{'e', 0, 1}, {'e', 0, 2}, {'e', 0, 3}, {'e', 0, 4}, {'d', 0, 0}}
-	return rows
-}()

@@ -40,7 +40,7 @@ type section interface {
 	Raw(a pmem.Addr, v uint64)   // a raw word of such a node: a key, a value
 	Commit()
 	Abort()
-	recover() int // after a crash: undo or finish the torn operation
+	recover() // after a crash: undo or finish the torn operation
 }
 
 // logArea is a thread's persistent log region (an InCLL commit record is
@@ -74,7 +74,7 @@ type shared struct {
 	secs     []section
 	nodeSize int
 	freeMu   sync.Mutex
-	free     []pmem.Addr // released nodes; volatile, dropped by reopen
+	free     []pmem.Addr // released nodes; volatile, lost in a crash
 }
 
 // init allocates rootBytes of root words, then every thread's log, and
@@ -124,24 +124,24 @@ func (s *shared) release(n pmem.Addr) {
 	s.freeMu.Unlock()
 }
 
-// reopen boots a heap that is still down, recovers every thread's torn
-// operation and drops the free list, since the recovered image may link a
-// node released before the crash (its nodes leak). Only InCLL walks the
-// structure, whose walk visits every logged word before following it: the
-// undo copies live in the words themselves. It returns the words restored.
-func (s *shared) reopen(walk func(visit func(pmem.Addr))) int {
+// reopen boots a heap that is still down and recovers every thread's torn
+// operation. Only InCLL walks the structure for that, whose walk visits
+// every logged word before following it: the undo copies live in the words
+// themselves. A second walk then puts the bump cursor past the last
+// reachable node; unreachable nodes below it leak.
+func (s *shared) reopen(walk func(visit func(pmem.Addr))) {
 	if s.h.Crashed() {
 		s.h.Reopen()
 	}
-	n := 0
 	for _, sec := range s.secs {
-		n += sec.recover()
+		sec.recover()
 	}
 	if s.policy == InCLL {
-		n += rollBack(s.h, s.secs, walk)
+		rollBack(s.h, s.secs, walk)
 	}
-	s.free = nil
-	return n
+	end := s.alloc.Cursor()
+	walk(func(a pmem.Addr) { end = max(end, pmem.AlignUp(a+pmem.Addr(s.nodeSize), pmem.LineSize)) })
+	s.alloc.SetCursor(end)
 }
 
 // PerOp, ThreadExit and Close implement structures.Map and structures.Queue:

@@ -57,13 +57,10 @@ func (t *incll) Commit() {
 }
 
 // recover resumes at the committed seq; rollBack undoes the torn operation.
-func (t *incll) recover() int {
-	t.seq = t.h.Load64(t.base)
-	return 0
-}
+func (t *incll) recover() { t.seq = t.h.Load64(t.base) }
 
 // rollBack restores every reachable cell whose tag belongs to an operation
-// that never committed and returns how many it restored.
+// that never committed.
 //
 // Invariant: when it returns, no reachable cell carries an uncommitted tag,
 // in the volatile image or the persistent one: each rollback restores the
@@ -72,9 +69,8 @@ func (t *incll) recover() int {
 // one's tag, and a cell still carrying it would pass for backed up, so that
 // operation would neither back it up nor flush it. Cells the rollback makes
 // unreachable keep their tags; their nodes leak.
-func rollBack(h *pmem.Heap, secs []section, walk func(visit func(pmem.Addr))) int {
+func rollBack(h *pmem.Heap, secs []section, walk func(visit func(pmem.Addr))) {
 	f := h.NewFlusher()
-	rolled := 0
 	walk(func(a pmem.Addr) {
 		tag := h.Load64(a + cellTag)
 		th := int(tag>>40) - 1
@@ -84,8 +80,6 @@ func rollBack(h *pmem.Heap, secs []section, walk func(visit func(pmem.Addr))) in
 		h.Store64(a, h.Load64(a+cellBackup))
 		h.Store64(a+cellTag, 0)
 		f.CLWB(a)
-		rolled++
 	})
 	f.SFence()
-	return rolled
 }

@@ -73,11 +73,10 @@ func (l *redoLog) Abort() {
 
 // recover re-applies a committed log and truncates it; an uncommitted log
 // never reached a home location and is dropped.
-func (l *redoLog) recover() int {
+func (l *redoLog) recover() {
 	l.Abort()
-	n := 0
 	if l.h.Load64(l.base+8) == 1 {
-		n = int(l.h.Load64(l.base))
+		n := int(l.h.Load64(l.base))
 		for i := 0; i < n; i++ {
 			e := l.entry(i)
 			a := pmem.Addr(l.h.Load64(e))
@@ -87,5 +86,4 @@ func (l *redoLog) recover() int {
 		l.f.SFence()
 	}
 	l.truncate()
-	return n
 }

@@ -16,7 +16,8 @@ type Map struct {
 	locks   []sync.Mutex
 }
 
-// NewMap creates a map of nBucket buckets for threads workers under p.
+// NewMap creates a map of nBucket buckets for threads workers under p. An
+// all-zero heap is an empty map, so there is no format to persist.
 func NewMap(h *pmem.Heap, nBucket, threads int, p Policy) *Map {
 	m := &Map{nBucket: uint64(nBucket), locks: make([]sync.Mutex, nBucket)}
 	m.buckets = m.init(h, p, threads, nBucket*int(p.stride()), 2*int(p.stride())+8)
@@ -89,9 +90,13 @@ func (m *Map) Get(th int, key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Recover brings the map back after a crash with exactly the operations that
-// returned. It reopens the heap if it is still down.
-func (m *Map) Recover() int { return m.reopen(m.walk) }
+// OpenMap rebuilds a map from the persistent image of h with exactly the
+// operations that returned, rebooting h if it is still down.
+func OpenMap(h *pmem.Heap, nBucket, threads int, p Policy) *Map {
+	m := NewMap(h, nBucket, threads, p)
+	m.reopen(m.walk)
+	return m
+}
 
 // walk visits each bucket head, then each node's next and value words.
 func (m *Map) walk(visit func(pmem.Addr)) {
@@ -160,9 +165,13 @@ func (q *Queue) Dequeue(th int) (uint64, bool) {
 	return v, true
 }
 
-// Recover brings the queue back after a crash with exactly the operations
-// that returned. It reopens the heap if it is still down.
-func (q *Queue) Recover() int { return q.reopen(q.walk) }
+// OpenQueue rebuilds a queue from the persistent image of h with exactly
+// the operations that returned, rebooting h if it is still down.
+func OpenQueue(h *pmem.Heap, threads int, p Policy) *Queue {
+	q := NewQueue(h, threads, p)
+	q.reopen(q.walk)
+	return q
+}
 
 // walk visits the head, each node's next word, then the tail.
 func (q *Queue) walk(visit func(pmem.Addr)) {

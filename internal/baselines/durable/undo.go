@@ -75,7 +75,7 @@ func (l *undoLog) retire() {
 
 // recover rolls the torn operation's entries back, newest first, and
 // retires its log.
-func (l *undoLog) recover() int {
+func (l *undoLog) recover() {
 	l.done, l.n, l.touched = l.h.Load64(l.base), 0, l.touched[:0]
 	n := 0
 	for n < logCap && l.h.Load64(l.entry(n)+16) == l.done+1 {
@@ -89,5 +89,4 @@ func (l *undoLog) recover() int {
 	}
 	l.f.SFence()
 	l.retire()
-	return n
 }

@@ -63,10 +63,7 @@ type Queue struct {
 // NewQueue creates an empty durable queue for `threads` workers, persisting
 // its sentinel pointer in heap root slot rootIdx.
 func NewQueue(h *pmem.Heap, threads, rootIdx int) *Queue {
-	q := &Queue{h: h, alloc: pmem.NewBumpAll(h), fls: make([]*pmem.Flusher, threads), rootHead: rootIdx}
-	for i := range q.fls {
-		q.fls[i] = h.NewFlusher()
-	}
+	q := newQueue(h, threads, rootIdx)
 	s := q.newNode(0)
 	f := h.NewFlusher()
 	f.Persist(s)
@@ -74,6 +71,14 @@ func NewQueue(h *pmem.Heap, threads, rootIdx int) *Queue {
 	f.Persist(h.RootAddr(rootIdx))
 	q.head.Store(mkTagged(s, 0))
 	q.tail.Store(mkTagged(s, 0))
+	return q
+}
+
+func newQueue(h *pmem.Heap, threads, rootIdx int) *Queue {
+	q := &Queue{h: h, alloc: pmem.NewBumpAll(h), fls: make([]*pmem.Flusher, threads), rootHead: rootIdx}
+	for i := range q.fls {
+		q.fls[i] = h.NewFlusher()
+	}
 	return q
 }
 
@@ -178,46 +183,29 @@ func (q *Queue) Dequeue(th int) (uint64, bool) {
 	}
 }
 
-// Recover rebuilds the volatile head/tail from the persisted sentinel chain
-// and returns the queue length. (Nodes recycled before the crash are only
-// reachable if still linked, so the walk is safe.)
-func (q *Queue) Recover() int {
-	if q.h.Crashed() {
-		q.h.Reopen()
+// OpenQueue rebuilds a queue from the persistent image of h, rebooting h
+// if it is still down: it walks the sentinel chain from the persisted hint,
+// takes the last claimed node as the sentinel and the last node as the
+// tail, and resumes the bump cursor past the chain's highest node. Nodes
+// recycled before the crash are reachable only if still linked, so the
+// walk is safe.
+func OpenQueue(h *pmem.Heap, threads, rootIdx int) *Queue {
+	if h.Crashed() {
+		h.Reopen()
 	}
-	s := pmem.Addr(q.h.Load64(q.h.RootAddr(q.rootHead)))
-	// Skip claimed nodes at the front.
-	head := s
-	count := 0
-	for {
-		next := addrOf(q.h.Load64(head + nNext))
-		if next == pmem.NilAddr {
-			break
-		}
-		if q.h.Load64(next+nClaimed)&markMask != 0 {
+	q := newQueue(h, threads, rootIdx)
+	head := pmem.Addr(h.Load64(h.RootAddr(rootIdx)))
+	tail, end := head, head
+	for next := addrOf(h.Load64(tail + nNext)); next != pmem.NilAddr; next = addrOf(h.Load64(tail + nNext)) {
+		if h.Load64(next+nClaimed)&markMask != 0 && head == tail {
 			head = next
-			continue
 		}
-		break
-	}
-	tail := head
-	for {
-		next := addrOf(q.h.Load64(tail + nNext))
-		if next == pmem.NilAddr {
-			break
-		}
-		if q.h.Load64(next+nClaimed)&markMask == 0 {
-			count++
-		}
-		tail = next
+		tail, end = next, max(end, next)
 	}
 	q.head.Store(mkTagged(head, 0))
 	q.tail.Store(mkTagged(tail, 0))
-	q.freeMu.Lock()
-	q.free = q.free[:0]
-	q.retired = q.retired[:0]
-	q.freeMu.Unlock()
-	return count
+	q.alloc.SetCursor(end + pmem.LineSize)
+	return q
 }
 
 // PerOp implements structures.Queue.

@@ -55,27 +55,24 @@ type Heap struct {
 
 	epoch   uint64
 	flusher *pmem.Flusher
-
-	parallelFlush bool
 }
 
-// epoch record: nv root 0 = epoch count, nv root 1 = consistent twin index.
+// The epoch record is nv root 0: the count of completed checkpoints. Epoch
+// e's state is in twin e%2, so one word names the consistent twin.
 
-// NewHeap creates a shadowed heap of `words` 64-bit words for `threads`
-// workers, with its twins on nv.
-func NewHeap(nv *pmem.Heap, words, threads int, parallelFlush bool) *Heap {
+// NewHeap creates a shadowed heap of `words` 64-bit words with its twins on
+// nv. Its epoch 0 is twin 0, all zeros like the fresh working copy.
+func NewHeap(nv *pmem.Heap, words int) *Heap {
 	alloc := pmem.NewBumpAll(nv)
 	dram := pmem.New(pmem.DRAMConfig(int64(words)*8 + (1 << 20)))
 	h := &Heap{
-		dram:          dram,
-		base:          dram.DataStart(),
-		nv:            nv,
-		words:         words,
-		dirtyPages:    make([]atomic.Uint32, (words+pageWords-1)/pageWords),
-		flusher:       nv.NewFlusher(),
-		parallelFlush: parallelFlush,
+		dram:       dram,
+		base:       dram.DataStart(),
+		nv:         nv,
+		words:      words,
+		dirtyPages: make([]atomic.Uint32, (words+pageWords-1)/pageWords),
+		flusher:    nv.NewFlusher(),
 	}
-	_ = threads
 	h.twin[0] = alloc.Alloc(words * 8)
 	h.twin[1] = alloc.Alloc(words * 8)
 	if h.twin[0] == pmem.NilAddr || h.twin[1] == pmem.NilAddr {
@@ -144,7 +141,7 @@ func (h *Heap) Checkpoint() {
 		}
 		f.PersistRange(base+pmem.Addr(lo*8), (hi-lo)*8)
 	}
-	if h.parallelFlush && len(union) > 16 {
+	if len(union) > 16 {
 		workers := runtime.GOMAXPROCS(0)
 		if workers < 2 {
 			workers = 2
@@ -175,31 +172,28 @@ func (h *Heap) Checkpoint() {
 
 	h.epoch++
 	h.nv.SetRoot(0, h.epoch)
-	h.nv.SetRoot(1, uint64(target))
-	h.flusher.CLWB(h.nv.RootAddr(0))
-	h.flusher.CLWB(h.nv.RootAddr(1))
-	h.flusher.SFence()
+	h.flusher.Persist(h.nv.RootAddr(0))
 	h.prevPages = cur
 }
 
-// Recover reloads the DRAM working copy from the twin the epoch record names
-// as consistent, returning the recovered epoch.
-func (h *Heap) Recover() uint64 {
-	if h.nv.Crashed() {
-		h.nv.Reopen()
+// OpenHeap rebuilds a shadowed heap from nv's persistent image, rebooting
+// nv if it is still down: the working copy is loaded from the twin the
+// epoch record names. The other twin lags by an unknown set of pages, so
+// the first checkpoint copies every page.
+func OpenHeap(nv *pmem.Heap, words int) *Heap {
+	if nv.Crashed() {
+		nv.Reopen()
 	}
-	epoch := h.nv.Load64(h.nv.RootAddr(0))
-	twin := h.nv.Load64(h.nv.RootAddr(1))
-	base := h.twin[twin%2]
+	h := NewHeap(nv, words)
+	h.epoch = nv.Load64(nv.RootAddr(0))
+	base := h.twin[h.epoch%2]
 	for i := 0; i < h.words; i++ {
-		h.dram.Store64(h.base+pmem.Addr(i*8), h.nv.Load64(base+pmem.Addr(i*8)))
+		h.dram.Store64(h.base+pmem.Addr(i*8), nv.Load64(base+pmem.Addr(i*8)))
 	}
-	h.epoch = epoch
 	for p := range h.dirtyPages {
-		h.dirtyPages[p].Store(0)
+		h.prevPages = append(h.prevPages, p)
 	}
-	h.prevPages = nil
-	return epoch
+	return h
 }
 
 // Words returns the heap size in words.

@@ -2,15 +2,14 @@ package shadow
 
 import (
 	"sync"
-	"time"
 
 	"github.com/respct/respct/internal/structures"
 )
 
 // Map and Queue run the paper's micro-benchmark structures over a shadowed
 // heap. All state — bucket array, list nodes, free lists, the allocation
-// cursor — lives in shadowed words, so a recovered heap yields a complete
-// structure.
+// cursor — lives in shadowed words, so a heap from OpenHeap yields a
+// complete structure. The caller drives the heap's checkpoints.
 
 // word indices inside the shadowed heap used as metadata
 const (
@@ -29,15 +28,18 @@ type Map struct {
 	bucket0 int // word index of bucket array
 	locks   []sync.Mutex
 	allocMu sync.Mutex
-	ck      *ticker
 }
 
-// NewMap creates a shadowed map with its own periodic checkpointer.
-func NewMap(h *Heap, nBucket int, interval time.Duration) *Map {
-	m := &Map{h: h, nBucket: uint64(nBucket), bucket0: metaWords, locks: make([]sync.Mutex, nBucket)}
+// NewMap formats h as an empty shadowed map and checkpoints the format.
+func NewMap(h *Heap, nBucket int) *Map {
 	h.Store(0, metaBump, uint64(metaWords+nBucket))
-	m.ck = startTicker(h, interval)
-	return m
+	h.Checkpoint()
+	return OpenMap(h, nBucket)
+}
+
+// OpenMap returns the map a heap from OpenHeap holds.
+func OpenMap(h *Heap, nBucket int) *Map {
+	return &Map{h: h, nBucket: uint64(nBucket), bucket0: metaWords, locks: make([]sync.Mutex, nBucket)}
 }
 
 func (m *Map) allocNode(th int) int {
@@ -132,24 +134,29 @@ func (m *Map) PerOp(int) {}
 // ThreadExit implements structures.Map.
 func (m *Map) ThreadExit(int) {}
 
-// Close stops the checkpointer.
-func (m *Map) Close() { m.ck.stop() }
+// Close implements structures.Map.
+func (m *Map) Close() {}
+
+// Checkpoint ends the heap's epoch: every completed operation becomes
+// durable.
+func (m *Map) Checkpoint() { m.h.Checkpoint() }
 
 // Queue is a single-lock FIFO on a shadowed heap.
 // Node layout (words): [next, value].
 type Queue struct {
 	h  *Heap
 	mu sync.Mutex
-	ck *ticker
 }
 
-// NewQueue creates a shadowed queue with its own periodic checkpointer.
-func NewQueue(h *Heap, interval time.Duration) *Queue {
+// NewQueue formats h as an empty shadowed queue and checkpoints the format.
+func NewQueue(h *Heap) *Queue {
 	h.Store(0, metaBump, uint64(metaWords))
-	q := &Queue{h: h}
-	q.ck = startTicker(h, interval)
-	return q
+	h.Checkpoint()
+	return OpenQueue(h)
 }
+
+// OpenQueue returns the queue a heap from OpenHeap holds.
+func OpenQueue(h *Heap) *Queue { return &Queue{h: h} }
 
 func (q *Queue) allocNode(th int) int {
 	if f := q.h.Load(metaFree); f != 0 {
@@ -209,36 +216,9 @@ func (q *Queue) PerOp(int) {}
 // ThreadExit implements structures.Queue.
 func (q *Queue) ThreadExit(int) {}
 
-// Close stops the checkpointer.
-func (q *Queue) Close() { q.ck.stop() }
+// Close implements structures.Queue.
+func (q *Queue) Close() {}
 
-// ticker drives periodic checkpoints on a shadowed heap.
-type ticker struct {
-	stopCh chan struct{}
-	once   sync.Once
-	done   sync.WaitGroup
-}
-
-func startTicker(h *Heap, interval time.Duration) *ticker {
-	t := &ticker{stopCh: make(chan struct{})}
-	t.done.Add(1)
-	go func() {
-		defer t.done.Done()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-t.stopCh:
-				return
-			case <-tick.C:
-				h.Checkpoint()
-			}
-		}
-	}()
-	return t
-}
-
-func (t *ticker) stop() {
-	t.once.Do(func() { close(t.stopCh) })
-	t.done.Wait()
-}
+// Checkpoint ends the heap's epoch: every completed operation becomes
+// durable.
+func (q *Queue) Checkpoint() { q.h.Checkpoint() }

@@ -58,13 +58,14 @@ type Map struct {
 	free   []pmem.Addr // recycled persistent nodes
 }
 
-// NewMap creates a SOFT-style map for `threads` workers.
+// NewMap creates a SOFT-style map for `threads` workers. An all-zero heap
+// is an empty map, so there is no format to persist.
 //
 // The DRAM index is sized to the data: an index node takes a line, as a
 // persistent node does. Removed index nodes are never recycled (Get is
 // lock-free and has no grace period to wait out), so the index grows with
 // fresh inserts rather than live keys; it gets twice the persistent heap's
-// lines, and Recover rebuilds it from scratch.
+// lines.
 func NewMap(h *pmem.Heap, nBucket, threads int) *Map {
 	dram := pmem.New(pmem.DRAMConfig(int64(nBucket)*8 + pmem.LineSize + 2*h.Size()))
 	m := &Map{
@@ -202,29 +203,42 @@ func (m *Map) Get(_ int, key uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Recover rebuilds the volatile index from live persistent nodes and returns
-// the number recovered.
-func (m *Map) Recover() int {
-	if m.h.Crashed() {
-		m.h.Reopen()
+// OpenMap rebuilds a map from the persistent image of h, rebooting h if it
+// is still down: the index holds every live node. Every line of the heap
+// is a node or was never written, so the scan covers the whole heap, and
+// the bump cursor resumes past the last line ever written.
+//
+// An update torn after its new node was persisted leaves two live nodes
+// for one key. Either is a state the update allows; the later one in the
+// scan is marked dead, durably, so removing the key cannot uncover it.
+func OpenMap(h *pmem.Heap, nBucket, threads int) *Map {
+	if h.Crashed() {
+		h.Reopen()
 	}
-	for b := uint64(0); b < m.nBucket; b++ {
-		m.dram.Store64(m.heads+pmem.Addr(b*8), 0)
-	}
-	m.dalloc.SetCursor(pmem.AlignUp(m.heads+pmem.Addr(m.nBucket*8), pmem.LineSize))
-	live := 0
-	end := m.alloc.Cursor()
-	for p := m.h.DataStart(); p+24 <= end; p += pmem.LineSize {
-		if m.h.Load64(p+pValid) != validLive {
+	m := NewMap(h, nBucket, threads)
+	f := h.NewFlusher()
+	end := h.DataStart()
+	for p := h.DataStart(); p+pmem.LineSize <= pmem.Addr(h.Size()); p += pmem.LineSize {
+		valid := h.Load64(p + pValid)
+		if valid != 0 {
+			end = p + pmem.LineSize
+		}
+		if valid != validLive {
 			continue
 		}
-		key := m.h.Load64(p + pKey)
+		key := h.Load64(p + pKey)
+		if _, dup := m.Get(0, key); dup {
+			h.Store64(p+pValid, validDead)
+			f.CLWB(p)
+			continue
+		}
 		head := m.bucketHead(key)
-		n := m.newVNode(key, m.h.Load64(p+pVal), p, pmem.Addr(m.dram.Load64(head)))
+		n := m.newVNode(key, h.Load64(p+pVal), p, pmem.Addr(m.dram.Load64(head)))
 		m.dram.Store64(head, uint64(n))
-		live++
 	}
-	return live
+	f.SFence()
+	m.alloc.SetCursor(end)
+	return m
 }
 
 // PerOp implements structures.Map.

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"github.com/respct/respct/internal/baselines/cow"
@@ -76,6 +77,32 @@ func respctMapVariant(p Params, cfg core.Config, checkpoint bool) (structures.Ma
 	return m, rt.StartCheckpointer(p.Interval).Stop
 }
 
+// every runs checkpoint each interval until the returned function is called,
+// which returns once the last checkpoint has: the comparators with periodic
+// checkpoints leave driving them to their caller.
+func every(interval time.Duration, checkpoint func()) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(interval)
+		defer tick.Stop()
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				checkpoint()
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		wg.Wait()
+	}
+}
+
 // prefilled marks a map as already prefilled so RunnerMap skips it.
 type prefilled struct{ structures.Map }
 
@@ -102,16 +129,14 @@ func MapSystems() []MapSystem {
 			return respctMapVariant(p, core.Config{}, true)
 		}},
 		{Name: "Montage*", Consistency: "buffered", New: func(p Params) (structures.Map, func()) {
-			h := pmem.New(pmem.NVMMConfig(mapHeapSize(p)))
-			m := cow.NewMap(h, p.Buckets, p.Interval)
-			return m, m.Close
+			m := cow.NewMap(pmem.New(pmem.NVMMConfig(mapHeapSize(p))), p.Buckets)
+			return m, every(p.Interval, m.Checkpoint)
 		}},
 		{Name: "PMThreads*", Consistency: "buffered", New: func(p Params) (structures.Map, func()) {
 			h := pmem.New(pmem.NVMMConfig(2 * mapHeapSize(p))) // two twins
 			words := int(p.KeySpace)*8 + p.Buckets + 4096
-			sh := shadow.NewHeap(h, words, p.Threads, true)
-			m := shadow.NewMap(sh, p.Buckets, p.Interval)
-			return m, m.Close
+			m := shadow.NewMap(shadow.NewHeap(h, words), p.Buckets)
+			return m, every(p.Interval, m.Checkpoint)
 		}},
 		{Name: "Clobber-NVM*", Consistency: "durable", New: func(p Params) (structures.Map, func()) {
 			h := pmem.New(pmem.NVMMConfig(mapHeapSize(p)))
@@ -126,9 +151,8 @@ func MapSystems() []MapSystem {
 			return soft.NewMap(h, p.Buckets, p.Threads), func() {}
 		}},
 		{Name: "Dali*", Consistency: "buffered", New: func(p Params) (structures.Map, func()) {
-			h := pmem.New(pmem.NVMMConfig(mapHeapSize(p)))
-			m := dali.NewMap(h, p.Buckets, p.Threads, p.Interval)
-			return m, m.Close
+			m := dali.NewMap(pmem.New(pmem.NVMMConfig(mapHeapSize(p))), p.Buckets, p.Threads)
+			return m, every(p.Interval, m.Checkpoint)
 		}},
 		{Name: "UndoLog", Consistency: "durable", New: func(p Params) (structures.Map, func()) {
 			h := pmem.New(pmem.NVMMConfig(mapHeapSize(p)))
@@ -219,15 +243,12 @@ func QueueSystems() []QueueSystem {
 			return respctQueueVariant(p, core.Config{}, true)
 		}},
 		{Name: "Montage*", Consistency: "buffered", New: func(p Params) (structures.Queue, func()) {
-			h := pmem.New(pmem.NVMMConfig(queueHeapSize(p)))
-			q := cow.NewQueue(h, p.Interval)
-			return q, q.Close
+			q := cow.NewQueue(pmem.New(pmem.NVMMConfig(queueHeapSize(p))))
+			return q, every(p.Interval, q.Checkpoint)
 		}},
 		{Name: "PMThreads*", Consistency: "buffered", New: func(p Params) (structures.Queue, func()) {
-			h := pmem.New(pmem.NVMMConfig(queueHeapSize(p)))
-			sh := shadow.NewHeap(h, 1<<22, p.Threads, true)
-			q := shadow.NewQueue(sh, p.Interval)
-			return q, q.Close
+			q := shadow.NewQueue(shadow.NewHeap(pmem.New(pmem.NVMMConfig(queueHeapSize(p))), 1<<22))
+			return q, every(p.Interval, q.Checkpoint)
 		}},
 		{Name: "Clobber-NVM*", Consistency: "durable", New: func(p Params) (structures.Queue, func()) {
 			h := pmem.New(pmem.NVMMConfig(queueHeapSize(p)))
