@@ -244,7 +244,7 @@ type row struct {
 	build    func(h *pmem.Heap, open bool) subject
 }
 
-// shadowWords is two pages, one working and one spare.
+// shadowWords is two 512-word pages; the structures fit in the first.
 const shadowWords = 1024
 
 func rows() []row {
@@ -395,11 +395,12 @@ func outcomes(r row, models []model, i int) (committed, visible model) {
 // TestDurableCrashAtEveryPoint crashes every step of each row's script at
 // every persistence event it emits, once as is and once with every dirty
 // line evicted first. Recovery into a fresh object must yield a state the
-// row's consistency allows (see outcomes), and two ops committed after it,
-// with a checkpoint, must survive a second crash. Both outcomes must occur
-// in every row. Each row also runs its whole-script script and crashes,
-// with no step torn: a free list kept across the crash hands out a live
-// node, which makes a map chain a cycle or drains a queue short.
+// row's consistency allows (see outcomes), and the shape's ops committed
+// after it must survive a second crash. Both outcomes must occur
+// in every row. Each row's -free-list subtest runs the shape's free script
+// whole and crashes with no step torn: a free list kept across the crash
+// would hand out a live node, making a map chain a cycle or draining a
+// queue short.
 func TestDurableCrashAtEveryPoint(t *testing.T) {
 	for _, r := range rows() {
 		sh := r.shape
