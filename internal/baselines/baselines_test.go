@@ -32,6 +32,28 @@ const (
 	shadowWords  = 1 << 16
 )
 
+// shadowMap and shadowQueue pair a shadow structure with the heap whose
+// Checkpoint it needs.
+type shadowMap struct {
+	*shadow.Map
+	*shadow.Heap
+}
+
+type shadowQueue struct {
+	*shadow.Queue
+	*shadow.Heap
+}
+
+func newShadowMap(nv *pmem.Heap, nBucket int) shadowMap {
+	sh := shadow.NewHeap(nv, shadowWords)
+	return shadowMap{shadow.NewMap(sh, nBucket), sh}
+}
+
+func newShadowQueue(nv *pmem.Heap) shadowQueue {
+	sh := shadow.NewHeap(nv, shadowWords)
+	return shadowQueue{shadow.NewQueue(sh), sh}
+}
+
 func allMaps(t *testing.T, threads int) map[string]structures.Map {
 	t.Helper()
 	mk := func() *pmem.Heap { return pmem.New(pmem.Config{Size: heapSize}) }
@@ -40,7 +62,7 @@ func allMaps(t *testing.T, threads int) map[string]structures.Map {
 		"undolog-clobber": durable.NewMap(mk(), 64, threads, durable.Clobber),
 		"redolog":         durable.NewMap(mk(), 64, threads, durable.RedoLog),
 		"inclltm":         durable.NewMap(mk(), 64, threads, durable.InCLL),
-		"shadow":          shadow.NewMap(shadow.NewHeap(mk(), shadowWords), 64),
+		"shadow":          newShadowMap(mk(), 64),
 		"cow":             cow.NewMap(mk(), 64),
 		"dali":            dali.NewMap(mk(), 64, threads),
 		"soft":            soft.NewMap(mk(), 64, threads),
@@ -54,7 +76,7 @@ func allQueues(t *testing.T, threads int) map[string]structures.Queue {
 		"undolog-full":    durable.NewQueue(mk(), threads, durable.UndoLog),
 		"undolog-clobber": durable.NewQueue(mk(), threads, durable.Clobber),
 		"inclltm":         durable.NewQueue(mk(), threads, durable.InCLL),
-		"shadow":          shadow.NewQueue(shadow.NewHeap(mk(), shadowWords)),
+		"shadow":          newShadowQueue(mk()),
 		"cow":             cow.NewQueue(mk()),
 		"friedman":        friedman.NewQueue(mk(), threads, 0),
 	}
@@ -218,11 +240,12 @@ func TestBaselineQueuesConcurrent(t *testing.T) {
 
 func TestShadowRecovery(t *testing.T) {
 	nv := pmem.New(pmem.Config{Size: heapSize})
-	m := shadow.NewMap(shadow.NewHeap(nv, shadowWords), 64)
+	sh := shadow.NewHeap(nv, shadowWords)
+	m := shadow.NewMap(sh, 64)
 	for k := uint64(1); k <= 50; k++ {
 		m.Insert(0, k, k)
 	}
-	m.Checkpoint() // twin now consistent with 50 keys
+	sh.Checkpoint() // twin now consistent with 50 keys
 	for k := uint64(51); k <= 80; k++ {
 		m.Insert(0, k, k) // doomed epoch
 	}
@@ -242,16 +265,20 @@ func TestShadowRecovery(t *testing.T) {
 
 func TestShadowAlternatingTwins(t *testing.T) {
 	nv := pmem.New(pmem.Config{Size: heapSize})
-	m := shadow.NewMap(shadow.NewHeap(nv, shadowWords), 64)
+	sh := shadow.NewHeap(nv, shadowWords)
+	m := shadow.NewMap(sh, 64)
 	// Three epochs with different keys, then crash: state of epoch 3.
 	m.Insert(0, 1, 11)
-	m.Checkpoint()
+	sh.Checkpoint()
 	m.Insert(0, 2, 22)
-	m.Checkpoint()
+	sh.Checkpoint()
 	m.Insert(0, 3, 33)
-	m.Checkpoint()
+	sh.Checkpoint()
 	nv.Crash()
-	reopen := func() { m = shadow.OpenMap(shadow.OpenHeap(nv, shadowWords), 64) }
+	reopen := func() {
+		sh = shadow.OpenHeap(nv, shadowWords)
+		m = shadow.OpenMap(sh, 64)
+	}
 	reopen()
 	for k := uint64(1); k <= 3; k++ {
 		if v, ok := m.Get(0, k); !ok || v != k*11 {
@@ -266,13 +293,13 @@ func TestShadowAlternatingTwins(t *testing.T) {
 	for k := uint64(4); k <= 200; k++ {
 		m.Insert(0, k, k*11)
 	}
-	m.Checkpoint()
+	sh.Checkpoint()
 	m.Insert(0, 200, 2000)
-	m.Checkpoint()
+	sh.Checkpoint()
 	nv.Crash()
 	reopen()
 	m.Insert(0, 1, 111)
-	m.Checkpoint()
+	sh.Checkpoint()
 	nv.Crash()
 	reopen()
 	for k, want := range map[uint64]uint64{1: 111, 2: 22, 200: 2000} {

@@ -247,6 +247,18 @@ type row struct {
 // shadowWords is two 512-word pages; the structures fit in the first.
 const shadowWords = 1024
 
+// shadowMap and shadowQueue pair a shadow structure with the heap whose
+// Checkpoint it needs.
+type shadowMap struct {
+	*shadow.Map
+	*shadow.Heap
+}
+
+type shadowQueue struct {
+	*shadow.Queue
+	*shadow.Heap
+}
+
 func rows() []row {
 	var rs []row
 	for _, pol := range []struct {
@@ -286,15 +298,19 @@ func rows() []row {
 		}},
 		row{"Shadow/map", true, bufferedMapShape, func(h *pmem.Heap, open bool) subject {
 			if open {
-				return mapAPI{shadow.OpenMap(shadow.OpenHeap(h, shadowWords), 1)}
+				sh := shadow.OpenHeap(h, shadowWords)
+				return mapAPI{shadowMap{shadow.OpenMap(sh, 1), sh}}
 			}
-			return mapAPI{shadow.NewMap(shadow.NewHeap(h, shadowWords), 1)}
+			sh := shadow.NewHeap(h, shadowWords)
+			return mapAPI{shadowMap{shadow.NewMap(sh, 1), sh}}
 		}},
 		row{"Shadow/queue", true, bufferedQueueShape, func(h *pmem.Heap, open bool) subject {
 			if open {
-				return queueAPI{shadow.OpenQueue(shadow.OpenHeap(h, shadowWords))}
+				sh := shadow.OpenHeap(h, shadowWords)
+				return queueAPI{shadowQueue{shadow.OpenQueue(sh), sh}}
 			}
-			return queueAPI{shadow.NewQueue(shadow.NewHeap(h, shadowWords))}
+			sh := shadow.NewHeap(h, shadowWords)
+			return queueAPI{shadowQueue{shadow.NewQueue(sh), sh}}
 		}},
 		row{"SOFT/map", false, mapShape, func(h *pmem.Heap, open bool) subject {
 			if open {

@@ -137,10 +137,6 @@ func (m *Map) ThreadExit(int) {}
 // Close implements structures.Map.
 func (m *Map) Close() {}
 
-// Checkpoint ends the heap's epoch: every completed operation becomes
-// durable.
-func (m *Map) Checkpoint() { m.h.Checkpoint() }
-
 // Queue is a single-lock FIFO on a shadowed heap.
 // Node layout (words): [next, value].
 type Queue struct {
@@ -218,7 +214,3 @@ func (q *Queue) ThreadExit(int) {}
 
 // Close implements structures.Queue.
 func (q *Queue) Close() {}
-
-// Checkpoint ends the heap's epoch: every completed operation becomes
-// durable.
-func (q *Queue) Checkpoint() { q.h.Checkpoint() }

@@ -135,8 +135,8 @@ func MapSystems() []MapSystem {
 		{Name: "PMThreads*", Consistency: "buffered", New: func(p Params) (structures.Map, func()) {
 			h := pmem.New(pmem.NVMMConfig(2 * mapHeapSize(p))) // two twins
 			words := int(p.KeySpace)*8 + p.Buckets + 4096
-			m := shadow.NewMap(shadow.NewHeap(h, words), p.Buckets)
-			return m, every(p.Interval, m.Checkpoint)
+			sh := shadow.NewHeap(h, words)
+			return shadow.NewMap(sh, p.Buckets), every(p.Interval, sh.Checkpoint)
 		}},
 		{Name: "Clobber-NVM*", Consistency: "durable", New: func(p Params) (structures.Map, func()) {
 			h := pmem.New(pmem.NVMMConfig(mapHeapSize(p)))
@@ -247,8 +247,8 @@ func QueueSystems() []QueueSystem {
 			return q, every(p.Interval, q.Checkpoint)
 		}},
 		{Name: "PMThreads*", Consistency: "buffered", New: func(p Params) (structures.Queue, func()) {
-			q := shadow.NewQueue(shadow.NewHeap(pmem.New(pmem.NVMMConfig(queueHeapSize(p))), 1<<22))
-			return q, every(p.Interval, q.Checkpoint)
+			sh := shadow.NewHeap(pmem.New(pmem.NVMMConfig(queueHeapSize(p))), 1<<22)
+			return shadow.NewQueue(sh), every(p.Interval, sh.Checkpoint)
 		}},
 		{Name: "Clobber-NVM*", Consistency: "durable", New: func(p Params) (structures.Queue, func()) {
 			h := pmem.New(pmem.NVMMConfig(queueHeapSize(p)))
