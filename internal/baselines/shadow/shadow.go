@@ -64,7 +64,7 @@ type Heap struct {
 // nv. Its epoch 0 is twin 0, all zeros like the fresh working copy.
 func NewHeap(nv *pmem.Heap, words int) *Heap {
 	alloc := pmem.NewBumpAll(nv)
-	dram := pmem.New(pmem.DRAMConfig(int64(words)*8 + (1 << 20)))
+	dram := pmem.New(pmem.DRAMConfig(pmem.ReservedBytes + int64(words)*8))
 	h := &Heap{
 		dram:       dram,
 		base:       dram.DataStart(),

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/respct/respct/internal/baselines/cow"
@@ -77,30 +76,15 @@ func respctMapVariant(p Params, cfg core.Config, checkpoint bool) (structures.Ma
 	return m, rt.StartCheckpointer(p.Interval).Stop
 }
 
-// every runs checkpoint each interval until the returned function is called,
-// which returns once the last checkpoint has: the comparators with periodic
-// checkpoints leave driving them to their caller.
+// every drives a comparator's checkpoint with the driver ResPCT runs under
+// (core.Checkpointer: interval, checkpoint, re-arm) until the returned
+// function is called, which returns once the last checkpoint has: the
+// comparators leave driving their checkpoints to their caller.
 func every(interval time.Duration, checkpoint func()) (stop func()) {
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				checkpoint()
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		wg.Wait()
-	}
+	return core.StartCheckpointer(interval, func() core.CheckpointInfo {
+		checkpoint()
+		return core.CheckpointInfo{}
+	}).Stop
 }
 
 // prefilled marks a map as already prefilled so RunnerMap skips it.

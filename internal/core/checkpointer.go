@@ -6,36 +6,35 @@ import (
 	"time"
 )
 
-// Checkpointer drives periodic checkpoints, the paper's timer. The interval
-// is the targeted epoch duration; the effective period can be slightly
-// longer because a checkpoint waits for every thread to reach a restart
-// point (§5.2 measures this gap).
+// Checkpointer is the one periodic checkpoint driver, the paper's timer: a
+// goroutine that waits one interval, runs one tick, and re-arms its timer
+// once the tick returns. The effective period is therefore the interval
+// plus the tick's pause, and longer still when a checkpoint waits for
+// threads to reach restart points (§5.2 measures this gap). A runtime's
+// driver ticks Runtime.Checkpoint; a shard pool's tick checkpoints one
+// shard; comparators and crash soaks tick their own checkpoints.
+//
+// A nil *Checkpointer is a driver that never ticks; its methods all work.
 type Checkpointer struct {
-	rt       *Runtime
-	interval time.Duration
 	stop     chan struct{}
-	done     sync.WaitGroup
+	stopOnce sync.Once
+	done     chan struct{}
 
-	periods atomic.Int64 // completed periods
-	totalNs atomic.Int64 // sum of completion-to-completion gaps
-
-	histMu  sync.Mutex
-	history []CheckpointInfo // ring of the most recent checkpoints
-	histPos int
+	periods  atomic.Int64 // completed periods
+	totalNs  atomic.Int64 // sum of completion-to-completion gaps
+	maxPause atomic.Int64 // longest tick's CheckpointInfo.Total, ns; written by the driver alone
 }
 
-// historyCap bounds the retained per-checkpoint records.
-const historyCap = 256
-
-// StartCheckpointer begins taking a checkpoint every interval. Workers must
-// reach restart points (or allow windows) for each checkpoint to complete;
-// a worker goroutine that exits must call Thread.CheckpointAllow first or
-// the checkpointer will stall waiting for it.
-func (rt *Runtime) StartCheckpointer(interval time.Duration) *Checkpointer {
-	c := &Checkpointer{rt: rt, interval: interval, stop: make(chan struct{})}
-	c.done.Add(1)
+// StartCheckpointer runs tick every interval until Stop; the returned
+// CheckpointInfo's Total is the pause MaxPause tracks. A non-positive
+// interval starts nothing and returns nil.
+func StartCheckpointer(interval time.Duration, tick func() CheckpointInfo) *Checkpointer {
+	if interval <= 0 {
+		return nil
+	}
+	c := &Checkpointer{stop: make(chan struct{}), done: make(chan struct{})}
 	go func() {
-		defer c.done.Done()
+		defer close(c.done)
 		last := time.Now()
 		timer := time.NewTimer(interval)
 		defer timer.Stop()
@@ -45,63 +44,52 @@ func (rt *Runtime) StartCheckpointer(interval time.Duration) *Checkpointer {
 				return
 			case <-timer.C:
 			}
-			info := rt.Checkpoint()
+			pause := int64(tick().Total)
 			now := time.Now()
 			c.periods.Add(1)
 			c.totalNs.Add(int64(now.Sub(last)))
 			last = now
-			c.histMu.Lock()
-			if len(c.history) < historyCap {
-				c.history = append(c.history, info)
-			} else {
-				c.history[c.histPos] = info
-				c.histPos = (c.histPos + 1) % historyCap
+			if pause > c.maxPause.Load() {
+				c.maxPause.Store(pause)
 			}
-			c.histMu.Unlock()
 			timer.Reset(interval)
 		}
 	}()
 	return c
 }
 
-// Stop halts the periodic checkpoints and waits for any in-flight one.
+// StartCheckpointer begins taking a checkpoint of rt every interval. Workers
+// must reach restart points (or allow windows) for each checkpoint to
+// complete; a worker goroutine that exits must call Thread.CheckpointAllow
+// first or the checkpointer will stall waiting for it.
+func (rt *Runtime) StartCheckpointer(interval time.Duration) *Checkpointer {
+	return StartCheckpointer(interval, rt.Checkpoint)
+}
+
+// Stop halts the driver and waits for any in-flight tick. It may be called
+// more than once.
 func (c *Checkpointer) Stop() {
-	select {
-	case <-c.stop:
-	default:
-		close(c.stop)
+	if c == nil {
+		return
 	}
-	c.done.Wait()
+	c.stopOnce.Do(func() { close(c.stop) })
+	<-c.done
 }
 
-// Interval returns the configured checkpoint period.
-func (c *Checkpointer) Interval() time.Duration { return c.interval }
-
-// History returns copies of the most recent checkpoint records (up to 256),
-// oldest first.
-func (c *Checkpointer) History() []CheckpointInfo {
-	c.histMu.Lock()
-	defer c.histMu.Unlock()
-	out := make([]CheckpointInfo, 0, len(c.history))
-	out = append(out, c.history[c.histPos:]...)
-	out = append(out, c.history[:c.histPos]...)
-	return out
-}
-
-// MaxPause returns the longest checkpoint duration in the recorded history.
+// MaxPause returns the longest pause of any tick since the driver started.
 func (c *Checkpointer) MaxPause() time.Duration {
-	var maxP time.Duration
-	for _, info := range c.History() {
-		if info.Total > maxP {
-			maxP = info.Total
-		}
+	if c == nil {
+		return 0
 	}
-	return maxP
+	return time.Duration(c.maxPause.Load())
 }
 
 // EffectivePeriod returns the measured average completion-to-completion
-// epoch duration, or zero if no period completed yet.
+// period, or zero if no period completed yet.
 func (c *Checkpointer) EffectivePeriod() time.Duration {
+	if c == nil {
+		return 0
+	}
 	n := c.periods.Load()
 	if n == 0 {
 		return 0

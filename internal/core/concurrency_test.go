@@ -253,23 +253,47 @@ func TestConcurrentAllocFree(t *testing.T) {
 	}
 }
 
-func TestCheckpointerHistory(t *testing.T) {
+// TestCheckpointerMaxPauseAllTime: a long first checkpoint stays the
+// driver's MaxPause however many short ones follow it (a driver that kept
+// only its last 256 records lost it).
+func TestCheckpointerMaxPauseAllTime(t *testing.T) {
+	const long, short = 30 * time.Millisecond, 300
 	rt := newTestRuntime(t, 1, 0)
 	th := rt.Thread(0)
+	// Thread 0 starts outside any allow window, so the first checkpoint
+	// waits at the gate until it opens one.
+	ck := rt.StartCheckpointer(50 * time.Microsecond)
+	defer ck.Stop()
+	time.Sleep(long)
 	th.CheckpointAllow()
-	ck := rt.StartCheckpointer(2 * time.Millisecond)
-	time.Sleep(20 * time.Millisecond)
-	ck.Stop()
-	hist := ck.History()
-	if len(hist) < 2 {
-		t.Fatalf("history has %d records", len(hist))
-	}
-	for i := 1; i < len(hist); i++ {
-		if hist[i].Epoch <= hist[i-1].Epoch {
-			t.Fatalf("history out of order at %d: %d <= %d", i, hist[i].Epoch, hist[i-1].Epoch)
+	for deadline := time.Now().Add(30 * time.Second); rt.Stats().Checkpoints <= short; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d checkpoints in 30s", rt.Stats().Checkpoints)
 		}
+		time.Sleep(time.Millisecond)
 	}
-	if ck.MaxPause() <= 0 {
-		t.Fatal("max pause not recorded")
+	ck.Stop()
+	if got := ck.MaxPause(); got < long/2 {
+		t.Fatalf("MaxPause %v after %d checkpoints, want the first one's (about %v)",
+			got, rt.Stats().Checkpoints, long)
+	}
+}
+
+// TestCheckpointerStop: Stop may be called twice, and a zero interval
+// starts no driver — a nil Checkpointer whose methods all work.
+func TestCheckpointerStop(t *testing.T) {
+	rt := newTestRuntime(t, 1, 0)
+	rt.Thread(0).CheckpointAllow()
+	ck := rt.StartCheckpointer(time.Millisecond)
+	ck.Stop()
+	ck.Stop()
+
+	idle := StartCheckpointer(0, func() CheckpointInfo { panic("ticked") })
+	if idle != nil {
+		t.Fatal("a zero interval started a driver")
+	}
+	idle.Stop()
+	if idle.MaxPause() != 0 || idle.EffectivePeriod() != 0 {
+		t.Fatalf("idle driver: max pause %v, period %v", idle.MaxPause(), idle.EffectivePeriod())
 	}
 }

@@ -7,11 +7,11 @@
 // Every check is split three ways. A Subject is the system under test — a
 // map, queue, skiplist, log, KV store or shard pool — with its logical State
 // and how it reopens after recovery. A driver runs it: Soak runs concurrent
-// workers, a checkpoint ticker and a chaos evictor on randomly evicting
-// heaps and crashes after a delay or inside a chosen drain; Script runs one
-// deterministic goroutine with inline checkpoints for the crash-point
-// explorer (internal/crashexplore). And one Checker certifies the state at
-// every checkpoint, recovers, and compares. A new crash workload is a row:
+// workers, the periodic checkpoint driver and a chaos evictor on randomly
+// evicting heaps and crashes after a delay or inside a chosen drain; Script
+// runs one deterministic goroutine with inline checkpoints for the
+// crash-point explorer (internal/crashexplore). And one Checker certifies
+// the state at every checkpoint, recovers, and compares. A new crash workload is a row:
 // a subject plus a driver's settings.
 //
 // WARViolationDetected shows the property failing when the programming

@@ -12,9 +12,9 @@ import (
 )
 
 // Soak is a row of the concurrent driver: Threads goroutines run Op against
-// a subject built on fresh heaps while a ticker runs Tick and a chaos
-// evictor pushes partial state into NVMM at arbitrary moments; then every
-// heap crashes and the Checker compares the recovery with what the last
+// a subject built on fresh heaps while a core.Checkpointer runs Tick and a
+// chaos evictor pushes partial state into NVMM at arbitrary moments; then
+// every heap crashes and the Checker compares the recovery with what the last
 // completed checkpoint certified.
 type Soak[S Subject] struct {
 	// New builds the subject for one seed (chaos heaps are seeded from it).
@@ -26,10 +26,12 @@ type Soak[S Subject] struct {
 	// own RNG, seeded from the run's seed and its index.
 	Op func(s S, th, i int, rng *rand.Rand)
 
-	// Interval is the ticker's period. Zero runs no ticker, for subjects
-	// that schedule their own checkpoints.
+	// Interval is the driver's interval: each tick starts Interval after
+	// the previous one returned. Zero runs no driver, for subjects that
+	// schedule their own checkpoints.
 	Interval time.Duration
-	// Tick runs every Interval (nil: one checkpoint of every runtime).
+	// Tick is one tick (nil: one checkpoint of every runtime). Ticks stop
+	// at the crash.
 	Tick func(s S)
 
 	// EvictRate is the chaos evictor's probe rate on every heap; 0 runs
@@ -73,6 +75,10 @@ type SoakReport struct {
 	CollisionsApplied int      // collision-log entries recovery replayed
 	CellsRolledBack   int      // InCLL cells recovery rolled back
 	Vacuous           bool     // the run tested nothing (Soak.Vacuous)
+
+	// Period is the driver's achieved period (Checkpointer.EffectivePeriod;
+	// zero without a driver).
+	Period time.Duration
 }
 
 // Run soaks the row once.
@@ -118,36 +124,23 @@ func (r Soak[S]) run(seed int64, stretch time.Duration) (*SoakReport, error) {
 		})
 	}
 
-	stop := make(chan struct{})
-	var bg sync.WaitGroup
-	if r.Interval > 0 {
-		bg.Add(1)
-		go func() {
-			defer bg.Done()
-			tick := time.NewTicker(r.Interval)
-			defer tick.Stop()
-			for n := 1; ; n++ {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-				}
-				if h0.Crashed() {
-					return
-				}
-				if r.Tick != nil {
-					r.Tick(s)
-				} else {
-					for _, rt := range rts {
-						rt.Checkpoint()
-					}
-				}
-				if n == r.CrashTicks {
-					crashAll()
-				}
+	ticks := 0
+	driver := core.StartCheckpointer(r.Interval, func() core.CheckpointInfo {
+		if h0.Crashed() {
+			return core.CheckpointInfo{}
+		}
+		if r.Tick != nil {
+			r.Tick(s)
+		} else {
+			for _, rt := range rts {
+				rt.Checkpoint()
 			}
-		}()
-	}
+		}
+		if ticks++; ticks == r.CrashTicks {
+			crashAll()
+		}
+		return core.CheckpointInfo{}
+	})
 	var evictors []*pmem.Evictor
 	if r.EvictRate > 0 {
 		for _, rt := range rts {
@@ -191,10 +184,9 @@ func (r Soak[S]) run(seed int64, stretch time.Duration) (*SoakReport, error) {
 	for _, ev := range evictors {
 		ev.Stop()
 	}
-	close(stop)
-	bg.Wait()
+	driver.Stop()
 
-	rep := &SoakReport{OpsBeforeCrash: ops.Load(), Drains: drains.Load()}
+	rep := &SoakReport{OpsBeforeCrash: ops.Load(), Drains: drains.Load(), Period: driver.EffectivePeriod()}
 	for _, rt := range rts {
 		// Let any zombie drain finish before recovery reopens the heap's
 		// volatile image underneath it.

@@ -31,7 +31,8 @@ func soakSeeds(full int64) []int64 {
 }
 
 // soak runs a row over seeds, one subtest per seed, with check applied to
-// every report; the row fails if it is vacuous (see RunSeeds).
+// every report; the row fails if it is vacuous (see RunSeeds). Each run
+// logs the driver's requested and achieved period.
 func soak[S Subject](t *testing.T, r Soak[S], seeds []int64, check func(t *testing.T, rep *SoakReport)) {
 	t.Helper()
 	err := r.RunSeeds(seeds, func(seed int64, run func() (*SoakReport, error)) {
@@ -39,6 +40,9 @@ func soak[S Subject](t *testing.T, r Soak[S], seeds []int64, check func(t *testi
 			rep, err := run()
 			if err != nil {
 				t.Fatalf("%v (report %+v)", err, rep)
+			}
+			if r.Interval > 0 {
+				t.Logf("period %v requested, %v achieved", r.Interval, rep.Period.Round(time.Microsecond))
 			}
 			if check != nil {
 				check(t, rep)

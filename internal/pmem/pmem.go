@@ -26,6 +26,10 @@ const (
 	superblockLines = 1 // line 0: epoch word + heap metadata
 	rootLines       = NumRoots
 
+	// ReservedBytes is what every heap reserves below DataStart: the
+	// superblock and the root table.
+	ReservedBytes = (superblockLines + rootLines) * LineSize
+
 	magicWord = 0x52657350435469 // "ResPCTi"
 
 	// lock striping for Chaos mode
@@ -196,9 +200,7 @@ func (h *Heap) Lines() int { return h.nLines }
 
 // DataStart returns the first address available to allocators, just past the
 // superblock and the root table. It is line-aligned.
-func (h *Heap) DataStart() Addr {
-	return Addr((superblockLines + rootLines) * LineSize)
-}
+func (h *Heap) DataStart() Addr { return ReservedBytes }
 
 // EpochAddr returns the address of the persistent global epoch counter
 // (word 0 of the superblock). The checkpoint procedure increments and

@@ -6,13 +6,13 @@
 // to shards, and shard.Store adapts the pool to the kv.Store interface, so
 // kv.Server serves a sharded store unchanged.
 //
-// Checkpoints across the pool are either phase-staggered (the default: one
-// driver goroutine checkpoints one shard per interval, round-robin, so at
-// most one shard is paused at any moment and each flush coalesces N
-// intervals of updates — at the price of a per-shard recovery point up to
-// N*Interval old) or synchronized (all shards checkpoint together every
-// interval, which keeps the whole store's staleness bound at Interval at the
-// cost of a global pause, exactly like an unsharded runtime).
+// Checkpoints across the pool are phase-staggered: Start runs one
+// core.Checkpointer, the repo's one periodic driver, whose tick checkpoints
+// the next shard round-robin, so at most one shard is paused at any moment
+// and each flush coalesces N ticks of updates — at the price of a per-shard
+// recovery point up to N ticks old. A caller that wants the whole store's
+// staleness bound at one interval leaves Interval zero and calls
+// CheckpointAll itself, paying a global pause like an unsharded runtime.
 //
 // Durability is per shard: each shard snapshots to its own frame store
 // (kv-<i>.fset, the format is internal/frame's alone) and recovers

@@ -31,11 +31,12 @@ type Config struct {
 	// HeapBytes is the per-shard simulated NVMM size.
 	HeapBytes int64
 
-	// Interval is the checkpoint driver's tick: shards checkpoint
-	// staggered, round-robin, one shard per tick. A stall only ever covers
-	// one shard, and each shard's flush coalesces Shards intervals of
-	// updates (hot lines are written back once instead of Shards times), but
-	// a shard's recovery point can be up to Shards*Interval old. Each shard
+	// Interval is the checkpoint driver's interval (core.Checkpointer: a
+	// tick starts Interval after the previous one returned): shards
+	// checkpoint staggered, round-robin, one shard per tick. A stall only
+	// ever covers one shard, and each shard's flush coalesces Shards ticks
+	// of updates (hot lines are written back once instead of Shards times),
+	// but a shard's recovery point can be up to Shards ticks old. Each shard
 	// commits its own epoch, so the store is never atomic across shards.
 	// Zero disables the driver (callers may drive CheckpointAll themselves).
 	Interval time.Duration
@@ -154,11 +155,9 @@ type Pool struct {
 	cfg    Config
 	shards []*Shard
 
-	stop      chan struct{}
-	wg        sync.WaitGroup
-	started   atomic.Bool
-	stopped   atomic.Bool
-	maxPause  atomic.Int64 // longest single-shard checkpoint, ns
+	// driver is the checkpoint driver once Start has run: nil before, and
+	// for a zero Interval.
+	driver    atomic.Pointer[core.Checkpointer]
 	ckptRound atomic.Uint64
 
 	// ops counts operations routed to each shard (router skew); nil when no
@@ -211,8 +210,11 @@ func (p *Pool) initMetrics() {
 	}
 	reg.GaugeFunc("respct_pool_shards", "configured shard count", nil,
 		func() float64 { return float64(len(p.shards)) })
-	reg.GaugeFunc("respct_pool_max_pause_ns", "longest single-shard checkpoint pause", nil,
-		func() float64 { return float64(p.maxPause.Load()) })
+	reg.GaugeFunc("respct_pool_max_pause_ns", "longest single-shard checkpoint pause of the driver", nil,
+		func() float64 { return float64(p.driver.Load().MaxPause()) })
+	reg.GaugeFunc("respct_pool_effective_period_ns",
+		"achieved period of the driver's tick; one tick checkpoints one shard, so each shard's own period is shards times this", nil,
+		func() float64 { return float64(p.driver.Load().EffectivePeriod()) })
 	reg.GaugeFunc("respct_pool_checkpoint_rounds", "completed CheckpointAll rounds", nil,
 		func() float64 { return float64(p.ckptRound.Load()) })
 }
@@ -224,7 +226,7 @@ func NewPool(cfg Config) (*Pool, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	p := &Pool{cfg: cfg, shards: make([]*Shard, cfg.Shards), stop: make(chan struct{})}
+	p := &Pool{cfg: cfg, shards: make([]*Shard, cfg.Shards)}
 	err := eachShard(cfg.Shards, func(i int) error {
 		h := cfg.newHeap(i)
 		rt, err := core.NewRuntime(h, cfg.shardRTConfig(i))
@@ -264,7 +266,7 @@ func Recover(cfg Config, heaps []*pmem.Heap) (*Pool, *RecoveryReport, error) {
 		return nil, nil, fmt.Errorf("shard: %d heaps for %d shards", len(heaps), cfg.Shards)
 	}
 	start := time.Now()
-	p := &Pool{cfg: cfg, shards: make([]*Shard, cfg.Shards), stop: make(chan struct{})}
+	p := &Pool{cfg: cfg, shards: make([]*Shard, cfg.Shards)}
 	rep := &RecoveryReport{PerShard: make([]core.RecoveryReport, cfg.Shards)}
 	err := eachShard(cfg.Shards, func(i int) error {
 		rt, r, err := core.Recover(heaps[i], cfg.shardRTConfig(i), cfg.RecoveryParallelism)
@@ -324,32 +326,21 @@ func (p *Pool) Shard(i int) *Shard { return p.shards[i] }
 // Config returns the pool's configuration (after defaulting).
 func (p *Pool) Config() Config { return p.cfg }
 
-// Start launches the checkpoint driver: each tick, one every Interval,
-// checkpoints the next shard round-robin (so at most one shard pauses at a
-// time and each shard's period is Shards*Interval). A zero Interval makes
-// Start a no-op.
+// Start launches the checkpoint driver, a core.Checkpointer at Interval
+// whose tick checkpoints the next shard round-robin: at most one shard
+// pauses at a time, and each shard's period is Shards ticks. A zero
+// Interval, or a driver already started, makes Start a no-op. Start and
+// Close are called from the goroutine that owns the pool.
 func (p *Pool) Start() {
-	if p.cfg.Interval <= 0 || !p.started.CompareAndSwap(false, true) {
+	if p.driver.Load() != nil {
 		return
 	}
-	tick := p.cfg.Interval
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		timer := time.NewTimer(tick)
-		defer timer.Stop()
-		next := 0
-		for {
-			select {
-			case <-p.stop:
-				return
-			case <-timer.C:
-			}
-			p.checkpointShard(next)
-			next = (next + 1) % len(p.shards)
-			timer.Reset(tick)
-		}
-	}()
+	next := 0
+	p.driver.Store(core.StartCheckpointer(p.cfg.Interval, func() core.CheckpointInfo {
+		info := p.checkpointShard(next)
+		next = (next + 1) % len(p.shards)
+		return info
+	}))
 }
 
 // clockNow reads the structures clock (wall clock unless Config.Clock).
@@ -360,29 +351,23 @@ func (p *Pool) clockNow() uint64 {
 	return uint64(time.Now().UnixMilli())
 }
 
-// checkpointShard checkpoints one live shard and records the pause. In
-// structures mode the expiry sweep runs first, as one gated operation on the
-// sweeper's dedicated thread slot: every record due at the epoch
-// boundary is unlinked inside the epoch the checkpoint is about to cut, so
-// a completed checkpoint never captures (and recovery never resurrects) a
-// record past its deadline.
-func (p *Pool) checkpointShard(i int) {
+// checkpointShard checkpoints one live shard and returns its record (zero
+// for a crashed shard). In structures mode the expiry sweep runs first, as
+// one gated operation on the sweeper's dedicated thread slot: every record
+// due at the epoch boundary is unlinked inside the epoch the checkpoint is
+// about to cut, so a completed checkpoint never captures (and recovery never
+// resurrects) a record past its deadline.
+func (p *Pool) checkpointShard(i int) core.CheckpointInfo {
 	sh := p.shards[i]
 	sh.ckpt.Lock()
 	defer sh.ckpt.Unlock()
 	if sh.Heap.Crashed() {
-		return
+		return core.CheckpointInfo{}
 	}
 	if p.cfg.Structures {
 		sh.gated.SweepExpired(p.cfg.sweeperThread(), p.clockNow())
 	}
-	info := sh.RT.Checkpoint()
-	for {
-		cur := p.maxPause.Load()
-		if int64(info.Total) <= cur || p.maxPause.CompareAndSwap(cur, int64(info.Total)) {
-			break
-		}
-	}
+	return sh.RT.Checkpoint()
 }
 
 // CheckpointAll runs one checkpoint on every live shard in parallel and
@@ -398,12 +383,9 @@ func (p *Pool) CheckpointAll() {
 
 // Close stops the checkpoint driver and waits for any in-flight checkpoint —
 // including, in async mode, any background drain still committing its epoch.
-// Shard state stays readable afterwards.
+// Shard state stays readable afterwards, and Close may be called again.
 func (p *Pool) Close() {
-	if p.stopped.CompareAndSwap(false, true) {
-		close(p.stop)
-	}
-	p.wg.Wait()
+	p.driver.Load().Stop()
 	p.WaitDrains()
 }
 
@@ -424,7 +406,7 @@ type PoolStats struct {
 	GateWait    time.Duration
 	FlushTime   time.Duration
 	TotalPause  time.Duration
-	MaxPause    time.Duration // longest single-shard pause seen by the driver
+	MaxPause    time.Duration // longest single-shard pause of the driver's ticks
 
 	// Async-mode aggregates (zero for sync pools).
 	Drains           uint64
@@ -440,7 +422,7 @@ type PoolStats struct {
 
 // Stats merges every shard runtime's counters.
 func (p *Pool) Stats() PoolStats {
-	out := PoolStats{Shards: len(p.shards), MaxPause: time.Duration(p.maxPause.Load())}
+	out := PoolStats{Shards: len(p.shards), MaxPause: p.driver.Load().MaxPause()}
 	for _, sh := range p.shards {
 		s := sh.RT.Stats()
 		out.Checkpoints += s.Checkpoints

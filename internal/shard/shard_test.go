@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"github.com/respct/respct/internal/frame"
 	"github.com/respct/respct/internal/kv"
 	"github.com/respct/respct/internal/pmem"
+	"github.com/respct/respct/internal/telemetry"
 )
 
 func testConfig(shards, workers int) Config {
@@ -133,6 +135,74 @@ func TestPoolStaggeredCheckpointsUnderLoad(t *testing.T) {
 	if st.MaxPause <= 0 {
 		t.Fatal("driver recorded no pause")
 	}
+}
+
+// TestPoolDriverRoundRobin: each driver tick checkpoints the next shard, so
+// after k ticks no shard has two more checkpoints than another, and the
+// pool's gauges report the driver's pause and achieved tick period.
+func TestPoolDriverRoundRobin(t *testing.T) {
+	cfg := testConfig(3, 1)
+	cfg.Interval = time.Millisecond
+	cfg.Metrics = telemetry.NewRegistry()
+	p, err := NewPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := p.Stats().Checkpoints // NewPool's own, one per shard
+	p.Start()
+	for deadline := time.Now().Add(30 * time.Second); p.Stats().Checkpoints-base < 31; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d driver ticks in 30s", p.Stats().Checkpoints-base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	p.Close()
+	counts := make([]uint64, p.NumShards())
+	for i := range counts {
+		counts[i] = p.Shard(i).RT.Stats().Checkpoints
+	}
+	if slices.Max(counts)-slices.Min(counts) > 1 {
+		t.Fatalf("per-shard checkpoints %v after %d ticks: not round-robin", counts, p.Stats().Checkpoints-base)
+	}
+	gauges := map[string]float64{}
+	for _, m := range cfg.Metrics.SnapshotJSON() {
+		if m.Value != nil {
+			gauges[m.Name] = *m.Value
+		}
+	}
+	if got := gauges["respct_pool_max_pause_ns"]; got <= 0 || got != float64(p.Stats().MaxPause) {
+		t.Fatalf("max pause gauge %v, stats %v", got, p.Stats().MaxPause)
+	}
+	if got := gauges["respct_pool_effective_period_ns"]; got < float64(cfg.Interval) {
+		t.Fatalf("tick period gauge %vns below the %v interval", got, cfg.Interval)
+	}
+}
+
+// TestPoolStartWithoutInterval: a zero Interval starts no driver, and Start
+// and Close may each be called twice.
+func TestPoolStartWithoutInterval(t *testing.T) {
+	p, err := NewPool(testConfig(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := p.Stats().Checkpoints
+	p.Start()
+	time.Sleep(5 * time.Millisecond)
+	p.Close()
+	p.Close()
+	if st := p.Stats(); st.Checkpoints != before || st.MaxPause != 0 {
+		t.Fatalf("zero interval: %d checkpoints (was %d), max pause %v", st.Checkpoints, before, st.MaxPause)
+	}
+
+	cfg := testConfig(2, 1)
+	cfg.Interval = time.Millisecond
+	if p, err = NewPool(cfg); err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	p.Start()
+	p.Close()
+	p.Close()
 }
 
 // TestPoolOpenRefusesOtherLayout: stores written with one -structures
